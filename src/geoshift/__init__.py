@@ -18,8 +18,7 @@ from .groups import (GeneratingSet, GroupElement, GroupSpec, ResolvedGenSet,
                      dehn_group, finite_table_group, free_group,
                      free_product_group, normalize)
 from .grammar import parse_group_file, parse_group_text
-from .geometry import (BallTree, ForeignMetric, ball_tree, gromov_product,
-                       word_length)
+from .geometry import BallTree, ball_tree, gromov_product, word_length
 from .randomness import RNG_ALGORITHM, ExactSampler, make_rng
 from .automaton import (GeodesicAutomaton, ValidationReport,
                         build_geodesic_automaton, deserialize_automaton,
@@ -56,7 +55,7 @@ __all__ = [
     "free_group", "finite_table_group", "free_product_group", "dehn_group",
     "normalize", "parse_group_file", "parse_group_text",
     # geometry
-    "word_length", "gromov_product", "ball_tree", "BallTree", "ForeignMetric",
+    "word_length", "gromov_product", "ball_tree", "BallTree",
     # randomness
     "make_rng", "ExactSampler", "RNG_ALGORITHM",
     # automata

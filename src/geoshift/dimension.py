@@ -54,8 +54,6 @@ class RaySample:
 
 def _ray_chain(m: MarkovMeasure):
     """Entry distribution and stepping data for ray sampling."""
-    if m.memory != 1:
-        raise ValueError("ray sampling needs a one-edge-memory measure")
     sft = m.component.sft
     aut = sft.automaton
     if aut is None:

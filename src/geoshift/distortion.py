@@ -12,14 +12,12 @@ two metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .automaton import GeodesicAutomaton, enumerate_sphere, sample_uniform_sphere
-from .errors import ResourceLimit
-from .geometry import (DEFAULT_BALL_BUDGET, ForeignMetric,
-                       _bidirectional_length, ball_tree, word_length)
+from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
 
@@ -39,9 +37,6 @@ __all__ = [
     "distortion_report",
 ]
 
-TABLE_RADIUS_LIMIT = 12
-
-
 def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet,
                     cap: int = 64) -> int:
     """max over letters, in both directions, of the word length in the
@@ -54,21 +49,19 @@ def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     return lip
 
 
-def _is_sub_genset(S: ResolvedGenSet, Sstar: ResolvedGenSet) -> bool:
-    star = {x.key for x in Sstar.elements}
-    return all(x.key in star for x in S.elements)
-
-
 class _ForeignLength:
-    """Length in S*, by the fastest exact method available.
+    """Length in S*, in one of two exact modes chosen from the input.
 
-    Free groups whose S* consists of words of base length at most two,
-    including every base letter, admit a linear factorization scan: some
-    geodesic S*-word multiplies out with no cancellation between pieces
-    (any cancelling pair of two-letter pieces can be rewritten as at most
-    two shorter pieces), so the length is a minimum over tilings of the
-    reduced word.  Otherwise a lookup table covers small radii and a
-    bidirectional meet-in-the-middle search handles the rest.
+    ``tiling``: free groups whose S* consists of words of base length at
+    most two, including every base letter, admit a linear factorization
+    scan.  Some geodesic S*-word multiplies out with no cancellation
+    between pieces (any cancelling pair of two-letter pieces can be
+    rewritten as at most two shorter pieces), so the length is a minimum
+    over tilings of the reduced word.
+
+    ``search``: everything else goes to :func:`word_length`, with a cap
+    just above the cross-Lipschitz constant times the largest radius asked
+    for, which no answer can exceed.
     """
 
     def __init__(self, S: ResolvedGenSet, Sstar: ResolvedGenSet, n_max: int,
@@ -79,7 +72,6 @@ class _ForeignLength:
         self.budget = budget
         self.mode = "search"
         self.pieces = None
-        self.metric = None
         spec = Sstar.group
         base_keys = {x.key for x in spec.resolve(None).elements}
         star_keys = {x.key for x in Sstar.elements}
@@ -88,15 +80,6 @@ class _ForeignLength:
                 and all(x.length() <= 2 for x in Sstar.elements)):
             self.pieces = star_keys  # keys are reduced words as bytes
             self.mode = "tiling"
-            return
-        reach = n_max if _is_sub_genset(S, Sstar) else self.lip * n_max
-        if reach <= TABLE_RADIUS_LIMIT:
-            try:
-                self.metric = ForeignMetric(Sstar, budget=budget)
-                self.metric.ensure_radius(reach)
-                self.mode = "table"
-            except ResourceLimit:
-                self.metric = None
 
     def _tiling_length(self, x: GroupElement) -> int:
         seq = x.key
@@ -113,11 +96,7 @@ class _ForeignLength:
     def __call__(self, x: GroupElement) -> int:
         if self.mode == "tiling":
             return self._tiling_length(x)
-        if self.mode == "table":
-            return self.metric.length(x, cap=self.cap)
-        if self.Sstar.is_base:
-            return word_length(x, self.Sstar, cap=self.cap)
-        return _bidirectional_length(self.Sstar, x, self.cap, self.budget)
+        return word_length(x, self.Sstar, self.cap, self.budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Metric computations in Cayley graphs: spheres, lengths, Gromov products.
+"""Metric computations in Cayley graphs: balls, lengths, Gromov products.
 
 Distances are exact integers throughout.  Gromov products are half-integers
 and are returned as :class:`fractions.Fraction`; internal scans keep them
@@ -7,78 +7,26 @@ doubled so all comparisons stay in integer arithmetic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappop
-from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import CapExceeded, EmptySphere, ResourceLimit
+from .errors import CapExceeded, ResourceLimit
 from .groups import GroupElement, GroupSpec, ResolvedGenSet
 
 __all__ = [
-    "sphere",
-    "sphere_layers",
     "ball_tree",
     "BallTree",
     "word_length",
-    "ForeignMetric",
     "gromov_product",
     "estimate_delta",
-    "busemann_finite",
     "HyperbolicityEstimate",
 ]
 
 DEFAULT_LENGTH_CAP = 64
 DEFAULT_BALL_BUDGET = 5_000_000
-
-
-def sphere_layers(T: ResolvedGenSet, n_max: int,
-                  budget: int = DEFAULT_BALL_BUDGET) -> Iterator[list]:
-    """Yield the keys of each sphere 0..n_max in breadth-first order.
-
-    Only two trailing layers are kept for deduplication, which is sound
-    because a neighbour of an element at distance n sits at distance
-    n-1, n, or n+1.
-    """
-    eng = T.group.engine
-    tkeys = [e.key for e in T.elements]
-    layer = [eng.identity]
-    prev: set = set()
-    seen = 1
-    yield layer
-    for _ in range(n_max):
-        cur = set(layer)
-        nxt: list = []
-        nxt_set: set = set()
-        for g in layer:
-            for tk in tkeys:
-                h = eng.mult(g, tk)
-                if h in prev or h in cur or h in nxt_set:
-                    continue
-                nxt_set.add(h)
-                nxt.append(h)
-        seen += len(nxt)
-        if seen > budget:
-            raise ResourceLimit(f"sphere enumeration exceeded budget {budget}")
-        prev = cur
-        layer = nxt
-        yield layer
-        if not layer:
-            return
-
-
-def sphere(spec: GroupSpec, T: ResolvedGenSet, n: int,
-           budget: int = DEFAULT_BALL_BUDGET) -> list[GroupElement]:
-    """All elements at distance exactly n from the identity in Cay(G, T)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for depth, layer in enumerate(sphere_layers(T, n, budget)):
-        if depth == n:
-            return [GroupElement(spec, k) for k in layer]
-    return []
 
 
 @dataclass
@@ -144,48 +92,6 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     return BallTree(keys, dist, parent, letter, index, layer_bounds)
 
 
-def _bidirectional_length(T: ResolvedGenSet, x: GroupElement, cap: int,
-                          budget: int) -> int:
-    eng = T.group.engine
-    tkeys = [e.key for e in T.elements]
-    if x.is_identity():
-        return 0
-    da = {eng.identity: 0}
-    db = {x.key: 0}
-    fa = [eng.identity]
-    fb = [x.key]
-    ra = rb = 0
-    visited = 2
-    while fa and fb:
-        if ra + rb >= cap:
-            raise CapExceeded(f"word length exceeds cap {cap}")
-        # expand the smaller frontier
-        if len(fa) <= len(fb):
-            frontier, dist, other, r = fa, da, db, ra + 1
-            ra = r
-        else:
-            frontier, dist, other, r = fb, db, da, rb + 1
-            rb = r
-        nxt = []
-        for g in frontier:
-            for tk in tkeys:
-                h = eng.mult(g, tk)
-                if h in dist:
-                    continue
-                if h in other:
-                    return r + other[h]
-                dist[h] = r
-                nxt.append(h)
-        visited += len(nxt)
-        if visited > budget:
-            raise ResourceLimit(f"bidirectional search exceeded budget {budget}")
-        if dist is da:
-            fa = nxt
-        else:
-            fb = nxt
-    raise CapExceeded(f"word length exceeds cap {cap}")
-
-
 def _astar_length(T: ResolvedGenSet, x: GroupElement, cap: int,
                   budget: int) -> int:
     """Exact foreign length by A* over left quotients.
@@ -231,10 +137,11 @@ def word_length(x: GroupElement, T: ResolvedGenSet,
                 budget: int = DEFAULT_BALL_BUDGET) -> int:
     """Geodesic length of x with respect to the generating set T.
 
-    Short queries run a bidirectional breadth-first search meeting in the
-    middle; long ones switch to an A* search with an admissible base-length
-    heuristic.  Both are exact.  Raises CapExceeded when the length is
-    provably above ``cap``.
+    For the base set this is the engine's normal-form length.  For any
+    other set it is an A* search whose heuristic, the base length divided
+    by the longest letter, never overestimates, so the answer is exact.
+    Raises CapExceeded when the length is provably above ``cap`` and
+    ResourceLimit when the search pops more than ``budget`` states.
     """
     if T.is_base:
         n = x.length()
@@ -244,58 +151,7 @@ def word_length(x: GroupElement, T: ResolvedGenSet,
     # Lower bound from the Lipschitz comparison of the two metrics.
     if -(-x.length() // T.max_letter_length) > cap:
         raise CapExceeded(f"word length exceeds cap {cap}")
-    branching = max(2, len(T) - 1)
-    # Estimated bidirectional frontier size; beyond ~1e5 A* wins.
-    depth_guess = min(cap, x.length())
-    if branching ** ((depth_guess + 1) // 2) <= 100_000:
-        return _bidirectional_length(T, x, cap, budget)
     return _astar_length(T, x, cap, budget)
-
-
-class ForeignMetric:
-    """Length oracle for one generating set, with an optional lookup table.
-
-    ``ensure_radius`` precomputes a ball so that later queries inside it are
-    dictionary lookups; anything outside falls back to exact search.
-    """
-
-    def __init__(self, T: ResolvedGenSet, cap: int = DEFAULT_LENGTH_CAP,
-                 budget: int = DEFAULT_BALL_BUDGET):
-        self.T = T
-        self.cap = cap
-        self.budget = budget
-        self._table: dict = {T.group.engine.identity: 0}
-        self._radius = 0
-
-    def ensure_radius(self, radius: int):
-        if radius <= self._radius:
-            return
-        eng = self.T.group.engine
-        tkeys = [e.key for e in self.T.elements]
-        layer = [k for k, d in self._table.items() if d == self._radius]
-        for depth in range(self._radius, radius):
-            nxt = []
-            for g in layer:
-                for tk in tkeys:
-                    h = eng.mult(g, tk)
-                    if h not in self._table:
-                        self._table[h] = depth + 1
-                        nxt.append(h)
-            if len(self._table) > self.budget:
-                raise ResourceLimit(f"length table exceeded budget {self.budget}")
-            layer = nxt
-            self._radius = depth + 1
-            if not layer:
-                break
-
-    def length(self, x: GroupElement, cap: Optional[int] = None) -> int:
-        if self.T.is_base:
-            return x.length()
-        n = self._table.get(x.key)
-        if n is not None:
-            return n
-        return word_length(x, self.T, cap if cap is not None else self.cap,
-                           self.budget)
 
 
 def gromov_product(x: GroupElement, y: GroupElement, T: ResolvedGenSet,
@@ -361,8 +217,3 @@ def estimate_delta(spec: GroupSpec, T: ResolvedGenSet, radius: int,
             worst = m
     return HyperbolicityEstimate(Fraction(max(worst, 0), 2), radius, spec.identity())
 
-
-def busemann_finite(x: GroupElement, z: GroupElement, T: ResolvedGenSet,
-                    cap: int = DEFAULT_LENGTH_CAP) -> int:
-    """Finite-stage horofunction value d(x, z) - d(o, z)."""
-    return word_length(x.inverse() * z, T, cap) - word_length(z, T, cap)

@@ -57,6 +57,14 @@ def _str_list(node, where: str) -> list[str]:
     return list(node)
 
 
+def _letter_pairs(node, where: str) -> dict:
+    pairs = _require_mapping(node, where)
+    if not all(isinstance(a, str) and isinstance(b, str)
+               for a, b in pairs.items()):
+        raise FormatError(f"{where} must pair letter names with letter names")
+    return pairs
+
+
 def _generators_block(node, family: str) -> dict:
     gens = _require_mapping(node, "generators")
     allowed = {"letters", "inverses"}
@@ -66,7 +74,7 @@ def _generators_block(node, family: str) -> dict:
     if "letters" not in gens or "inverses" not in gens:
         raise FormatError("generators needs letters and inverses")
     gens["letters"] = _str_list(gens["letters"], "generators.letters")
-    gens["inverses"] = _require_mapping(gens["inverses"], "generators.inverses")
+    gens["inverses"] = _letter_pairs(gens["inverses"], "generators.inverses")
     return gens
 
 
@@ -99,7 +107,7 @@ def parse_group_text(text: str) -> GroupSpec:
         for key in ("table", "factors", "relators"):
             if key in doc:
                 raise FormatError(f"free family does not take {key}")
-        spec = free_group(int(doc["rank"]), letters, inverses, name=name)
+        spec = free_group(doc["rank"], letters, inverses, name=name)
     elif family == "finite_table":
         if "table" not in doc:
             raise FormatError("finite_table family needs table")
@@ -118,12 +126,8 @@ def parse_group_text(text: str) -> GroupSpec:
                 raise FormatError(f"free_product family does not take {key}")
         if "elements" not in gens:
             raise FormatError("free_product generators need elements")
-        elements = {
-            k: tuple(v) for k, v in
-            _require_mapping(gens["elements"], "generators.elements").items()
-        }
-        spec = free_product_group(doc["factors"], letters, elements, inverses,
-                                  name=name)
+        spec = free_product_group(doc["factors"], letters, gens["elements"],
+                                  inverses, name=name)
     else:
         if "relators" not in doc:
             raise FormatError("dehn family needs relators")
@@ -153,7 +157,7 @@ def parse_group_text(text: str) -> GroupSpec:
                 }
             gs = GeneratingSet(
                 tuple(_str_list(block["letters"], f"genset {gname} letters")),
-                _require_mapping(block["inverses"], f"genset {gname} inverses"),
+                _letter_pairs(block["inverses"], f"genset {gname} inverses"),
                 words=words,
                 name=str(gname),
             )

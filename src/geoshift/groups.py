@@ -18,7 +18,8 @@ Elements are immutable and safe to share; all operations are pure functions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Mapping, Optional, Sequence
 import itertools
 import warnings
@@ -126,6 +127,27 @@ class _FreeEngine:
         return tuple(a)
 
 
+def _table_geodesics(table, letters: list[tuple[int, int]]) -> tuple[dict, dict]:
+    """Breadth-first search of a multiplication table from the identity 0.
+
+    ``letters`` lists (letter index, table element) pairs, tried in order.
+    Returns the distance of every element reached and its tree parent
+    (previous element, letter index), so the tree word is shortlex-least.
+    """
+    dist = {0: 0}
+    parent: dict[int, tuple[int, int]] = {}
+    queue = deque([0])
+    while queue:
+        g = queue.popleft()
+        for li, le in letters:
+            h = table[g][le]
+            if h not in dist:
+                dist[h] = dist[g] + 1
+                parent[h] = (g, li)
+                queue.append(h)
+    return dist, parent
+
+
 class _FiniteEngine:
     """Word problem for a finite group given by its multiplication table."""
 
@@ -137,28 +159,12 @@ class _FiniteEngine:
         self.inv = inv
         self.identity = 0
         self.order = len(table)
-        self._element_inverse = [None] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if table[i][j] == 0:
-                    self._element_inverse[i] = j
-        # Geodesic distance and a shortest word for every element, over the
-        # letters actually supplied (these must generate the whole group).
-        dist = {0: 0}
-        parent: dict[int, tuple[int, int]] = {}
-        queue = deque([0])
-        while queue:
-            g = queue.popleft()
-            for li, le in enumerate(letter_elements):
-                h = table[g][le]
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    parent[h] = (g, li)
-                    queue.append(h)
-        if len(dist) != self.order:
+        self._element_inverse = [row.index(0) for row in table]
+        # The letters actually supplied must generate the whole group.
+        self._dist, self._parent = _table_geodesics(
+            table, list(enumerate(letter_elements)))
+        if len(self._dist) != self.order:
             raise FormatError("the supplied letters do not generate the group")
-        self._dist = dist
-        self._parent = parent
 
     def from_word(self, ids: Iterable[int]) -> int:
         g = 0
@@ -197,15 +203,7 @@ class _FreeProductEngine:
         self.letter_syllables = letter_syllables  # letter index -> (factor, element)
         self.inv = inv
         self.identity = ()
-        self._factor_inverse = []
-        for tbl in tables:
-            n = len(tbl)
-            fi = [None] * n
-            for i in range(n):
-                for j in range(n):
-                    if tbl[i][j] == 0:
-                        fi[i] = j
-            self._factor_inverse.append(fi)
+        self._factor_inverse = [[row.index(0) for row in tbl] for tbl in tables]
         # Per-factor geodesic data over the letters assigned to that factor.
         self._dist = []
         self._parent = []
@@ -215,17 +213,7 @@ class _FreeProductEngine:
             ]
             if not letters:
                 raise FormatError(f"factor {f} has no letters assigned")
-            dist = {0: 0}
-            parent: dict[int, tuple[int, int]] = {}
-            queue = deque([0])
-            while queue:
-                g = queue.popleft()
-                for li, le in letters:
-                    h = tbl[g][le]
-                    if h not in dist:
-                        dist[h] = dist[g] + 1
-                        parent[h] = (g, li)
-                        queue.append(h)
+            dist, parent = _table_geodesics(tbl, letters)
             if len(dist) != len(tbl):
                 raise FormatError(f"letters assigned to factor {f} do not generate it")
             self._dist.append(dist)
@@ -582,13 +570,30 @@ class ResolvedGenSet:
         return cls(group, genset, tuple(elements), False)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _letter_values(values, letters: Sequence[str], what: str) -> tuple:
+    """The value assigned to each letter, in letter order."""
+    if not isinstance(values, Mapping):
+        raise FormatError(f"{what}s must be given as a mapping from letters")
+    for a in letters:
+        if a not in values:
+            raise FormatError(f"letter {a!r} has no {what} assigned")
+    return tuple(values[a] for a in letters)
+
+
 def _validate_table(table) -> tuple[tuple[int, ...], ...]:
-    n = len(table)
+    try:
+        tbl = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise FormatError("multiplication table must be a list of rows") from None
+    n = len(tbl)
     if n == 0:
         raise FormatError("empty multiplication table")
-    tbl = tuple(tuple(row) for row in table)
     for row in tbl:
-        if len(row) != n or any(not (0 <= v < n) for v in row):
+        if len(row) != n or any(not (_is_int(v) and 0 <= v < n) for v in row):
             raise FormatError("multiplication table is not square over 0..n-1")
     for i in range(n):
         if tbl[0][i] != i or tbl[i][0] != i:
@@ -612,8 +617,8 @@ def free_group(rank: int, letters: Optional[Sequence[str]] = None,
 
     Default letters are a, a^-1, b, b^-1, ... in pairs.
     """
-    if rank < 1:
-        raise FormatError("rank must be at least 1")
+    if not _is_int(rank) or rank < 1:
+        raise FormatError("rank must be an integer of at least 1")
     if letters is None:
         names = "abcdefghijklmnopqrstuvwxyz"
         if rank > len(names):
@@ -639,8 +644,8 @@ def finite_table_group(table, letters: Sequence[str],
     """Finite group from a multiplication table (identity must be index 0)."""
     tbl = _validate_table(table)
     base = GeneratingSet(tuple(letters), dict(inverses), name="S")
-    elems = tuple(letter_elements[a] for a in base.letters)
-    if any(not (0 < e < len(tbl)) for e in elems):
+    elems = _letter_values(letter_elements, base.letters, "table element")
+    if any(not (_is_int(e) and 0 < e < len(tbl)) for e in elems):
         raise FormatError("letters must name nontrivial table elements")
     inv = base.inverse_index()
     for i, e in enumerate(elems):
@@ -657,11 +662,19 @@ def free_product_group(tables, letters: Sequence[str],
 
     ``letter_syllables`` maps each letter to ``(factor index, element index)``.
     """
+    try:
+        tables = tuple(tables)
+    except TypeError:
+        raise FormatError("factors must be a list of multiplication tables") from None
     if len(tables) < 2:
         raise FormatError("a free product needs at least two factors")
     tbls = tuple(_validate_table(t) for t in tables)
     base = GeneratingSet(tuple(letters), dict(inverses), name="S")
-    syls = tuple(tuple(letter_syllables[a]) for a in base.letters)
+    syls = _letter_values(letter_syllables, base.letters, "factor syllable")
+    if any(not (isinstance(syl, Sequence) and len(syl) == 2
+                and all(_is_int(v) for v in syl)) for syl in syls):
+        raise FormatError("each letter must name a [factor, element] pair")
+    syls = tuple(tuple(syl) for syl in syls)
     for f, e in syls:
         if not (0 <= f < len(tbls)):
             raise FormatError("letter assigned to a factor that does not exist")

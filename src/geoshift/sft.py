@@ -10,11 +10,9 @@ semisimplicity test used by the pressure analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
-
-import numpy as np
 
 from .automaton import GeodesicAutomaton
 
@@ -116,12 +114,6 @@ class Sft:
         """May edge j follow edge i."""
         return self.edges[i][2] == self.edges[j][0]
 
-    def edge_successors(self) -> list[list[int]]:
-        by_src: dict[int, list[int]] = {}
-        for j, (s, _, _) in enumerate(self.edges):
-            by_src.setdefault(s, []).append(j)
-        return [by_src.get(dst, []) for (_, _, dst) in self.edges]
-
     def __repr__(self):
         return f"Sft({len(self.edges)} edges, {self.n_states} states)"
 
@@ -147,18 +139,6 @@ class Component:
         for v in sorted(self.states):
             parts[self.phase[v]].append(v)
         return parts
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """0/1 matrix over this component's edges in local order."""
-        m = len(self.edge_ids)
-        a = np.zeros((m, m), dtype=np.float64)
-        pos = {e: i for i, e in enumerate(self.edge_ids)}
-        for i, e in enumerate(self.edge_ids):
-            dst = self.sft.edges[e][2]
-            for f in self.edge_ids:
-                if self.sft.edges[f][0] == dst:
-                    a[i, pos[f]] = 1.0
-        return a
 
     def __repr__(self):
         return (f"Component(#{self.index}, {len(self.edge_ids)} edges, "

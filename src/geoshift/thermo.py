@@ -1,24 +1,24 @@
 """Pressure, Parry-Gibbs measures, and entropy on recurrent components.
 
 Everything here runs on a weighted adjacency matrix built from a recurrent
-component and a potential on blocks of edges.  Potentials depending on more
-than one edge are handled by recoding to a higher-block presentation, so a
-single Perron computation covers all cases.  Periodic components are reduced
-to a primitive matrix by passing to the appropriate power on one cyclic
-class and propagating the eigenvector back around the cycle.
+component and a potential on its edges: the matrix is indexed by edges, and
+the arrow from one edge to a successor carries the potential of the first.
+Periodic components are reduced to a primitive matrix by passing to the
+appropriate power on one cyclic class and propagating the eigenvector back
+around the cycle.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptySphere, NonConvergence, ResourceLimit
-from .sft import Component, ComponentDecomposition, Sft, components, \
+from .errors import EmptySphere, NonConvergence
+from .sft import Component, ComponentDecomposition, components, \
     digraph_period, sft_from_automaton, strongly_connected
 
 __all__ = [
@@ -42,50 +42,37 @@ __all__ = [
 
 PERRON_TOL = 1e-13
 PERRON_ITMAX = 1_000_000
-NODE_BUDGET = 200_000
 
 
 class Potential:
-    """A real function of k consecutive edges of the shift."""
+    """A real function of one edge of the shift: a constant, or one value
+    per edge id."""
 
-    def __init__(self, k: int, values=None, constant_value: float = 0.0):
-        if k < 1:
-            raise ValueError("block length must be at least 1")
-        self.k = k
+    def __init__(self, values=None, constant_value: float = 0.0):
         self.values = dict(values) if values is not None else None
         self.constant_value = float(constant_value)
 
     @classmethod
     def constant(cls, c: float) -> "Potential":
-        return cls(1, None, c)
+        return cls(None, c)
 
     @classmethod
     def on_edges(cls, values: dict) -> "Potential":
-        """Potential depending on a single edge: {edge id: value}."""
-        return cls(1, {(e,): float(v) for e, v in values.items()})
+        """Potential given edge by edge: {edge id: value}."""
+        return cls({e: float(v) for e, v in values.items()})
 
-    @classmethod
-    def on_blocks(cls, k: int, values: dict) -> "Potential":
-        """Potential on k-blocks: {(e_0, ..., e_{k-1}): value}."""
-        return cls(k, {tuple(b): float(v) for b, v in values.items()})
-
-    def value(self, block: Sequence[int]) -> float:
-        block = tuple(block)
-        if len(block) != self.k:
-            raise ValueError(
-                f"potential takes blocks of length {self.k}, got {len(block)}"
-            )
+    def value(self, edge: int) -> float:
         if self.values is None:
             return self.constant_value
         try:
-            return self.values[block]
+            return self.values[edge]
         except KeyError:
-            raise ValueError(f"potential is undefined on block {block!r}") from None
+            raise ValueError(f"potential is undefined on edge {edge!r}") from None
 
     def __repr__(self):
         if self.values is None:
             return f"Potential(constant {self.constant_value:g})"
-        return f"Potential(k={self.k}, {len(self.values)} blocks)"
+        return f"Potential({len(self.values)} edges)"
 
 
 def word_length_potential(v: float) -> Potential:
@@ -95,21 +82,20 @@ def word_length_potential(v: float) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# Higher-block recoding
+# Edge graph
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _Recoded:
-    """Component recoded so a k-block potential becomes a weight per arrow.
+    """Component as a graph on its edges, with the potential on the arrows.
 
-    Nodes are blocks of max(k-1, 1) consecutive edges; an arrow joins two
-    nodes that overlap in all but one symbol, and carries the potential of
-    the union block (for k = 1, simply the value at the source edge).
+    Nodes are the 1-tuples (e,) of the component's edges; an arrow joins e
+    to every edge f that may follow it and carries the potential of e.
     """
 
     component: Component
     potential: Potential
-    nodes: list  # tuples of global edge ids
+    nodes: list  # 1-tuples of global edge ids
     node_index: dict
     psi: np.ndarray  # psi[i, j] over arrows, -inf elsewhere
     support: np.ndarray  # boolean arrow matrix
@@ -117,51 +103,23 @@ class _Recoded:
     phase: np.ndarray  # per node
 
 
-def _recode(C: Component, psi: Potential, node_budget: int = NODE_BUDGET) -> _Recoded:
+def _recode(C: Component, psi: Potential) -> _Recoded:
     sft = C.sft
-    m = max(psi.k - 1, 1)
-    succ_by_edge = {e: [] for e in C.edge_ids}
-    for e in C.edge_ids:
-        dst = sft.edges[e][2]
-        for f in C.edge_ids:
-            if sft.edges[f][0] == dst:
-                succ_by_edge[e].append(f)
-
-    nodes: list[tuple] = []
-    if m == 1:
-        nodes = [(e,) for e in C.edge_ids]
-    else:
-        stack = [(e,) for e in sorted(C.edge_ids, reverse=True)]
-        while stack:
-            b = stack.pop()
-            if len(b) == m:
-                nodes.append(b)
-                if len(nodes) > node_budget:
-                    raise ResourceLimit(
-                        f"more than {node_budget} blocks of length {m}"
-                    )
-                continue
-            for f in sorted(succ_by_edge[b[-1]], reverse=True):
-                stack.append(b + (f,))
+    nodes = [(e,) for e in C.edge_ids]
     node_index = {b: i for i, b in enumerate(nodes)}
 
     n = len(nodes)
     psi_mat = np.full((n, n), -np.inf)
     support = np.zeros((n, n), dtype=bool)
-    for i, b in enumerate(nodes):
-        for f in succ_by_edge[b[-1]]:
-            nxt = b[1:] + (f,) if m > 1 else (f,)
-            j = node_index.get(nxt)
-            if j is None:
-                continue
-            block = b + (f,)
-            # Weight of the source edge for one-edge potentials, of the
-            # whole k-block otherwise.
-            val = psi.value((block[0],)) if psi.k == 1 else psi.value(block)
-            support[i, j] = True
-            psi_mat[i, j] = val
+    for i, e in enumerate(C.edge_ids):
+        dst = sft.edges[e][2]
+        val = psi.value(e)
+        for j, f in enumerate(C.edge_ids):
+            if sft.edges[f][0] == dst:
+                support[i, j] = True
+                psi_mat[i, j] = val
 
-    # The recoded graph of a recurrent component is again strongly connected.
+    # The edge graph of a recurrent component is again strongly connected.
     succ_lists = [list(np.flatnonzero(support[i])) for i in range(n)]
     sccs = strongly_connected(n, succ_lists)
     if len(sccs) != 1:
@@ -254,7 +212,7 @@ class MarkovMeasure:
 
     component: Component
     potential: Potential
-    nodes: list  # tuples of global edge ids, length max(k-1, 1)
+    nodes: list  # 1-tuples of global edge ids
     node_index: dict
     P: np.ndarray
     pi: np.ndarray
@@ -264,7 +222,7 @@ class MarkovMeasure:
 
     @property
     def memory(self) -> int:
-        """Number of edges a node of the chain remembers."""
+        """Number of edges a node of the chain remembers (always 1)."""
         return len(self.nodes[0])
 
     def edge_distribution(self) -> dict:
@@ -285,11 +243,7 @@ def parry_gibbs_measure(C: Component, psi: Potential, tol: float = PERRON_TOL,
 
     # Left eigenvector: Perron data of the transpose, whose cyclic classes
     # are the same sets traversed the other way round.
-    arrows_t = [(j, i) for i in range(W.shape[0])
-                for j in np.flatnonzero(rc.support[i])]
-    period_t, phase_t_map = digraph_period(list(range(W.shape[0])), arrows_t)
-    phase_t = np.array([phase_t_map[i] for i in range(W.shape[0])], dtype=np.int64)
-    lam_l, l = _perron(W.T, period_t, phase_t, tol, itmax)
+    lam_l, l = _perron(W.T, rc.period, (-rc.phase) % rc.period, tol, itmax)
     if abs(lam_l - lam) > 1e-9 * max(lam, 1.0):
         raise NonConvergence("left and right Perron roots disagree")
 
@@ -332,24 +286,17 @@ def mean_potential(m: MarkovMeasure) -> float:
 def cylinder_measure(m: MarkovMeasure, block: Sequence[int]) -> float:
     """Measure of the cylinder fixing the given consecutive edges.
 
-    The empty block describes the whole space and has measure 1.  Blocks
-    shorter than the chain's memory are handled by summing the stationary
-    weights of every chain node that starts with the block.
+    The empty block describes the whole space and has measure 1.
     """
     block = tuple(block)
-    mem = m.memory
-    if len(block) < mem:
-        return float(sum(
-            m.pi[i] for i, node in enumerate(m.nodes)
-            if node[:len(block)] == block
-        ))
-    head = m.node_index.get(block[:mem])
-    if head is None:
+    if not block:
+        return float(sum(m.pi))
+    cur = m.node_index.get(block[:1])
+    if cur is None:
         return 0.0
-    prob = float(m.pi[head])
-    cur = head
-    for t in range(mem, len(block)):
-        nxt = m.node_index.get(block[t - mem + 1: t + 1])
+    prob = float(m.pi[cur])
+    for e in block[1:]:
+        nxt = m.node_index.get((e,))
         if nxt is None:
             return 0.0
         prob *= float(m.P[cur, nxt])
@@ -441,16 +388,13 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
                      budget: int = 500_000) -> GibbsReport:
     """Enumerate cylinders and compare their measure with the Gibbs
     weight exp(-n pressure + Birkhoff sum of the potential)."""
-    k = m.potential.k
-    mem = m.memory
     lo, hi = math.inf, -math.inf
     count = 0
     truncated = False
 
     def ratio(edges: tuple, prob: float) -> float:
-        n = len(edges)
-        s = sum(m.potential.value(edges[i: i + k]) for i in range(n - k + 1))
-        return prob / math.exp(-(n - k + 1) * m.pressure + s)
+        s = sum(m.potential.value(e) for e in edges)
+        return prob / math.exp(-len(edges) * m.pressure + s)
 
     stack = [(i, m.nodes[i], float(m.pi[i])) for i in
              range(len(m.nodes) - 1, -1, -1)]
@@ -458,20 +402,19 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
         i, edges, prob = stack.pop()
         if prob <= 0.0:
             continue
-        if len(edges) >= k:
-            r = ratio(edges, prob)
-            lo, hi = min(lo, r), max(hi, r)
-            count += 1
-            if count >= budget:
-                truncated = True
-                break
+        r = ratio(edges, prob)
+        lo, hi = min(lo, r), max(hi, r)
+        count += 1
+        if count >= budget:
+            truncated = True
+            break
         if len(edges) >= n_max:
             continue
         for j in np.flatnonzero(m.support[i]):
             stack.append((int(j), edges + (m.nodes[j][-1],),
                           prob * float(m.P[i, j])))
     if count == 0:
-        raise EmptySphere("no cylinder long enough for the potential's block length")
+        raise EmptySphere("no cylinder of positive measure")
     return GibbsReport(lo, hi, count, n_max, m.pressure, truncated)
 
 
@@ -558,9 +501,7 @@ class PsCodingReport:
 
 
 def _measure_edge_chain(m: MarkovMeasure):
-    """Edge-indexed stationary data for a measure with one-edge memory."""
-    if m.memory != 1:
-        raise ValueError("boundary coding needs a one-edge-memory measure")
+    """Edge-indexed stationary data of a measure."""
     edges = [b[0] for b in m.nodes]
     idx = {e: i for i, e in enumerate(edges)}
     return edges, idx

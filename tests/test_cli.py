@@ -13,6 +13,16 @@ import pytest
 F2 = "groups/f2.grp"
 PSL = "groups/psl2z.grp"
 S3 = "groups/s3.grp"
+# Stands for a presentation file whose table is a number, not a list of rows.
+BAD_TABLE = "<bad table file>"
+BAD_TABLE_TEXT = """\
+family: finite_table
+table: 7
+generators:
+  letters: [a]
+  inverses: {a: a}
+  elements: {a: 1}
+"""
 
 
 def run(*args):
@@ -149,9 +159,12 @@ def test_battery_stdout_is_byte_identical():
     ("automaton", "--no-such-flag"),
     ("distortion", "--group", F2, "--to", "Sstar_ab", "--n", "4,banana"),
     ("battery", "--profile", "nonsense"),
+    ("automaton", "--group", BAD_TABLE),
 ])
-def test_input_errors_exit_2(args):
-    r = run(*args)
+def test_input_errors_exit_2(args, tmp_path):
+    bad = tmp_path / "bad.grp"
+    bad.write_text(BAD_TABLE_TEXT)
+    r = run(*(str(bad) if a == BAD_TABLE else a for a in args))
     assert r.returncode == 2
     assert r.stdout == ""
 

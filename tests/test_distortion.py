@@ -26,6 +26,15 @@ def test_exact_sphere_averages(f2_aut, f2_star_ab):
     assert mean_distortion_exact(f2_aut, f2_star_ab, 6) == EXACT_AB
 
 
+# PSL2Z against its base letters plus st and its inverse
+EXACT_ST = [Fraction(v) for v in
+            ("0", "1", "3/2", "13/6", "11/4", "41/12", "4", "14/3", "21/4")]
+
+
+def test_exact_sphere_averages_modular(psl2z, psl_aut):
+    assert mean_distortion_exact(psl_aut, psl2z.resolve("Sstar_st"), 8) == EXACT_ST
+
+
 def test_exact_averages_by_brute_force(f2, f2_aut, f2_star_ab):
     from geoshift import enumerate_sphere
 

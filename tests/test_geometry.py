@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from geoshift import ball_tree, cross_lipschitz, gromov_product, word_length
+from geoshift import (GroupElement, ball_tree, cross_lipschitz,
+                      gromov_product, word_length)
 from geoshift.errors import CapExceeded, ResourceLimit
 from geoshift.geometry import estimate_delta
 
@@ -37,9 +38,26 @@ def test_ball_budget_enforced(f2):
     (["a", "b", "a"], 2),
     (["a", "b", "a", "b"], 2),
     (["a", "a", "b"], 2),
+    # base length 24; each block of eight is ab b a b^-1 a ab in S*
+    (["a", "b", "b", "a", "b^-1", "a", "a", "b"] * 3, 18),
 ])
 def test_foreign_word_length(f2, f2_star_ab, word, expected):
     assert word_length(f2.element(word), f2_star_ab) == expected
+
+
+@pytest.mark.parametrize("group,genset,radius", [
+    ("psl2z", "Sstar_st", 8),
+    ("f2", "Sstar_ab", 5),
+    ("f2", "Sstar_a2", 5),
+])
+def test_length_search_matches_the_ball(group, genset, radius, request):
+    # Breadth-first distances in the S*-ball are an independent oracle.
+    spec = request.getfixturevalue(group)
+    star = spec.resolve(genset)
+    tree = ball_tree(star, radius)
+    mismatches = [k for k in tree.keys
+                  if word_length(GroupElement(spec, k), star) != tree.dist[k]]
+    assert mismatches == []
 
 
 def test_foreign_length_symmetry(f2, f2_star_ab):

@@ -55,6 +55,29 @@ def test_base_set_resolves_by_name_and_none(f2):
     assert f2.resolve(None).is_base
 
 
+C2 = """\
+name: C2
+family: finite_table
+table: [[0, 1], [1, 0]]
+generators:
+  letters: [a]
+  inverses: {a: a}
+  elements: {a: 1}
+"""
+
+Z2_Z3 = """\
+name: Z2*Z3
+family: free_product
+factors:
+  - [[0, 1], [1, 0]]
+  - [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+generators:
+  letters: [s, t, t^-1]
+  inverses: {s: s, t: t^-1}
+  elements: {s: [0, 1], t: [1, 1], t^-1: [1, 2]}
+"""
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("not: [valid", "YAML"),
     ("[1, 2]", "mapping"),
@@ -63,6 +86,17 @@ def test_base_set_resolves_by_name_and_none(f2):
     (FREE.replace("b^-1: b}", "b^-1: a}"), "involution"),
     (FREE.replace("{a: a^-1, a^-1: a, ", "{"), "no inverse"),
     (FREE.replace("[a, a^-1, b, b^-1]", "[a, a^-1, b, b]"), "distinct"),
+    # wrongly typed values
+    (C2.replace("[[0, 1], [1, 0]]", "[[0,1],[1,'x']]"), "not square"),
+    (C2.replace("[[0, 1], [1, 0]]", "7"), "list of rows"),
+    (C2.replace("elements: {a: 1}", "elements: {b: 1}"), "no table element"),
+    (C2.replace("elements: {a: 1}", "elements: [1]"), "mapping"),
+    (C2.replace("elements: {a: 1}", "elements: {a: x}"), "nontrivial"),
+    (FREE.replace("rank: 2", "rank: [2]"), "rank"),
+    (Z2_Z3.replace("{s: [0, 1],", "{s: 1,"), "[factor, element]"),
+    (Z2_Z3[:Z2_Z3.index("factors:")] + "factors: 3\n"
+     + Z2_Z3[Z2_Z3.index("generators:"):], "factors"),
+    (FREE.replace("{a: a^-1, a^-1: a,", "{a: [A], a^-1: a,"), "letter names"),
 ])
 def test_malformed_inputs(text, fragment):
     with pytest.raises(FormatError) as err:

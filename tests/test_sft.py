@@ -39,6 +39,36 @@ def test_period_of_cycles():
     assert digraph_period([0, 1, 2], [(0, 1), (1, 2), (2, 0), (0, 0)])[0] == 1
 
 
+@pytest.mark.parametrize("vertices,arrows", [
+    ([0, 1, 2], [(0, 1), (1, 2), (2, 0)]),
+    ([0, 1], [(0, 1), (1, 0)]),
+    ([0, 1, 2], [(0, 1), (1, 2), (2, 0), (0, 0)]),
+    ([0, 1, 2, 3], [(0, 1), (1, 0), (1, 2), (2, 3), (3, 0)]),
+    # a 6-cycle with a 3-cycle chord: period 3
+    ([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                          (2, 0)]),
+    # two 4-cycles through vertex 0: period 4
+    ([0, 1, 2, 3, 4, 5, 6], [(0, 1), (1, 2), (2, 3), (3, 0),
+                             (0, 4), (4, 5), (5, 6), (6, 0)]),
+])
+def test_reversed_arrows_negate_the_phases(vertices, arrows):
+    per, phase = digraph_period(vertices, arrows)
+    per_t, phase_t = digraph_period(vertices, [(v, u) for u, v in arrows])
+    assert per_t == per
+    assert phase_t == {v: (-phase[v]) % per for v in vertices}
+
+
+@pytest.mark.parametrize("sft", ["cycle3", "psl2z"])
+def test_component_phases_reverse_with_the_arrows(sft, psl_aut):
+    shift = CYCLE3 if sft == "cycle3" else sft_from_automaton(psl_aut)
+    for C in components(shift).components:
+        arrows = [(shift.edges[e][0], shift.edges[e][2]) for e in C.edge_ids]
+        states = sorted(C.states)
+        per_t, phase_t = digraph_period(states, [(v, u) for u, v in arrows])
+        assert per_t == C.period
+        assert phase_t == {v: (-C.phase[v]) % C.period for v in states}
+
+
 def test_full_shift_on_two_symbols():
     dec = components(FULL2)
     assert len(dec.components) == 1
