@@ -61,7 +61,12 @@ class BallTree:
 
 def ball_tree(T: ResolvedGenSet, radius: int,
               budget: int = DEFAULT_BALL_BUDGET) -> BallTree:
-    """Breadth-first tree of the ball of the given radius around the identity."""
+    """Breadth-first tree of the ball of the given radius around the identity.
+
+    Raises ResourceLimit once more than `budget` elements are found, which
+    is checked after each element's products, so at most
+    budget + len(T) elements are built.
+    """
     eng = T.group.engine
     tkeys = [e.key for e in T.elements]
     keys = [eng.identity]
@@ -83,8 +88,8 @@ def ball_tree(T: ResolvedGenSet, radius: int,
                 keys.append(h)
                 parent.append(i)
                 letter.append(li)
-        if len(keys) > budget:
-            raise ResourceLimit(f"ball enumeration exceeded budget {budget}")
+            if len(keys) > budget:
+                raise ResourceLimit(f"ball enumeration exceeded budget {budget}")
         lo, hi = hi, len(keys)
         layer_bounds.append(hi)
         if lo == hi:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Mapping, Optional, Sequence
 import itertools
+import re
 import warnings
 
 from .errors import FormatError, ResourceLimit, UnknownLetter
@@ -261,6 +262,12 @@ class _FreeProductEngine:
         return tuple(out)
 
 
+def _any_of(words: Iterable[bytes]) -> "re.Pattern[bytes]":
+    """A byte pattern that matches wherever one of the words occurs.  With
+    no words it matches everywhere, so the loops it guards still decide."""
+    return re.compile(b"|".join(re.escape(w) for w in words))
+
+
 class _DehnEngine:
     """Word problem via greedy relator replacement plus a rewriting search.
 
@@ -293,6 +300,16 @@ class _DehnEngine:
                     sym.add(w[i:] + w[:i])
         self.symmetrized = sorted(sym)
         self._check_small_cancellation()
+        # Greedy shortening looks for prefixes r[:k], len(r)//2 < k < len(r),
+        # and each begins with r[:len(r)//2 + 1] (relators of length <= 2
+        # have none); half swaps look for r[:len(r)//2] of even-length r.
+        # So one search for these words tells exactly whether either loop
+        # can change w.  The ordered loops stay the only code that picks a
+        # replacement.
+        self._long_prefixes = _any_of(r[:len(r) // 2 + 1]
+                                      for r in self.symmetrized if len(r) > 2)
+        self._halves = _any_of(r[:len(r) // 2] for r in self.symmetrized
+                               if len(r) % 2 == 0)
         self.identity = b""
         self._nf_cache: dict[bytes, bytes] = {}
 
@@ -316,6 +333,8 @@ class _DehnEngine:
         # the relator's complement, until none remains.
         changed = True
         while changed:
+            if not self._long_prefixes.search(w):
+                return w
             changed = False
             n = len(w)
             for r in self.symmetrized:
@@ -340,6 +359,8 @@ class _DehnEngine:
     def _half_swaps(self, w: bytes):
         # Length-preserving exchanges: replace an exact half of an
         # even-length relator by the inverse of the other half.
+        if not self._halves.search(w):
+            return
         n = len(w)
         for r in self.symmetrized:
             m = len(r)

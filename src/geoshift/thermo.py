@@ -387,32 +387,39 @@ class GibbsReport:
 def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
                      budget: int = 500_000) -> GibbsReport:
     """Enumerate cylinders and compare their measure with the Gibbs
-    weight exp(-n pressure + Birkhoff sum of the potential)."""
+    weight exp(-n pressure + Birkhoff sum of the potential).
+
+    Each stack entry carries its cylinder's length, Birkhoff sum and
+    measure.  A child's sum is its parent's plus the value on the new edge,
+    which adds the same floats in the same order as summing the cylinder's
+    edges from 0 (up to Python 3.11; later versions compensate float sums).
+    The scan is truncated only when a cylinder of positive measure is left
+    unscanned once `budget` cylinders are counted.
+    """
     lo, hi = math.inf, -math.inf
     count = 0
     truncated = False
-
-    def ratio(edges: tuple, prob: float) -> float:
-        s = sum(m.potential.value(e) for e in edges)
-        return prob / math.exp(-len(edges) * m.pressure + s)
-
-    stack = [(i, m.nodes[i], float(m.pi[i])) for i in
+    pr = m.pressure
+    value = [m.potential.value(node[-1]) for node in m.nodes]
+    successors = [[(int(j), float(m.P[i, j]))
+                   for j in np.flatnonzero(m.support[i])]
+                  for i in range(len(m.nodes))]
+    stack = [(i, 1, 0.0 + value[i], float(m.pi[i])) for i in
              range(len(m.nodes) - 1, -1, -1)]
     while stack:
-        i, edges, prob = stack.pop()
+        i, n, s, prob = stack.pop()
         if prob <= 0.0:
             continue
-        r = ratio(edges, prob)
-        lo, hi = min(lo, r), max(hi, r)
-        count += 1
         if count >= budget:
             truncated = True
             break
-        if len(edges) >= n_max:
+        r = prob / math.exp(-n * pr + s)
+        lo, hi = min(lo, r), max(hi, r)
+        count += 1
+        if n >= n_max:
             continue
-        for j in np.flatnonzero(m.support[i]):
-            stack.append((int(j), edges + (m.nodes[j][-1],),
-                          prob * float(m.P[i, j])))
+        for j, p in successors[i]:
+            stack.append((j, n + 1, s + value[j], prob * p))
     if count == 0:
         raise EmptySphere("no cylinder of positive measure")
     return GibbsReport(lo, hi, count, n_max, m.pressure, truncated)

@@ -108,7 +108,9 @@ def test_surface_group_machine():
     # the relator has length 8, so the training ball must see past radius 4
     aut = build_geodesic_automaton(spec, n_check=6)
     assert aut.tail_used == 4
-    assert [sphere_count(aut, n) for n in range(5)] == [1, 8, 56, 392, 2736]
+    assert aut.n_states == 3193
+    assert [sphere_count(aut, n) for n in range(7)] == [
+        1, 8, 56, 392, 2736, 19096, 133288]
     assert validate_automaton(aut, 5).ok
 
 

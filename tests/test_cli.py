@@ -5,8 +5,10 @@ wall-clock-ish goes to stderr.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +27,18 @@ generators:
 """
 
 
+# The package may be importable only through pytest's `pythonpath`, which a
+# child interpreter does not inherit.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "geoshift.cli", *args],
-        capture_output=True, text=True, cwd=".",
+        capture_output=True, text=True, cwd=".", env=env,
     )
 
 

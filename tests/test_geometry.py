@@ -31,6 +31,24 @@ def test_ball_budget_enforced(f2):
         ball_tree(f2.resolve(None), 20, budget=1000)
 
 
+def test_ball_budget_stops_within_a_layer(f2, monkeypatch):
+    # the radius-6 ball of F2 has 1,457 elements: the budget must stop the
+    # enumeration inside that layer, not after it
+    S = f2.resolve(None)
+    products = set()
+    mult = f2.engine.mult
+
+    def counted(a, b):
+        h = mult(a, b)
+        products.add(h)
+        return h
+
+    monkeypatch.setattr(f2.engine, "mult", counted)
+    with pytest.raises(ResourceLimit, match="exceeded budget 1000"):
+        ball_tree(S, 12, budget=1000)
+    assert len(products) <= 1000 + len(S)
+
+
 @pytest.mark.parametrize("word,expected", [
     (["a"], 1),
     (["a", "b"], 1),          # one composite letter

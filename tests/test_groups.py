@@ -1,7 +1,7 @@
 """Word-problem engines: free groups, free products, finite tables, Dehn."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geoshift import (
     FormatError,
@@ -12,6 +12,7 @@ from geoshift import (
     free_group,
     free_product_group,
     normalize,
+    parse_group_file,
 )
 
 F = free_group(2)
@@ -157,6 +158,34 @@ def test_surface_group_relator_is_trivial():
     assert G.element(rel[:5]) == G.element(rel[5:]).inverse()
     x = G.element(["a", "b"])
     assert (x * x.inverse()).is_identity()
+
+
+@pytest.fixture(scope="module")
+def genus2():
+    return parse_group_file("groups/genus2.grp")
+
+
+# genus 2: letter ids 0-7, and 16 symmetrized relators of length 8
+@given(st.lists(st.integers(0, 7), max_size=16), st.integers(0, 15),
+       st.integers(0, 8), st.integers(0, 16))
+@settings(max_examples=300, deadline=None)
+def test_dehn_normal_forms_are_canonical(genus2, ids, which, cut, at):
+    eng = genus2.engine
+    nf = eng.from_word(ids)
+    folded = eng.identity
+    for a in ids:
+        folded = eng.mult(folded, eng.from_word([a]))
+    assert nf == folded
+    assert all(eng.inv[a] != b for a, b in zip(nf, nf[1:]))
+    # no subword longer than half a relator survives
+    assert not any(r[:len(r) // 2 + 1] in nf for r in eng.symmetrized)
+    assert eng.from_word(nf) == nf
+    # a relator uv gives u = v^-1, so either side, put into the same
+    # word, must give the same normal form
+    rel = eng.symmetrized[which]
+    u, v_inv = rel[:cut], bytes(eng.inv[a] for a in reversed(rel[cut:]))
+    head, tail = bytes(ids[:at]), bytes(ids[at:])
+    assert eng.from_word(head + u + tail) == eng.from_word(head + v_inv + tail)
 
 
 def test_commutator_relator_warns():

@@ -6,6 +6,7 @@ so the equilibrium chain is uniform and each cylinder ratio collapses to a
 single constant.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -146,6 +147,45 @@ def test_scan_budget_truncates():
     rep = gibbs_ratio_scan(m, n_max=20, budget=100)
     assert rep.truncated
     assert rep.n_cylinders <= 100
+
+
+@pytest.mark.parametrize("budget, count, truncated",
+                         [(13, 13, True), (14, 14, False), (15, 14, False)])
+def test_scan_is_truncated_only_when_cylinders_are_left(budget, count,
+                                                         truncated):
+    # the full 2-shift has 2 + 4 + 8 = 14 cylinders up to length 3
+    sft = Sft([(0, 0, 0), (0, 1, 0)], 1)
+    C = components(sft).components[0]
+    m = parry_gibbs_measure(C, word_length_potential(math.log(2.0)))
+    rep = gibbs_ratio_scan(m, n_max=3, budget=budget)
+    assert rep.n_cylinders == count
+    assert rep.truncated is truncated
+
+
+def test_scan_matches_every_cylinder_ratio(psl_measure):
+    # a potential that differs from edge to edge, so that a Birkhoff sum
+    # built from the wrong edge values shows in the bounds
+    C = psl_measure.component
+    psi = Potential.on_edges({e: -0.3 - 0.17 * (i % 3)
+                              for i, e in enumerate(C.edge_ids)})
+    m = parry_gibbs_measure(C, psi)
+    ratios = []
+    for n in range(1, 7):
+        for block in itertools.product(C.edge_ids, repeat=n):
+            mu = cylinder_measure(m, block)
+            if mu <= 0.0:
+                continue
+            s = 0.0
+            for e in block:
+                s += psi.value(e)
+            ratios.append(mu / math.exp(-n * m.pressure + s))
+    rep = gibbs_ratio_scan(m, n_max=6)
+    assert not rep.truncated
+    assert rep.n_cylinders == len(ratios) == 70
+    assert rep.c_lower == min(ratios)
+    assert rep.c_upper == max(ratios)
+    assert (rep.c_lower, rep.c_upper) == pytest.approx((0.193031378685, 0.5),
+                                                       abs=1e-11)
 
 
 # --- a weighted full shift, solvable in closed form ---
