@@ -109,6 +109,7 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     if vote_horizon < 1:
         raise ResourceLimit("validation horizon too small for this level")
     top = tree.layer_bounds[vote_horizon + 1]
+    depth, index = tree.depth, tree.index
 
     # Signature of each element within the voting horizon: length increments
     # of all translates x*w with |w| <= L, plus the trailing letters of the
@@ -119,7 +120,7 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     prods: list = [None] * len(trie)
     for i in range(top):
         xk = tree.keys[i]
-        d = tree.dist[xk]
+        d = depth[i]
         if i > 0:
             tails[i] = (tails[tree.parent[i]] + (tree.letter[i],))[-tail_len:]
         prods[0] = xk
@@ -128,7 +129,7 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
             p, li = trie[nid]
             k = eng.mult(prods[p], tkeys[li])
             prods[nid] = k
-            deltas.append(tree.dist[k] - d)
+            deltas.append(depth[index[k]] - d)
         sig = (tuple(deltas), tails[i])
         sid = sig_state.get(sig)
         if sid is None:
@@ -144,14 +145,14 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     for i in range(vote_top):
         s = int(state_of[i])
         xk = tree.keys[i]
-        d = tree.dist[xk]
+        d = depth[i]
         for li in range(nt):
             ck = eng.mult(xk, tkeys[li])
-            ci = tree.index.get(ck)
+            ci = index.get(ck)
             allowed = (
                 ci is not None
                 and ci < top
-                and tree.dist[ck] == d + 1
+                and depth[ci] == d + 1
                 and tree.parent[ci] == i
                 and tree.letter[ci] == li
             )
@@ -237,18 +238,20 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
     injectivity_failures = 0
     if first_mismatch is None:
         # Depth-first sweep: every accepted word must spell a fresh element
-        # at its exact distance, per radius.
-        per_depth: list[set] = [set() for _ in range(horizon + 1)]
+        # at its exact distance.
+        index, depth = tree.index, tree.depth
+        seen = bytearray(len(tree.keys))
         stack = [(aut.initial, eng.identity, 0)]
         while stack:
             s, gk, d = stack.pop()
-            if tree.dist.get(gk) != d:
+            i = index.get(gk)
+            if i is None or depth[i] != d:
                 geodesic_failures += 1
                 continue
-            if gk in per_depth[d]:
+            if seen[i]:
                 injectivity_failures += 1
                 continue
-            per_depth[d].add(gk)
+            seen[i] = 1
             if d < horizon:
                 for li, t in aut.successors(s):
                     stack.append((t, eng.mult(gk, tkeys[li]), d + 1))
@@ -363,6 +366,8 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
     so every element of the sphere has identical probability.  Raises
     EmptySphere when the sphere has no elements.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     spec = aut.group
     eng = spec.engine
     tkeys = [e.key for e in aut.genset.elements]
@@ -409,21 +414,32 @@ def serialize_automaton(aut: GeodesicAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_field(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{what} is not an integer: {text!r}") from None
+
+
 def deserialize_automaton(text: str, spec: GroupSpec,
                           T: Optional[ResolvedGenSet] = None) -> GeodesicAutomaton:
-    """Rebuild an automaton serialized by :func:`serialize_automaton`."""
+    """Rebuild an automaton serialized by :func:`serialize_automaton`.
+
+    Raises FormatError on a non-integer field, a state outside
+    [0, states), a letter index outside the generating set or a second
+    edge for one state and letter.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "geodesic-automaton v1":
         raise FormatError("not a serialized automaton")
     fields: dict[str, str] = {}
-    transitions: dict = {}
+    edge_rows: list[str] = []
     for ln in lines[1:]:
         if ln == "end":
             break
         head, _, rest = ln.partition(" ")
         if head == "edge":
-            s, li, t = (int(v) for v in rest.split())
-            transitions[(s, li)] = t
+            edge_rows.append(rest)
         else:
             fields[head] = rest
     required = {"genset", "letters", "states", "initial", "level", "tail",
@@ -435,14 +451,34 @@ def deserialize_automaton(text: str, spec: GroupSpec,
                          else None)
     if list(T.letters) != fields["letters"].split():
         raise FormatError("letters in the serialized automaton do not match")
+    n_states, initial, level, tail, validated, conflicts = (
+        _int_field(fields[k], k) for k in
+        ("states", "initial", "level", "tail", "validated", "conflicts"))
+    if not 0 <= initial < n_states:
+        raise FormatError(f"initial state {initial} is not one of the "
+                          f"{n_states} states")
+    transitions: dict = {}
+    for row in edge_rows:
+        parts = row.split()
+        if len(parts) != 3:
+            raise FormatError(f"edge {row!r} needs source, letter and target")
+        s, li, t = (_int_field(v, "edge field") for v in parts)
+        if not (0 <= s < n_states and 0 <= t < n_states):
+            raise FormatError(f"edge {row!r} leaves the {n_states} states")
+        if not 0 <= li < len(T):
+            raise FormatError(f"edge {row!r} uses a letter outside the "
+                              f"{len(T)} of {T.name}")
+        if (s, li) in transitions:
+            raise FormatError(f"edge {row!r} repeats a state and letter")
+        transitions[(s, li)] = t
     return GeodesicAutomaton(
         group=spec,
         genset=T,
-        n_states=int(fields["states"]),
-        initial=int(fields["initial"]),
+        n_states=n_states,
+        initial=initial,
         transitions=transitions,
-        level_used=int(fields["level"]),
-        tail_used=int(fields["tail"]),
-        validated_to=int(fields["validated"]),
-        conflicts=int(fields["conflicts"]),
+        level_used=level,
+        tail_used=tail,
+        validated_to=validated,
+        conflicts=conflicts,
     )

@@ -23,7 +23,7 @@ from .errors import EmptySphere
 from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
-from .thermo import MarkovMeasure, growth_rate
+from .thermo import MarkovMeasure, _time_reversal, growth_rate
 
 __all__ = [
     "RaySample",
@@ -62,8 +62,8 @@ def _ray_chain(m: MarkovMeasure):
     # geodesic; construction prunes unreachable states, so normally all.
     reachable = set(aut.states)
     entry = np.array([
-        float(p) if sft.edges[b[0]][0] in reachable else 0.0
-        for b, p in zip(m.nodes, m.pi)
+        float(p) if sft.edges[e][0] in reachable else 0.0
+        for e, p in zip(m.nodes, m.pi)
     ])
     total = entry.sum()
     if total <= 0.0:
@@ -84,7 +84,7 @@ def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng) -> RaySample:
     j = int(np.searchsorted(cum_entry, rng.random(), side="right"))
     j = min(j, len(entry) - 1)
     for _ in range(n):
-        e = m.nodes[j][0]
+        e = m.nodes[j]
         li = sft.edges[e][1]
         edge_ids.append(e)
         letters.append(li)
@@ -145,9 +145,8 @@ def drift_two_sided(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int,
     sft = m.component.sft
     T = aut.genset
     length = _ForeignLength(aut.genset, Sstar, 2 * n)
-    P, pi = m.P, m.pi
-    # Time reversal: Q(a, b) = pi(b) P(b, a) / pi(a).
-    Q = (pi[:, None] * P).T / pi[:, None]
+    P = m.P
+    Q = _time_reversal(m)
     rng = make_rng(seed, stream=331)
     cum_entry = np.cumsum(entry)
     vals = []
@@ -162,7 +161,7 @@ def drift_two_sided(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int,
                 cum = np.cumsum(P[j])
                 j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
                 j = min(j, len(P) - 1)
-            fwd = fwd * T.elements[sft.edges[m.nodes[j][0]][1]]
+            fwd = fwd * T.elements[sft.edges[m.nodes[j]][1]]
         # Backward to x_{-n}: prepend reversed-chain letters inverted.
         bwd = aut.group.identity()
         j = j0
@@ -170,7 +169,7 @@ def drift_two_sided(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int,
             cum = np.cumsum(Q[j])
             j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
             j = min(j, len(Q) - 1)
-            bwd = bwd * T.elements[sft.edges[m.nodes[j][0]][1]].inverse()
+            bwd = bwd * T.elements[sft.edges[m.nodes[j]][1]].inverse()
         vals.append(length(bwd.inverse() * fwd) / (2 * n))
     mean = sum(vals) / samples
     var = (sum((v - mean) ** 2 for v in vals) / (samples - 1)

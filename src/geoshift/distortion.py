@@ -231,6 +231,8 @@ def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
     per radius and epsilon, with a per-epsilon trend verdict: nonincreasing
     from each n to the next within twice the combined binomial deviation."""
     n_list = sorted(set(int(n) for n in n_list))
+    if not n_list or n_list[0] < 1:
+        raise ValueError("sphere radii must be positive")
     eps_list = list(eps_list)
     length = _ForeignLength(aut.genset, Sstar, n_list[-1])
     fractions = {}

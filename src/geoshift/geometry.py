@@ -35,11 +35,12 @@ class BallTree:
 
     ``keys[i]`` was first reached from ``keys[parent[i]]`` by the letter with
     index ``letter[i]``; letters are tried in index order, so the tree word of
-    each element is its shortlex-least geodesic word.
+    each element is its shortlex-least geodesic word.  ``index`` maps each
+    key to its position and ``depth[i]`` is the distance of ``keys[i]``.
     """
 
     keys: list
-    dist: dict
+    depth: list[int]
     parent: list[int]
     letter: list[int]
     index: dict
@@ -70,7 +71,7 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     eng = T.group.engine
     tkeys = [e.key for e in T.elements]
     keys = [eng.identity]
-    dist = {eng.identity: 0}
+    depths = [0]
     parent = [-1]
     letter = [-1]
     index = {eng.identity: 0}
@@ -81,11 +82,11 @@ def ball_tree(T: ResolvedGenSet, radius: int,
             g = keys[i]
             for li, tk in enumerate(tkeys):
                 h = eng.mult(g, tk)
-                if h in dist:
+                if h in index:
                     continue
-                dist[h] = depth + 1
                 index[h] = len(keys)
                 keys.append(h)
+                depths.append(depth + 1)
                 parent.append(i)
                 letter.append(li)
             if len(keys) > budget:
@@ -94,7 +95,7 @@ def ball_tree(T: ResolvedGenSet, radius: int,
         layer_bounds.append(hi)
         if lo == hi:
             break
-    return BallTree(keys, dist, parent, letter, index, layer_bounds)
+    return BallTree(keys, depths, parent, letter, index, layer_bounds)
 
 
 def _astar_length(T: ResolvedGenSet, x: GroupElement, cap: int,
@@ -199,7 +200,7 @@ def estimate_delta(spec: GroupSpec, T: ResolvedGenSet, radius: int,
             f"ball has {n} elements, above the pairwise budget {budget}")
     eng = spec.engine
     tkeys = [e.key for e in T.elements]
-    lengths = np.array([tree.dist[k] for k in tree.keys], dtype=np.int64)
+    lengths = np.array(tree.depth, dtype=np.int64)
     # Pairwise distances d(x, y) = |x^-1 y|: walk the tree once per row so
     # each entry costs one letter multiplication.
     dmat = np.empty((n, n), dtype=np.int64)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptySphere, NonConvergence
 from .sft import Component, ComponentDecomposition, components, \
-    digraph_period, sft_from_automaton, strongly_connected
+    sft_from_automaton
 
 __all__ = [
     "Potential",
@@ -85,49 +85,24 @@ def word_length_potential(v: float) -> Potential:
 # Edge graph
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Recoded:
-    """Component as a graph on its edges, with the potential on the arrows.
+def _edge_graph(C: Component, psi: Potential
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrow matrix, arrow values and cyclic phases of the component's edges.
 
-    Nodes are the 1-tuples (e,) of the component's edges; an arrow joins e
-    to every edge f that may follow it and carries the potential of e.
+    Node i is the edge C.edge_ids[i].  An arrow joins e to every edge f
+    that starts where e ends and carries the potential of e; -inf marks the
+    absent arrows.  The edge graph has the component's period, and an edge
+    sits in the phase of its source state, counted from the first edge's.
     """
-
-    component: Component
-    potential: Potential
-    nodes: list  # 1-tuples of global edge ids
-    node_index: dict
-    psi: np.ndarray  # psi[i, j] over arrows, -inf elsewhere
-    support: np.ndarray  # boolean arrow matrix
-    period: int
-    phase: np.ndarray  # per node
-
-
-def _recode(C: Component, psi: Potential) -> _Recoded:
-    sft = C.sft
-    nodes = [(e,) for e in C.edge_ids]
-    node_index = {b: i for i, b in enumerate(nodes)}
-
-    n = len(nodes)
-    psi_mat = np.full((n, n), -np.inf)
-    support = np.zeros((n, n), dtype=bool)
-    for i, e in enumerate(C.edge_ids):
-        dst = sft.edges[e][2]
-        val = psi.value(e)
-        for j, f in enumerate(C.edge_ids):
-            if sft.edges[f][0] == dst:
-                support[i, j] = True
-                psi_mat[i, j] = val
-
-    # The edge graph of a recurrent component is again strongly connected.
-    succ_lists = [list(np.flatnonzero(support[i])) for i in range(n)]
-    sccs = strongly_connected(n, succ_lists)
-    if len(sccs) != 1:
-        raise NonConvergence("recoded component failed to be irreducible")
-    arrows = [(i, j) for i in range(n) for j in np.flatnonzero(support[i])]
-    period, phase_map = digraph_period(list(range(n)), arrows)
-    phase = np.array([phase_map[i] for i in range(n)], dtype=np.int64)
-    return _Recoded(C, psi, nodes, node_index, psi_mat, support, period, phase)
+    edges = C.sft.edges
+    src = np.array([edges[e][0] for e in C.edge_ids])
+    dst = np.array([edges[e][2] for e in C.edge_ids])
+    support = dst[:, None] == src[None, :]
+    values = np.array([psi.value(e) for e in C.edge_ids], dtype=float)
+    arrows = np.where(support, values[:, None], -np.inf)
+    state_phase = np.array([C.phase[s] for s in src.tolist()], dtype=np.int64)
+    phase = (state_phase - state_phase[0]) % C.period
+    return support, arrows, phase
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +159,22 @@ def _perron(W: np.ndarray, period: int, phase: np.ndarray,
     return lam, r / r.sum()
 
 
-def _weight_matrix(rc: _Recoded) -> tuple[np.ndarray, float]:
+def _weight_matrix(support: np.ndarray, arrows: np.ndarray
+                   ) -> tuple[np.ndarray, float]:
     """exp(psi) arranged on arrows, rescaled so the largest entry is 1."""
-    finite = rc.psi[rc.support]
+    finite = arrows[support]
     shift = float(finite.max()) if finite.size else 0.0
-    W = np.zeros_like(rc.psi)
-    W[rc.support] = np.exp(rc.psi[rc.support] - shift)
+    W = np.zeros_like(arrows)
+    W[support] = np.exp(finite - shift)
     return W, shift
 
 
 def pressure(C: Component, psi: Potential, tol: float = PERRON_TOL,
              itmax: int = PERRON_ITMAX) -> float:
     """log of the Perron root of the potential-weighted transition matrix."""
-    rc = _recode(C, psi)
-    W, shift = _weight_matrix(rc)
-    lam, _ = _perron(W, rc.period, rc.phase, tol, itmax)
+    support, arrows, phase = _edge_graph(C, psi)
+    W, shift = _weight_matrix(support, arrows)
+    lam, _ = _perron(W, C.period, phase, tol, itmax)
     return math.log(lam) + shift
 
 
@@ -212,43 +188,33 @@ class MarkovMeasure:
 
     component: Component
     potential: Potential
-    nodes: list  # 1-tuples of global edge ids
-    node_index: dict
+    nodes: list  # global edge ids, in the component's order
+    node_index: dict  # edge id -> node
     P: np.ndarray
     pi: np.ndarray
     pressure: float
     psi_arrows: np.ndarray  # potential value per arrow, -inf off support
     support: np.ndarray
 
-    @property
-    def memory(self) -> int:
-        """Number of edges a node of the chain remembers (always 1)."""
-        return len(self.nodes[0])
-
-    def edge_distribution(self) -> dict:
-        """Marginal mass of the first edge of a node: {edge id: mass}."""
-        out: dict[int, float] = {}
-        for b, p in zip(self.nodes, self.pi):
-            out[b[0]] = out.get(b[0], 0.0) + float(p)
-        return out
+    memory = 1  # edges a node of the chain remembers
 
 
 def parry_gibbs_measure(C: Component, psi: Potential, tol: float = PERRON_TOL,
                         itmax: int = PERRON_ITMAX) -> MarkovMeasure:
     """The Markov measure with transition weights proportional to
     exp(psi) times the right Perron data."""
-    rc = _recode(C, psi)
-    W, shift = _weight_matrix(rc)
-    lam, r = _perron(W, rc.period, rc.phase, tol, itmax)
+    support, arrows, phase = _edge_graph(C, psi)
+    W, shift = _weight_matrix(support, arrows)
+    lam, r = _perron(W, C.period, phase, tol, itmax)
 
     # Left eigenvector: Perron data of the transpose, whose cyclic classes
     # are the same sets traversed the other way round.
-    lam_l, l = _perron(W.T, rc.period, (-rc.phase) % rc.period, tol, itmax)
+    lam_l, l = _perron(W.T, C.period, (-phase) % C.period, tol, itmax)
     if abs(lam_l - lam) > 1e-9 * max(lam, 1.0):
         raise NonConvergence("left and right Perron roots disagree")
 
     P = W * r[None, :] / (lam * r[:, None])
-    P[~rc.support] = 0.0
+    P[~support] = 0.0
     rows = P.sum(axis=1)
     if np.abs(rows - 1.0).max() > 1e-9:
         raise NonConvergence("transition matrix is not stochastic")
@@ -266,21 +232,34 @@ def parry_gibbs_measure(C: Component, psi: Potential, tol: float = PERRON_TOL,
     if np.abs(pi @ P - pi).sum() > 1e-12:
         raise NonConvergence("stationary vector drifted")
 
-    return MarkovMeasure(C, psi, rc.nodes, rc.node_index, P, pi,
-                         math.log(lam) + shift, rc.psi, rc.support)
+    nodes = list(C.edge_ids)
+    return MarkovMeasure(C, psi, nodes, {e: i for i, e in enumerate(nodes)},
+                         P, pi, math.log(lam) + shift, arrows, support)
+
+
+def _entropy_rate(P: np.ndarray, pi: np.ndarray) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(P > 0, P * np.log(P), 0.0)
+    return float(-(pi @ plogp.sum(axis=1)))
+
+
+def _integral(P: np.ndarray, pi: np.ndarray, vals: np.ndarray) -> float:
+    return float((pi[:, None] * P * vals).sum())
 
 
 def entropy(m: MarkovMeasure) -> float:
     """Kolmogorov-Sinai entropy of the stationary Markov chain."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(m.P > 0, m.P * np.log(m.P), 0.0)
-    return float(-(m.pi @ plogp.sum(axis=1)))
+    return _entropy_rate(m.P, m.pi)
 
 
 def mean_potential(m: MarkovMeasure) -> float:
     """Integral of the potential against the measure."""
-    vals = np.where(m.support, m.psi_arrows, 0.0)
-    return float((m.pi[:, None] * m.P * vals).sum())
+    return _integral(m.P, m.pi, np.where(m.support, m.psi_arrows, 0.0))
+
+
+def _time_reversal(m: MarkovMeasure) -> np.ndarray:
+    """Transition matrix of the reversed chain, Q(a, b) = pi(b) P(b, a) / pi(a)."""
+    return (m.pi[:, None] * m.P).T / m.pi[:, None]
 
 
 def cylinder_measure(m: MarkovMeasure, block: Sequence[int]) -> float:
@@ -291,12 +270,12 @@ def cylinder_measure(m: MarkovMeasure, block: Sequence[int]) -> float:
     block = tuple(block)
     if not block:
         return float(sum(m.pi))
-    cur = m.node_index.get(block[:1])
+    cur = m.node_index.get(block[0])
     if cur is None:
         return 0.0
     prob = float(m.pi[cur])
     for e in block[1:]:
-        nxt = m.node_index.get((e,))
+        nxt = m.node_index.get(e)
         if nxt is None:
             return 0.0
         prob *= float(m.P[cur, nxt])
@@ -353,11 +332,7 @@ def check_variational(C: Component, psi: Potential, trials: int = 200,
         pi = np.linalg.solve(A, b)
         pi = np.abs(pi)
         pi /= pi.sum()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(P > 0, P * np.log(P), 0.0)
-        h = float(-(pi @ plogp.sum(axis=1)))
-        integral = float((pi[:, None] * P * vals).sum())
-        best = max(best, h + integral)
+        best = max(best, _entropy_rate(P, pi) + _integral(P, pi, vals))
     violation = max(0.0, best - m.pressure)
     ok = violation <= tol and gap <= tol
     return VariationalReport(m.pressure, parry_value, gap, trials, best,
@@ -400,7 +375,7 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
     count = 0
     truncated = False
     pr = m.pressure
-    value = [m.potential.value(node[-1]) for node in m.nodes]
+    value = [m.potential.value(e) for e in m.nodes]
     successors = [[(int(j), float(m.P[i, j]))
                    for j in np.flatnonzero(m.support[i])]
                   for i in range(len(m.nodes))]
@@ -507,11 +482,30 @@ class PsCodingReport:
         return "\n".join(lines)
 
 
-def _measure_edge_chain(m: MarkovMeasure):
-    """Edge-indexed stationary data of a measure."""
-    edges = [b[0] for b in m.nodes]
-    idx = {e: i for i, e in enumerate(edges)}
-    return edges, idx
+def _pull_back(eng, target: set, steps: int, M: np.ndarray, into: list,
+               step_key: list, accept_key: list) -> np.ndarray:
+    """Push the indicator of `target` back through `steps` moves of a chain.
+
+    A state (b, u) moves to (a, u * step_key[b]) with weight M[a, b], for
+    every node a in into[b]; the table adds up, per node a, the weight of
+    the states that end on accept_key[a].
+    """
+    cur = {(b, u): 1.0 for b in range(len(into)) for u in target}
+    for _ in range(steps):
+        nxt: dict = {}
+        for (b, u), val in cur.items():
+            u_next = eng.mult(u, step_key[b])
+            for a in into[b]:
+                w = M[a, b]
+                if w > 0.0:
+                    key = (a, u_next)
+                    nxt[key] = nxt.get(key, 0.0) + w * val
+        cur = nxt
+    table = np.zeros(len(into))
+    for (a, u), val in cur.items():
+        if u == accept_key[a]:
+            table[a] += val
+    return table
 
 
 def ps_coding_check(aut, measures: Sequence[MarkovMeasure], rate: float,
@@ -535,86 +529,34 @@ def ps_coding_check(aut, measures: Sequence[MarkovMeasure], rate: float,
     T = aut.genset
     letter_key = [x.key for x in T.elements]
     inv_letter_key = [T.elements[i].inverse().key for i in range(len(T))]
-    sft_edges = aut.edges()
 
     rng = make_rng(seed, stream=461)
     xs = sample_uniform_sphere(aut, n, rng, count=x_count)
     ys = sample_uniform_sphere(aut, n, rng, count=y_count)
     ball_keys = ball_tree(T, radius).keys
 
-    per_measure = []
+    stationary, towards_y, towards_x = [], [], []
     for m in measures:
-        edges, idx = _measure_edge_chain(m)
-        preds = [[] for _ in edges]
-        succs = [[] for _ in edges]
-        for a, e in enumerate(edges):
-            for b, f in enumerate(edges):
-                if sft_edges[e][2] == sft_edges[f][0]:
-                    succs[a].append(b)
-                    preds[b].append(a)
-        P = m.P
-        pi = m.pi
-        Q = np.zeros_like(P)
-        for a in range(len(edges)):
-            for b in preds[a]:
-                Q[a, b] = pi[b] * P[b, a] / pi[a]
-        per_measure.append((edges, idx, preds, succs, P, Q, pi))
+        edges = m.component.sft.edges
+        letter = [letter_key[edges[e][1]] for e in m.nodes]
+        inv_letter = [inv_letter_key[edges[e][1]] for e in m.nodes]
+        preds = [np.flatnonzero(col).tolist() for col in m.support.T]
+        succs = [np.flatnonzero(row).tolist() for row in m.support]
+        # Towards y: F[e] = chance the n-1 steps after e, times e's own
+        # letter, multiply into B(y, R).  Towards x: K[e] = chance the n
+        # reversed steps before e multiply into B(x, R).
+        stationary.append(m.pi)
+        towards_y.append((n - 1, m.P, preds, inv_letter, letter))
+        towards_x.append((n, _time_reversal(m), succs, letter,
+                          [eng.identity] * len(letter)))
 
-    def forward_mass(y_key):
-        """F[e] = chance the n-1 steps after e, times e's own letter,
-        multiply into B(y, R); one table per measure."""
-        target = {eng.mult(y_key, bk) for bk in ball_keys}
-        out = []
-        for (edges, idx, preds, succs, P, Q, pi) in per_measure:
-            cur = {(b, u): 1.0 for b in range(len(edges)) for u in target}
-            for _ in range(n - 1):
-                nxt: dict = {}
-                for (b, u), val in cur.items():
-                    f = edges[b]
-                    w_inv = inv_letter_key[sft_edges[f][1]]
-                    u_prev = eng.mult(u, w_inv)
-                    for a in preds[b]:
-                        p = P[a, b]
-                        if p > 0.0:
-                            key = (a, u_prev)
-                            nxt[key] = nxt.get(key, 0.0) + p * val
-                cur = nxt
-            table = np.zeros(len(edges))
-            for (a, u), val in cur.items():
-                e = edges[a]
-                if u == letter_key[sft_edges[e][1]]:
-                    table[a] += val
-            out.append(table)
-        return out
+    def mass_tables(centre, chains):
+        """One table per measure for windows ending in B(centre, R)."""
+        target = {eng.mult(centre, bk) for bk in ball_keys}
+        return [_pull_back(eng, target, *chain) for chain in chains]
 
-    def backward_mass(x_key):
-        """K[e] = chance the n reversed steps before e multiply into
-        B(x, R); one table per measure."""
-        target = {eng.mult(x_key, bk) for bk in ball_keys}
-        out = []
-        for (edges, idx, preds, succs, P, Q, pi) in per_measure:
-            cur = {(b, u): 1.0 for b in range(len(edges)) for u in target}
-            for _ in range(n):
-                nxt: dict = {}
-                for (b, u), val in cur.items():
-                    h = edges[b]
-                    w = letter_key[sft_edges[h][1]]
-                    z_next = eng.mult(u, w)
-                    for a in succs[b]:
-                        q = Q[a, b]
-                        if q > 0.0:
-                            key = (a, z_next)
-                            nxt[key] = nxt.get(key, 0.0) + q * val
-                cur = nxt
-            table = np.zeros(len(edges))
-            for (a, u), val in cur.items():
-                if u == eng.identity:
-                    table[a] += val
-            out.append(table)
-        return out
-
-    forward = {y.key: forward_mass(y.key) for y in ys}
-    backward = {x.key: backward_mass(x.key) for x in xs}
+    forward = {y.key: mass_tables(y.key, towards_y) for y in ys}
+    backward = {x.key: mass_tables(x.key, towards_x) for x in xs}
 
     pairs = []
     zero_pairs = 0
@@ -623,9 +565,8 @@ def ps_coding_check(aut, measures: Sequence[MarkovMeasure], rate: float,
     for x in xs:
         for y in ys:
             mass = 0.0
-            for mi, (edges, idx, preds, succs, P, Q, pi) in enumerate(per_measure):
-                F = forward[y.key][mi]
-                K = backward[x.key][mi]
+            for pi, F, K in zip(stationary, forward[y.key],
+                                backward[x.key]):
                 mass += float((pi * K * F).sum())
             ratio = mass / scale
             if mass == 0.0:

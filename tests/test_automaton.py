@@ -4,6 +4,7 @@ import pytest
 
 from geoshift import (
     EmptySphere,
+    FormatError,
     ball_tree,
     build_geodesic_automaton,
     deserialize_automaton,
@@ -74,6 +75,12 @@ def test_sampling_an_empty_sphere_fails(s3):
         sample_uniform_sphere(aut, 4, make_rng(0))
 
 
+def test_sampling_a_negative_radius_fails(f2_aut):
+    # a negative radius used to read path_counts from the end of the list
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_uniform_sphere(f2_aut, -4, make_rng(0))
+
+
 def test_serialization_round_trip(f2, f2_aut):
     text = serialize_automaton(f2_aut)
     back = deserialize_automaton(text, f2)
@@ -82,6 +89,25 @@ def test_serialization_round_trip(f2, f2_aut):
     assert back.initial == f2_aut.initial
     for n in range(12):
         assert sphere_count(back, n) == sphere_count(f2_aut, n)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("end", "edge 1 9 2\nend"),       # letter 9 of a 4-letter set
+    ("end", "edge 0 1 99\nend"),      # target outside the 5 states
+    ("end", "edge -1 1 2\nend"),      # negative source
+    ("initial 0", "initial 7"),
+    ("states 5", "states x"),
+    ("level 1", "level one"),
+    ("end", "edge 1 2\nend"),         # no target
+    ("end", "edge 1 b 2\nend"),
+    ("end", "edge 0 0 2\nend"),       # a second target for state 0, letter 0
+])
+def test_malformed_serialized_automaton(f2, old, new):
+    text = serialize_automaton(build_geodesic_automaton(f2, n_check=4))
+    assert deserialize_automaton(text, f2).n_states == 5
+    assert old in text
+    with pytest.raises(FormatError):
+        deserialize_automaton(text.replace(old, new, 1), f2)
 
 
 def test_modular_group_machine(psl_aut):

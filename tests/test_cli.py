@@ -168,6 +168,8 @@ def test_battery_stdout_is_byte_identical():
     ("automaton", "--group", F2, "--gens", "nope"),
     ("automaton", "--no-such-flag"),
     ("distortion", "--group", F2, "--to", "Sstar_ab", "--n", "4,banana"),
+    ("distortion", "--group", F2, "--to", "Sstar_ab", "--lln-n=0,10"),
+    ("distortion", "--group", F2, "--to", "Sstar_ab", "--lln-n=-4,10"),
     ("battery", "--profile", "nonsense"),
     ("automaton", "--group", BAD_TABLE),
 ])

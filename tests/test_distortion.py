@@ -94,6 +94,12 @@ def test_lln_outliers_thin_out(f2_aut, f2_star_ab):
         assert rep.fractions[(40, 0.1)] <= rep.fractions[(40, 0.05)]
 
 
+@pytest.mark.parametrize("n_list", [(0, 10), (-4, 10), ()])
+def test_lln_rejects_radii_below_one(f2_aut, f2_star_ab, n_list):
+    with pytest.raises(ValueError, match="sphere radii must be positive"):
+        lln_check(f2_aut, f2_star_ab, 0.85, n_list=n_list, samples=100)
+
+
 def test_scan_is_flat_for_the_same_metric(f2):
     S = f2.resolve(None)
     scan = rough_similarity_scan(S, S, 1.0, 6)

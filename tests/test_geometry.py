@@ -23,7 +23,7 @@ def test_tree_words_spell_their_elements(f2):
         word = [S.letters[li] for li in t.tree_word(i)]
         x = f2.element(word)
         assert x.key == t.keys[i]
-        assert t.dist[x.key] == len(word) == x.length()
+        assert t.depth[t.index[x.key]] == len(word) == x.length()
 
 
 def test_ball_budget_enforced(f2):
@@ -73,8 +73,8 @@ def test_length_search_matches_the_ball(group, genset, radius, request):
     spec = request.getfixturevalue(group)
     star = spec.resolve(genset)
     tree = ball_tree(star, radius)
-    mismatches = [k for k in tree.keys
-                  if word_length(GroupElement(spec, k), star) != tree.dist[k]]
+    mismatches = [k for k, d in zip(tree.keys, tree.depth)
+                  if word_length(GroupElement(spec, k), star) != d]
     assert mismatches == []
 
 

@@ -95,15 +95,15 @@ def test_modular_chain_alternates(psl_measure):
 # --- cylinder sets ---
 
 def test_single_symbol_cylinders(f2_measure):
-    for node in f2_measure.nodes:
-        assert cylinder_measure(f2_measure, node) == pytest.approx(
+    for e in f2_measure.nodes:
+        assert cylinder_measure(f2_measure, (e,)) == pytest.approx(
             1.0 / 12.0, abs=1e-12)
 
 
 def test_cylinder_additivity(f2_measure):
     m = f2_measure
     sft = m.component.sft
-    e0 = m.nodes[0][0]
+    e0 = m.nodes[0]
     followers = [f for f in m.component.edge_ids if sft.follows(e0, f)]
     total = sum(cylinder_measure(m, (e0, f)) for f in followers)
     assert total == pytest.approx(cylinder_measure(m, (e0,)), abs=1e-12)
@@ -116,7 +116,7 @@ def test_empty_cylinder_is_everything(f2_measure):
 def test_forbidden_block_has_measure_zero(f2_measure):
     m = f2_measure
     sft = m.component.sft
-    e0 = m.nodes[0][0]
+    e0 = m.nodes[0]
     blocked = next(f for f in m.component.edge_ids if not sft.follows(e0, f))
     assert cylinder_measure(m, (e0, blocked)) == 0.0
 
@@ -214,6 +214,36 @@ def test_bernoulli_equilibrium_weights():
     assert rep.ok
     assert rep.parry_gap < 1e-9
     assert rep.max_violation <= 1e-9
+
+
+# --- periodic components with edge-varying potentials ---
+
+# A 3-cycle 0 -> 1 -> 2 -> 0 with two parallel edges 0 -> 1; edge 0 leaves
+# state 1, so the edge phases are not counted from the smallest state.
+CYCLE3_PARALLEL = Sft([(1, 0, 2), (0, 1, 1), (0, 2, 1), (2, 3, 0)], 3)
+
+
+@pytest.mark.parametrize("shift, period", [
+    ("full2", 1), ("psl2z", 2), ("cycle3", 3)])
+def test_periodic_perron_with_edge_potentials(shift, period, psl_aut):
+    sft = {"full2": Sft([(0, 0, 0), (0, 1, 0)], 1),
+           "psl2z": sft_from_automaton(psl_aut),
+           "cycle3": CYCLE3_PARALLEL}[shift]
+    (C,) = components(sft).components
+    assert C.period == period
+    values = {e: 0.3 - 0.45 * i for i, e in enumerate(C.edge_ids)}
+    psi = Potential.on_edges(values)
+    # dense edge matrix: e -> f weighted by exp(psi(e)) when f follows e
+    dense = np.array([[math.exp(values[e]) if sft.follows(e, f) else 0.0
+                       for f in C.edge_ids] for e in C.edge_ids])
+    rho = max(abs(np.linalg.eigvals(dense)))
+    assert pressure(C, psi) == pytest.approx(math.log(rho), abs=1e-10)
+    m = parry_gibbs_measure(C, psi)
+    assert m.pressure == pytest.approx(math.log(rho), abs=1e-10)
+    assert (m.P >= 0).all() and (m.P[dense == 0] == 0).all()
+    assert np.abs(m.P.sum(axis=1) - 1.0).max() < 1e-12
+    assert m.pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(m.pi @ m.P - m.pi).max() < 1e-12
 
 
 def test_random_markov_measures_never_beat_the_pressure(f2_measure):
