@@ -11,38 +11,27 @@ estimates.  `geoshift battery` runs the twelve-part self-test suite.
 
 __version__ = "0.1.0"
 
+# The public surface is what the README, the command line, the battery and
+# the benchmark use; everything else is imported from its submodule.
 from .errors import (CapExceeded, EmptySphere, FormatError, GeoshiftError,
                      NonConvergence, ResourceLimit, StabilizationFailure,
                      UnknownLetter)
-from .groups import (GeneratingSet, GroupElement, GroupSpec, ResolvedGenSet,
-                     dehn_group, finite_table_group, free_group,
-                     free_product_group, normalize)
-from .grammar import parse_group_file, parse_group_text
-from .geometry import BallTree, ball_tree, gromov_product, word_length
-from .randomness import RNG_ALGORITHM, ExactSampler, make_rng
-from .automaton import (GeodesicAutomaton, ValidationReport,
-                        build_geodesic_automaton, deserialize_automaton,
-                        enumerate_sphere, sample_uniform_sphere,
-                        serialize_automaton, sphere_count, validate_automaton)
-from .sft import (Component, ComponentDecomposition, Sft, components,
-                  digraph_period, sft_from_automaton, strongly_connected)
-from .thermo import (GibbsReport, MarkovMeasure, MaximalPressure, Potential,
-                     PsCodingReport, VariationalReport, check_variational,
-                     cylinder_measure, entropy, gibbs_ratio_scan, growth_rate,
-                     maximal_components, mean_potential, parry_gibbs_measure,
-                     pressure, ps_coding_check, word_length_potential)
-from .distortion import (DistortionReport, InequalityVerdict, LlnReport,
-                         McRow, SimilarityScan, TauEstimate,
-                         check_growth_inequality, cross_lipschitz,
-                         distortion_report, lln_check, mean_distortion_exact,
+from .groups import GeneratingSet, free_group, free_product_group
+from .grammar import parse_group_file
+from .randomness import make_rng
+from .automaton import (build_geodesic_automaton, enumerate_sphere,
+                        sample_uniform_sphere, serialize_automaton,
+                        sphere_count, validate_automaton)
+from .sft import components, sft_from_automaton
+from .thermo import (check_variational, entropy, gibbs_ratio_scan,
+                     growth_rate, maximal_components, parry_gibbs_measure,
+                     word_length_potential)
+from .distortion import (check_growth_inequality, distortion_report,
+                         lln_check, mean_distortion_exact,
                          mean_distortion_mc, rough_similarity_scan)
-from .dimension import (DimensionEstimate, DriftEstimate, RaySample,
-                        RegularGrowth, drift, drift_two_sided,
-                        ps_dimension_estimate, regular_growth_check,
-                        sample_ray, shadow_mass)
-from .battery import (PROFILES, BatteryReport, CriterionResult, Profile,
-                      battery_lines, battery_report_dict, run_battery,
-                      run_criterion)
+from .dimension import drift, ps_dimension_estimate, regular_growth_check
+from .battery import (PROFILES, battery_lines, battery_report_dict,
+                      run_battery)
 from .reports import csv_text, render_report, write_artifact
 
 __all__ = [
@@ -51,38 +40,25 @@ __all__ = [
     "GeoshiftError", "FormatError", "UnknownLetter", "CapExceeded",
     "ResourceLimit", "EmptySphere", "StabilizationFailure", "NonConvergence",
     # groups and presentations
-    "GeneratingSet", "GroupSpec", "GroupElement", "ResolvedGenSet",
-    "free_group", "finite_table_group", "free_product_group", "dehn_group",
-    "normalize", "parse_group_file", "parse_group_text",
-    # geometry
-    "word_length", "gromov_product", "ball_tree", "BallTree",
+    "GeneratingSet", "free_group", "free_product_group", "parse_group_file",
     # randomness
-    "make_rng", "ExactSampler", "RNG_ALGORITHM",
+    "make_rng",
     # automata
-    "GeodesicAutomaton", "ValidationReport", "build_geodesic_automaton",
-    "validate_automaton", "sphere_count", "enumerate_sphere",
-    "sample_uniform_sphere", "serialize_automaton", "deserialize_automaton",
+    "build_geodesic_automaton", "validate_automaton", "sphere_count",
+    "enumerate_sphere", "sample_uniform_sphere", "serialize_automaton",
     # shifts
-    "Sft", "Component", "ComponentDecomposition", "components",
-    "sft_from_automaton", "strongly_connected", "digraph_period",
+    "components", "sft_from_automaton",
     # thermodynamics
-    "Potential", "word_length_potential", "pressure", "MarkovMeasure",
-    "parry_gibbs_measure", "entropy", "mean_potential", "cylinder_measure",
-    "check_variational", "VariationalReport", "gibbs_ratio_scan",
-    "GibbsReport", "maximal_components", "MaximalPressure", "growth_rate",
-    "ps_coding_check", "PsCodingReport",
+    "word_length_potential", "parry_gibbs_measure", "entropy",
+    "check_variational", "gibbs_ratio_scan", "maximal_components",
+    "growth_rate",
     # distortion
-    "cross_lipschitz", "mean_distortion_exact", "mean_distortion_mc",
-    "McRow", "TauEstimate", "check_growth_inequality", "InequalityVerdict",
-    "lln_check", "LlnReport", "rough_similarity_scan", "SimilarityScan",
-    "distortion_report", "DistortionReport",
+    "mean_distortion_exact", "mean_distortion_mc", "check_growth_inequality",
+    "lln_check", "rough_similarity_scan", "distortion_report",
     # dimension
-    "sample_ray", "RaySample", "drift", "drift_two_sided", "DriftEstimate",
-    "shadow_mass", "ps_dimension_estimate", "DimensionEstimate",
-    "regular_growth_check", "RegularGrowth",
+    "drift", "ps_dimension_estimate", "regular_growth_check",
     # battery
-    "Profile", "PROFILES", "run_battery", "run_criterion", "BatteryReport",
-    "CriterionResult", "battery_lines", "battery_report_dict",
+    "PROFILES", "run_battery", "battery_lines", "battery_report_dict",
     # reports
     "render_report", "csv_text", "write_artifact",
 ]

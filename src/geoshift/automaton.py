@@ -9,7 +9,7 @@ start state of length n are in bijection with the sphere of radius n.
 Construction is empirical: a candidate automaton is built from a finite ball
 and then validated against an independent breadth-first oracle (path counts
 per radius, geodesity, and injectivity).  If validation fails the
-neighbourhood depth L is raised, up to a configured maximum.
+neighbourhood depth L is raised, up to a fixed maximum.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ __all__ = [
     "serialize_automaton",
     "deserialize_automaton",
 ]
+
+LEVEL_MIN = 1     # first neighbourhood depth tried
+LEVEL_MAX = 4     # last neighbourhood depth tried before giving up
+SPOT_SAMPLES = 300  # random interior paths checked for geodesity
 
 
 @dataclass
@@ -217,8 +221,7 @@ class ValidationReport:
 
 
 def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
-                           spot_samples: int = 300, seed: int = 0
-                           ) -> ValidationReport:
+                           seed: int = 0) -> ValidationReport:
     spec = aut.group
     eng = spec.engine
     T = aut.genset
@@ -258,7 +261,7 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
         # Spot checks from interior states: every path, wherever it starts,
         # must spell a geodesic word.
         rng = make_rng(seed, stream=977)
-        for _ in range(spot_samples):
+        for _ in range(SPOT_SAMPLES):
             s = int(rng.integers(aut.n_states))
             gk = eng.identity
             length = 0
@@ -283,28 +286,25 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
 
 
 def build_geodesic_automaton(spec: GroupSpec, T: Optional[ResolvedGenSet] = None,
-                             level: int = 1, n_check: int = 8,
-                             level_max: int = 4, tail: Optional[int] = None,
-                             ball_budget: int = DEFAULT_BALL_BUDGET,
-                             seed: int = 0) -> GeodesicAutomaton:
+                             n_check: int = 8, seed: int = 0
+                             ) -> GeodesicAutomaton:
     """Build and validate an automaton for Cay(G, T).
 
-    Starts at neighbourhood depth ``level`` and retries with level+1 when
-    validation against the breadth-first oracle fails, up to ``level_max``.
-    Raises StabilizationFailure carrying the last validation report when no
-    level works; the report's first mismatch row names the failing radius.
+    Starts at neighbourhood depth LEVEL_MIN and retries with the next depth
+    when validation against the breadth-first oracle fails, up to
+    LEVEL_MAX.  Raises StabilizationFailure carrying the last validation
+    report when no level works; the report's first mismatch row names the
+    failing radius.
     """
     if T is None:
         T = spec.resolve()
-    tree = ball_tree(T, n_check, ball_budget)
-    if tail is None:
-        if spec.family == "dehn":
-            longest = max(len(r) for r in spec.payload["relators"])
-            tail = max(level, longest // 2)
-        else:
-            tail = level
+    tree = ball_tree(T, n_check)
+    tail = LEVEL_MIN
+    if spec.family == "dehn":
+        longest = max(len(r) for r in spec.payload["relators"])
+        tail = max(tail, longest // 2)
     last = None
-    for lv in range(level, level_max + 1):
+    for lv in range(LEVEL_MIN, LEVEL_MAX + 1):
         try:
             aut = _candidate(spec, T, tree, lv, max(tail, lv))
         except ResourceLimit:
@@ -318,16 +318,16 @@ def build_geodesic_automaton(spec: GroupSpec, T: Optional[ResolvedGenSet] = None
     if last is not None and last.first_mismatch is not None:
         detail = f"; first count mismatch at radius {last.first_mismatch}"
     raise StabilizationFailure(
-        f"no level in [{level}, {level_max}] produced a valid automaton{detail}",
+        f"no level in [{LEVEL_MIN}, {LEVEL_MAX}] produced a valid automaton"
+        f"{detail}",
         report=last,
     )
 
 
 def validate_automaton(aut: GeodesicAutomaton, n: int,
-                       ball_budget: int = DEFAULT_BALL_BUDGET,
                        seed: int = 0) -> ValidationReport:
     """Re-validate an automaton against a freshly computed oracle ball."""
-    tree = ball_tree(aut.genset, n, ball_budget)
+    tree = ball_tree(aut.genset, n)
     return _validate_against_tree(aut, tree, seed=seed)
 
 

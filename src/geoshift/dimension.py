@@ -14,22 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .automaton import GeodesicAutomaton, sphere_count
 from .errors import EmptySphere
-from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
+from .geometry import ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
-from .thermo import MarkovMeasure, _time_reversal, growth_rate
+from .thermo import MarkovMeasure, growth_rate
 
 __all__ = [
     "RaySample",
     "sample_ray",
     "drift",
-    "drift_two_sided",
     "DriftEstimate",
     "shadow_mass",
     "ps_dimension_estimate",
@@ -135,55 +133,12 @@ def drift(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int, samples: int,
     return DriftEstimate(n, samples, mean, math.sqrt(var / samples), seed)
 
 
-def drift_two_sided(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int,
-                    samples: int, seed: int = 0) -> DriftEstimate:
-    """Same limit measured bilaterally: (1/2n) d_{S*}(x_{-n}, x_n) over
-    two-sided stationary paths (backward steps use the time reversal)."""
-    from .distortion import _ForeignLength
-
-    aut, entry = _ray_chain(m)
-    sft = m.component.sft
-    T = aut.genset
-    length = _ForeignLength(aut.genset, Sstar, 2 * n)
-    P = m.P
-    Q = _time_reversal(m)
-    rng = make_rng(seed, stream=331)
-    cum_entry = np.cumsum(entry)
-    vals = []
-    for _ in range(samples):
-        j0 = int(np.searchsorted(cum_entry, rng.random(), side="right"))
-        j0 = min(j0, len(entry) - 1)
-        # Forward to x_n (the first edge is the entry edge itself).
-        fwd = aut.group.identity()
-        j = j0
-        for step in range(n):
-            if step > 0:
-                cum = np.cumsum(P[j])
-                j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-                j = min(j, len(P) - 1)
-            fwd = fwd * T.elements[sft.edges[m.nodes[j]][1]]
-        # Backward to x_{-n}: prepend reversed-chain letters inverted.
-        bwd = aut.group.identity()
-        j = j0
-        for _ in range(n):
-            cum = np.cumsum(Q[j])
-            j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            j = min(j, len(Q) - 1)
-            bwd = bwd * T.elements[sft.edges[m.nodes[j]][1]].inverse()
-        vals.append(length(bwd.inverse() * fwd) / (2 * n))
-    mean = sum(vals) / samples
-    var = (sum((v - mean) ** 2 for v in vals) / (samples - 1)
-           if samples > 1 else 0.0)
-    return DriftEstimate(n, samples, mean, math.sqrt(var / samples), seed)
-
-
 # ---------------------------------------------------------------------------
 # Shadows
 # ---------------------------------------------------------------------------
 
 def shadow_mass(aut: GeodesicAutomaton, x: GroupElement, R: int, n: int,
-                delta: Fraction = Fraction(0),
-                budget: int = DEFAULT_BALL_BUDGET) -> Fraction:
+                delta: Fraction = Fraction(0)) -> Fraction:
     """Mass, under uniform counting on the sphere of radius n, of the
     shadow cast by the ball B(x, R): the fraction of sphere points y with
     (x|y) >= |x| - R', R' = R + 2*delta.
@@ -199,7 +154,7 @@ def shadow_mass(aut: GeodesicAutomaton, x: GroupElement, R: int, n: int,
         raise ValueError("the sphere radius must be at least |x| + R")
     two_r_prime = 2 * R + 4 * Fraction(delta)
     c = n - k + int(two_r_prime // 1)
-    reach = ball_tree(T, c, budget)
+    reach = ball_tree(T, c)
     eng = aut.group.engine
     hits = 0
     cap = k + c + 1

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .automaton import GeodesicAutomaton, enumerate_sphere, sample_uniform_sphere
+from .errors import EmptySphere
 from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
@@ -37,15 +38,18 @@ __all__ = [
     "distortion_report",
 ]
 
-def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet,
-                    cap: int = 64) -> int:
+EXACT_BUDGET = 2_000_000  # sphere size and length-search states, exact means
+SCAN_TOLERANCE = 0.5      # deviation gain per step still read as bounded
+
+
+def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet) -> int:
     """max over letters, in both directions, of the word length in the
     other generating set; a bi-Lipschitz constant between the two metrics."""
     lip = 1
     for x in S.elements:
-        lip = max(lip, word_length(x, Sstar, cap))
+        lip = max(lip, word_length(x, Sstar))
     for x in Sstar.elements:
-        lip = max(lip, word_length(x, S, cap))
+        lip = max(lip, word_length(x, S))
     return lip
 
 
@@ -104,17 +108,20 @@ class _ForeignLength:
 # ---------------------------------------------------------------------------
 
 def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
-                          n_max: int, budget: int = 2_000_000) -> list[Fraction]:
+                          n_max: int) -> list[Fraction]:
     """Exact expectation of |x|_{S*} over the uniform sphere of each radius
-    n <= n_max, as exact rationals; entry 0 is 0."""
-    length = _ForeignLength(aut.genset, Sstar, n_max, budget)
+    n <= n_max, as exact rationals; entry 0 is 0.  Raises EmptySphere when
+    one of those spheres has no elements."""
+    length = _ForeignLength(aut.genset, Sstar, n_max, EXACT_BUDGET)
     out = [Fraction(0)]
     for n in range(1, n_max + 1):
         total = 0
         count = 0
-        for x in enumerate_sphere(aut, n, budget=budget):
+        for x in enumerate_sphere(aut, n, budget=EXACT_BUDGET):
             total += length(x)
             count += 1
+        if count == 0:
+            raise EmptySphere(f"no elements at distance {n}")
         out.append(Fraction(total, count))
     return out
 
@@ -192,7 +199,12 @@ class InequalityVerdict:
 def check_growth_inequality(tau: TauEstimate, gr_s: float,
                             gr_sstar: float) -> InequalityVerdict:
     """tau(S*/S) can never fall below gr(S)/gr(S*); PASS when the estimate
-    plus its half-width clears that bar (tolerance 1e-6)."""
+    plus its half-width clears that bar (tolerance 1e-6).  Raises
+    EmptySphere when gr(S*) is 0, since the spheres of a finite group run
+    out and the bar is undefined."""
+    if gr_sstar <= 0.0:
+        raise EmptySphere("gr(S*) is 0: the spheres run out and the growth "
+                          "ratio is undefined")
     ratio = gr_s / gr_sstar
     margin = tau.tau_hat - ratio
     passed = tau.tau_hat + tau.half_width >= ratio - 1e-6
@@ -276,21 +288,24 @@ class SimilarityScan:
 
 
 def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
-                          tau: float, R: int, tolerance: float = 0.5,
-                          budget: int = DEFAULT_BALL_BUDGET) -> SimilarityScan:
+                          tau: float, R: int) -> SimilarityScan:
     """Scan all spheres up to radius R for the worst additive deviation
     from |x|_{S*} = tau |x|_S.
 
     Rough similarity of the metrics would keep the deviations bounded; the
     verdict is BOUNDED-LOOKING when the last third of the sequence gains no
-    more than the tolerance per step, GROWING otherwise.  A heuristic read
-    on finite data, not a proof either way.
+    more than SCAN_TOLERANCE per step, GROWING otherwise.  A heuristic
+    read on finite data, not a proof either way.  A finite group's scan
+    stops at its last nonempty sphere.
     """
     if R < 1:
         raise ValueError("scan radius must be at least 1")
-    length = _ForeignLength(S, Sstar, R, budget)
-    tree = ball_tree(S, R, budget)
-    R = min(R, tree.radius())  # a finite group may run out of spheres
+    length = _ForeignLength(S, Sstar, R)
+    tree = ball_tree(S, R)
+    last = tree.radius()
+    if tree.sphere_size(last) == 0:  # a finite group ran out of spheres
+        last -= 1
+    R = min(R, last)
     deviations = [0.0] * (R + 1)
     witnesses = [""] * (R + 1)
     for r in range(1, R + 1):
@@ -306,9 +321,9 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     worst_step = 0.0
     for i in range(start, R):
         worst_step = max(worst_step, deviations[i] - deviations[i - 1])
-    verdict = "BOUNDED-LOOKING" if worst_step <= tolerance else "GROWING"
+    verdict = "BOUNDED-LOOKING" if worst_step <= SCAN_TOLERANCE else "GROWING"
     return SimilarityScan(tau, list(range(1, R + 1)), deviations, witnesses,
-                          verdict, tolerance)
+                          verdict, SCAN_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------

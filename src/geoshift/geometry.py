@@ -27,6 +27,7 @@ __all__ = [
 
 DEFAULT_LENGTH_CAP = 64
 DEFAULT_BALL_BUDGET = 5_000_000
+DELTA_BUDGET = 700  # ball elements for the cubic four-point scan
 
 
 @dataclass
@@ -90,7 +91,9 @@ def ball_tree(T: ResolvedGenSet, radius: int,
                 parent.append(i)
                 letter.append(li)
             if len(keys) > budget:
-                raise ResourceLimit(f"ball enumeration exceeded budget {budget}")
+                raise ResourceLimit(
+                    f"ball enumeration exceeded budget {budget} at radius "
+                    f"{depth + 1} of {radius}")
         lo, hi = hi, len(keys)
         layer_bounds.append(hi)
         if lo == hi:
@@ -182,22 +185,21 @@ class HyperbolicityEstimate:
             raise ValueError("delta must be a nonnegative half-integer")
 
 
-def estimate_delta(spec: GroupSpec, T: ResolvedGenSet, radius: int,
-                   budget: int = 700, ball_budget: int = DEFAULT_BALL_BUDGET
+def estimate_delta(spec: GroupSpec, T: ResolvedGenSet, radius: int
                    ) -> HyperbolicityEstimate:
     """Exhaustive four-point scan over the ball of the given radius.
 
     Returns the least half-integer delta with
     (x|y) >= min((x|z), (z|y)) - delta for all triples in the ball, the
     Gromov products being taken at the identity.  The scan is quadratic in
-    the ball size for distances and cubic (vectorized) for the triple test;
-    ``budget`` caps the number of ball elements.
+    the ball size for distances and cubic (vectorized) for the triple test,
+    so balls of more than DELTA_BUDGET elements are refused.
     """
-    tree = ball_tree(T, radius, ball_budget)
+    tree = ball_tree(T, radius)
     n = len(tree.keys)
-    if n > budget:
+    if n > DELTA_BUDGET:
         raise ResourceLimit(
-            f"ball has {n} elements, above the pairwise budget {budget}")
+            f"ball has {n} elements, above the pairwise budget {DELTA_BUDGET}")
     eng = spec.engine
     tkeys = [e.key for e in T.elements]
     lengths = np.array(tree.depth, dtype=np.int64)

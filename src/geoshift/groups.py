@@ -36,8 +36,10 @@ __all__ = [
     "finite_table_group",
     "free_product_group",
     "dehn_group",
-    "normalize",
 ]
+
+# Rewriting-search states per Dehn normalisation, and cached normal forms.
+DEHN_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -282,10 +284,9 @@ class _DehnEngine:
 
     family = "dehn"
 
-    def __init__(self, n_letters: int, inv: tuple[int, ...], relators, budget: int = 200_000):
+    def __init__(self, n_letters: int, inv: tuple[int, ...], relators):
         self.n_letters = n_letters
         self.inv = inv
-        self.budget = budget
         sym: set[bytes] = set()
         for rel in relators:
             r = _free_reduce_bytes(bytes(rel), inv)
@@ -406,7 +407,7 @@ class _DehnEngine:
                             best = v
                 if shorter is not None:
                     break
-                if len(seen) > self.budget:
+                if len(seen) > DEHN_BUDGET:
                     raise ResourceLimit("rewriting search exceeded its budget")
             if shorter is None:
                 return best
@@ -417,7 +418,7 @@ class _DehnEngine:
         cached = self._nf_cache.get(w)
         if cached is None:
             cached = self._normalize(w)
-            if len(self._nf_cache) < self.budget:
+            if len(self._nf_cache) < DEHN_BUDGET:
                 self._nf_cache[w] = cached
         return cached
 
@@ -498,13 +499,6 @@ class GroupElement:
         """A geodesic word over the base letters spelling this element."""
         letters = self.group.base.letters
         return tuple(letters[i] for i in self.group.engine.to_word(self.key))
-
-    @property
-    def normal_form(self):
-        """Canonical form: the table index for finite groups, else the word."""
-        if self.group.family == "finite_table":
-            return self.key
-        return self.word()
 
     def is_identity(self) -> bool:
         return self.key == self.group.engine.identity
@@ -711,8 +705,7 @@ def free_product_group(tables, letters: Sequence[str],
 
 
 def dehn_group(relators: Sequence[Sequence[str]], letters: Sequence[str],
-               inverses: Mapping[str, str], name: str = "G",
-               budget: int = 200_000) -> GroupSpec:
+               inverses: Mapping[str, str], name: str = "G") -> GroupSpec:
     """Group presented by relators, processed with greedy replacement."""
     base = GeneratingSet(tuple(letters), dict(inverses), name="S")
     inv = base.inverse_index()
@@ -725,10 +718,6 @@ def dehn_group(relators: Sequence[Sequence[str]], letters: Sequence[str],
             raise UnknownLetter(f"relator uses unknown letter {exc.args[0]!r}") from None
     if not rel_ids:
         raise FormatError("dehn family needs at least one relator")
-    engine = _DehnEngine(len(base.letters), inv, rel_ids, budget=budget)
+    engine = _DehnEngine(len(base.letters), inv, rel_ids)
     return GroupSpec("dehn", base, engine, {"relators": tuple(rel_ids)}, name=name)
 
-
-def normalize(word: Sequence[str], spec: GroupSpec) -> GroupElement:
-    """Canonical normal form of a word over the base letters."""
-    return spec.element(word)

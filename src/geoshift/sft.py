@@ -151,7 +151,6 @@ class ComponentDecomposition:
 
     sft: Sft
     components: tuple[Component, ...]
-    scc_of_state: dict
     condensation: dict  # scc id -> set of scc ids reachable in one step
     scc_of_component: tuple[int, ...]
 
@@ -206,5 +205,5 @@ def components(sft: Sft) -> ComponentDecomposition:
         comps.append(Component(sft, len(comps), frozenset(members), edge_ids,
                                period, phase))
         scc_of_component.append(ci)
-    return ComponentDecomposition(sft, tuple(comps), scc_of_state,
-                                  condensation, tuple(scc_of_component))
+    return ComponentDecomposition(sft, tuple(comps), condensation,
+                                  tuple(scc_of_component))

@@ -36,12 +36,12 @@ __all__ = [
     "maximal_components",
     "MaximalPressure",
     "growth_rate",
-    "ps_coding_check",
-    "PsCodingReport",
 ]
 
 PERRON_TOL = 1e-13
 PERRON_ITMAX = 1_000_000
+VARIATIONAL_TOL = 1e-9  # allowed gain of a random measure over the pressure
+MAXIMAL_TOL = 1e-9      # pressures this close to the top count as maximal
 
 
 class Potential:
@@ -109,12 +109,12 @@ def _edge_graph(C: Component, psi: Potential
 # Perron eigendata
 # ---------------------------------------------------------------------------
 
-def _power_primitive(B: np.ndarray, tol: float, itmax: int) -> tuple[float, np.ndarray]:
+def _power_primitive(B: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root and vector of a primitive nonnegative matrix, by power
     iteration with Collatz-Wielandt bracketing."""
     n = B.shape[0]
     v = np.full(n, 1.0 / n)
-    for _ in range(itmax):
+    for _ in range(PERRON_ITMAX):
         w = B @ v
         s = w.sum()
         if not np.isfinite(s) or s <= 0.0:
@@ -126,26 +126,25 @@ def _power_primitive(B: np.ndarray, tol: float, itmax: int) -> tuple[float, np.n
             continue
         ratios = (B @ w)[mask] / w[mask]
         lo, hi = ratios.min(), ratios.max()
-        if hi - lo <= tol * max(hi, 1.0):
+        if hi - lo <= PERRON_TOL * max(hi, 1.0):
             lam = 0.5 * (lo + hi)
             return lam, w / w.sum()
         v = w
     raise NonConvergence(
-        f"power iteration did not converge within {itmax} steps"
+        f"power iteration did not converge within {PERRON_ITMAX} steps"
     )
 
 
-def _perron(W: np.ndarray, period: int, phase: np.ndarray,
-            tol: float = PERRON_TOL, itmax: int = PERRON_ITMAX
+def _perron(W: np.ndarray, period: int, phase: np.ndarray
             ) -> tuple[float, np.ndarray]:
     """Perron root and a positive right eigenvector of an irreducible
     nonnegative matrix with the given cyclic structure."""
     n = W.shape[0]
     if period == 1:
-        return _power_primitive(W, tol, itmax)
+        return _power_primitive(W)
     Wp = np.linalg.matrix_power(W, period)
     idx0 = np.flatnonzero(phase == 0)
-    lam_p, r0 = _power_primitive(Wp[np.ix_(idx0, idx0)], tol, itmax)
+    lam_p, r0 = _power_primitive(Wp[np.ix_(idx0, idx0)])
     lam = lam_p ** (1.0 / period)
     r = np.zeros(n)
     r[idx0] = r0
@@ -169,12 +168,11 @@ def _weight_matrix(support: np.ndarray, arrows: np.ndarray
     return W, shift
 
 
-def pressure(C: Component, psi: Potential, tol: float = PERRON_TOL,
-             itmax: int = PERRON_ITMAX) -> float:
+def pressure(C: Component, psi: Potential) -> float:
     """log of the Perron root of the potential-weighted transition matrix."""
     support, arrows, phase = _edge_graph(C, psi)
     W, shift = _weight_matrix(support, arrows)
-    lam, _ = _perron(W, C.period, phase, tol, itmax)
+    lam, _ = _perron(W, C.period, phase)
     return math.log(lam) + shift
 
 
@@ -199,17 +197,16 @@ class MarkovMeasure:
     memory = 1  # edges a node of the chain remembers
 
 
-def parry_gibbs_measure(C: Component, psi: Potential, tol: float = PERRON_TOL,
-                        itmax: int = PERRON_ITMAX) -> MarkovMeasure:
+def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:
     """The Markov measure with transition weights proportional to
     exp(psi) times the right Perron data."""
     support, arrows, phase = _edge_graph(C, psi)
     W, shift = _weight_matrix(support, arrows)
-    lam, r = _perron(W, C.period, phase, tol, itmax)
+    lam, r = _perron(W, C.period, phase)
 
     # Left eigenvector: Perron data of the transpose, whose cyclic classes
     # are the same sets traversed the other way round.
-    lam_l, l = _perron(W.T, C.period, (-phase) % C.period, tol, itmax)
+    lam_l, l = _perron(W.T, C.period, (-phase) % C.period)
     if abs(lam_l - lam) > 1e-9 * max(lam, 1.0):
         raise NonConvergence("left and right Perron roots disagree")
 
@@ -257,11 +254,6 @@ def mean_potential(m: MarkovMeasure) -> float:
     return _integral(m.P, m.pi, np.where(m.support, m.psi_arrows, 0.0))
 
 
-def _time_reversal(m: MarkovMeasure) -> np.ndarray:
-    """Transition matrix of the reversed chain, Q(a, b) = pi(b) P(b, a) / pi(a)."""
-    return (m.pi[:, None] * m.P).T / m.pi[:, None]
-
-
 def cylinder_measure(m: MarkovMeasure, block: Sequence[int]) -> float:
     """Measure of the cylinder fixing the given consecutive edges.
 
@@ -307,7 +299,7 @@ class VariationalReport:
 
 
 def check_variational(C: Component, psi: Potential, trials: int = 200,
-                      seed: int = 0, tol: float = 1e-9) -> VariationalReport:
+                      seed: int = 0) -> VariationalReport:
     """Entropy + integral of the potential, over random Markov measures on
     the component, never beats the pressure; the Parry-Gibbs measure
     attains it."""
@@ -334,7 +326,7 @@ def check_variational(C: Component, psi: Potential, trials: int = 200,
         pi /= pi.sum()
         best = max(best, _entropy_rate(P, pi) + _integral(P, pi, vals))
     violation = max(0.0, best - m.pressure)
-    ok = violation <= tol and gap <= tol
+    ok = violation <= VARIATIONAL_TOL and gap <= VARIATIONAL_TOL
     return VariationalReport(m.pressure, parry_value, gap, trials, best,
                              violation, ok)
 
@@ -419,8 +411,7 @@ class MaximalPressure:
 
 
 def maximal_components(dec: ComponentDecomposition,
-                       psi: Optional[Potential] = None,
-                       tol: float = 1e-9) -> MaximalPressure:
+                       psi: Optional[Potential] = None) -> MaximalPressure:
     """Components of maximal pressure, and whether none of them can reach
     another through the condensation."""
     psi = psi if psi is not None else Potential.constant(0.0)
@@ -428,7 +419,7 @@ def maximal_components(dec: ComponentDecomposition,
         return MaximalPressure(dec, (), -math.inf, (), True)
     prs = tuple(pressure(C, psi) for C in dec.components)
     top = max(prs)
-    maximal = tuple(i for i, p in enumerate(prs) if p >= top - tol)
+    maximal = tuple(i for i, p in enumerate(prs) if p >= top - MAXIMAL_TOL)
     semi = True
     for i in maximal:
         for j in maximal:
@@ -453,129 +444,3 @@ def growth_rate(aut, dec: Optional[ComponentDecomposition] = None) -> float:
                       "elementary and exponential-scale statistics are "
                       "degenerate", stacklevel=2)
     return mp.max_pressure
-
-
-# ---------------------------------------------------------------------------
-# Boundary coding check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PsCodingReport:
-    n: int
-    radius: int
-    rate: float
-    pairs: list  # (x word, y word, mass, ratio)
-    zero_pairs: int
-    ratio_min: float  # over nonzero pairs
-    ratio_max: float
-
-    def summary(self) -> str:
-        lines = [
-            f"two-sided mass vs exp(-2vn) at n={self.n}, R={self.radius}, "
-            f"v={self.rate:.9g}: {len(self.pairs)} pairs, "
-            f"{self.zero_pairs} with no geodesic through the window"
-        ]
-        if math.isfinite(self.ratio_min):
-            lines.append(
-                f"nonzero ratios within [{self.ratio_min:.6g}, {self.ratio_max:.6g}]"
-            )
-        return "\n".join(lines)
-
-
-def _pull_back(eng, target: set, steps: int, M: np.ndarray, into: list,
-               step_key: list, accept_key: list) -> np.ndarray:
-    """Push the indicator of `target` back through `steps` moves of a chain.
-
-    A state (b, u) moves to (a, u * step_key[b]) with weight M[a, b], for
-    every node a in into[b]; the table adds up, per node a, the weight of
-    the states that end on accept_key[a].
-    """
-    cur = {(b, u): 1.0 for b in range(len(into)) for u in target}
-    for _ in range(steps):
-        nxt: dict = {}
-        for (b, u), val in cur.items():
-            u_next = eng.mult(u, step_key[b])
-            for a in into[b]:
-                w = M[a, b]
-                if w > 0.0:
-                    key = (a, u_next)
-                    nxt[key] = nxt.get(key, 0.0) + w * val
-        cur = nxt
-    table = np.zeros(len(into))
-    for (a, u), val in cur.items():
-        if u == accept_key[a]:
-            table[a] += val
-    return table
-
-
-def ps_coding_check(aut, measures: Sequence[MarkovMeasure], rate: float,
-                    radius: int = 0, n: int = 6, x_count: int = 4,
-                    y_count: int = 4, seed: int = 0) -> PsCodingReport:
-    """Compare the stationary mass of two-sided geodesic windows joining
-    B(x, R) to B(y, R), for x, y on the sphere of radius n, against
-    exp(-2 v n).
-
-    The mass is computed exactly by dynamic programming over the chain:
-    forward steps follow the transition matrix towards y, backward steps
-    follow the time reversal towards x, and the indicator of landing in a
-    ball is pushed through the group multiplication.
-    """
-    from .automaton import sample_uniform_sphere
-    from .geometry import ball_tree
-    from .randomness import make_rng
-
-    spec = aut.group
-    eng = spec.engine
-    T = aut.genset
-    letter_key = [x.key for x in T.elements]
-    inv_letter_key = [T.elements[i].inverse().key for i in range(len(T))]
-
-    rng = make_rng(seed, stream=461)
-    xs = sample_uniform_sphere(aut, n, rng, count=x_count)
-    ys = sample_uniform_sphere(aut, n, rng, count=y_count)
-    ball_keys = ball_tree(T, radius).keys
-
-    stationary, towards_y, towards_x = [], [], []
-    for m in measures:
-        edges = m.component.sft.edges
-        letter = [letter_key[edges[e][1]] for e in m.nodes]
-        inv_letter = [inv_letter_key[edges[e][1]] for e in m.nodes]
-        preds = [np.flatnonzero(col).tolist() for col in m.support.T]
-        succs = [np.flatnonzero(row).tolist() for row in m.support]
-        # Towards y: F[e] = chance the n-1 steps after e, times e's own
-        # letter, multiply into B(y, R).  Towards x: K[e] = chance the n
-        # reversed steps before e multiply into B(x, R).
-        stationary.append(m.pi)
-        towards_y.append((n - 1, m.P, preds, inv_letter, letter))
-        towards_x.append((n, _time_reversal(m), succs, letter,
-                          [eng.identity] * len(letter)))
-
-    def mass_tables(centre, chains):
-        """One table per measure for windows ending in B(centre, R)."""
-        target = {eng.mult(centre, bk) for bk in ball_keys}
-        return [_pull_back(eng, target, *chain) for chain in chains]
-
-    forward = {y.key: mass_tables(y.key, towards_y) for y in ys}
-    backward = {x.key: mass_tables(x.key, towards_x) for x in xs}
-
-    pairs = []
-    zero_pairs = 0
-    lo, hi = math.inf, -math.inf
-    scale = math.exp(-2.0 * rate * n)
-    for x in xs:
-        for y in ys:
-            mass = 0.0
-            for pi, F, K in zip(stationary, forward[y.key],
-                                backward[x.key]):
-                mass += float((pi * K * F).sum())
-            ratio = mass / scale
-            if mass == 0.0:
-                zero_pairs += 1
-            else:
-                lo, hi = min(lo, ratio), max(hi, ratio)
-            pairs.append((" ".join(x.word()) if spec.family != "finite_table"
-                          else str(x.key),
-                          " ".join(y.word()) if spec.family != "finite_table"
-                          else str(y.key),
-                          mass, ratio))
-    return PsCodingReport(n, radius, rate, pairs, zero_pairs, lo, hi)

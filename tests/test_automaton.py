@@ -5,9 +5,7 @@ import pytest
 from geoshift import (
     EmptySphere,
     FormatError,
-    ball_tree,
     build_geodesic_automaton,
-    deserialize_automaton,
     enumerate_sphere,
     make_rng,
     sample_uniform_sphere,
@@ -15,6 +13,8 @@ from geoshift import (
     sphere_count,
     validate_automaton,
 )
+from geoshift.automaton import deserialize_automaton
+from geoshift.geometry import ball_tree
 
 
 def test_free_group_machine_shape(f2_aut):

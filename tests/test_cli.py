@@ -106,10 +106,19 @@ def test_gibbs_report():
     assert doc["report"]["variational"]["ok"] is True
 
 
-def test_gibbs_fails_on_a_finite_group():
-    r = run("gibbs", "--group", S3)
+@pytest.mark.parametrize("args, message", [
+    (("gibbs",), "no recurrent component"),
+    (("dimension", "--to", "S"), "no recurrent component"),
+    # the sphere of radius 3 is empty; then gr(S*) = 0 divides the ratio
+    (("distortion", "--to", "S"), "no elements at distance 3"),
+    (("distortion", "--to", "S", "--exact-n", "2", "--n", "2"),
+     "gr(S*) is 0"),
+], ids=["gibbs", "dimension", "distortion-exact", "distortion-ratio"])
+def test_commands_fail_on_a_finite_group(args, message):
+    r = run(args[0], "--group", S3, *args[1:])
     assert r.returncode == 1
-    assert "no recurrent component" in r.stderr
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_validate():

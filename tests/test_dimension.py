@@ -8,17 +8,14 @@ import pytest
 from geoshift import (
     components,
     drift,
-    drift_two_sided,
-    growth_rate,
     maximal_components,
     parry_gibbs_measure,
-    ps_coding_check,
     ps_dimension_estimate,
     regular_growth_check,
-    shadow_mass,
     sft_from_automaton,
     word_length_potential,
 )
+from geoshift.dimension import shadow_mass
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +63,6 @@ def test_drift_seeded_and_concentrated(f2_measure, f2_star_ab):
     assert a.stderr < 0.01
 
 
-def test_two_sided_drift_agrees(f2_measure, f2_star_ab):
-    one = drift(f2_measure, f2_star_ab, 20, samples=300, seed=0)
-    two = drift_two_sided(f2_measure, f2_star_ab, 20, samples=300, seed=0)
-    assert abs(one.mean - two.mean) <= 4 * math.hypot(one.stderr, two.stderr)
-
-
 def test_regular_growth_constants(f2_aut):
     rep = regular_growth_check(f2_aut, 20)
     assert rep.rate == pytest.approx(math.log(3.0), abs=1e-12)
@@ -110,18 +101,3 @@ def test_dimension_estimate_composite_metric(f2_aut, f2_star_ab, f2_measure):
         assert 1 <= length <= k
         assert 0.9 < local < 1.7
 
-
-def test_shadow_ratios_code_the_measure(f2_aut, f2_measure):
-    rep = ps_coding_check(f2_aut, [f2_measure], math.log(3.0), radius=0,
-                          n=6, x_count=4, y_count=4, seed=0)
-    # mu(shadow) / e^{-rate * d} is the same constant 3/4 for every pair
-    assert rep.ratio_min == pytest.approx(0.75, abs=1e-9)
-    assert rep.ratio_max == pytest.approx(0.75, abs=1e-9)
-    assert rep.zero_pairs == 2
-    assert len(rep.pairs) == 16
-
-
-def test_shadow_ratios_stable_across_spheres(f2_aut, f2_measure):
-    r4 = ps_coding_check(f2_aut, [f2_measure], math.log(3.0), n=4, seed=0)
-    r6 = ps_coding_check(f2_aut, [f2_measure], math.log(3.0), n=6, seed=0)
-    assert r4.ratio_max == pytest.approx(r6.ratio_max, abs=1e-9)

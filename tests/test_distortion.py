@@ -13,8 +13,8 @@ from geoshift import (
     mean_distortion_exact,
     mean_distortion_mc,
     rough_similarity_scan,
-    word_length,
 )
+from geoshift.geometry import word_length
 
 # per-sphere averages of the composite-letter length, small enough to check
 # against a full enumeration by hand
@@ -105,6 +105,15 @@ def test_scan_is_flat_for_the_same_metric(f2):
     scan = rough_similarity_scan(S, S, 1.0, 6)
     assert scan.deviations == [0.0] * len(scan.deviations)
     assert scan.verdict == "BOUNDED-LOOKING"
+
+
+def test_scan_stops_at_the_last_sphere_of_a_finite_group(s3):
+    # S3 has diameter 2, so there is no sphere of radius 3 to report
+    S = s3.resolve(None)
+    scan = rough_similarity_scan(S, S, 0.5, 12)
+    assert scan.radii == [1, 2]
+    assert scan.deviations == [0.5, 1.0]
+    assert scan.witnesses == ["r", "r f"]
 
 
 def test_scan_detects_genuine_distortion(f2, f2_star_a2):

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from geoshift import (GroupElement, ball_tree, cross_lipschitz,
-                      gromov_product, word_length)
+from geoshift import parse_group_file
+from geoshift.distortion import cross_lipschitz
 from geoshift.errors import CapExceeded, ResourceLimit
-from geoshift.geometry import estimate_delta
+from geoshift.geometry import (ball_tree, estimate_delta, gromov_product,
+                               word_length)
+from geoshift.groups import GroupElement
 
 
 def test_ball_layers_match_sphere_sizes(f2):
@@ -29,6 +31,16 @@ def test_tree_words_spell_their_elements(f2):
 def test_ball_budget_enforced(f2):
     with pytest.raises(ResourceLimit):
         ball_tree(f2.resolve(None), 20, budget=1000)
+
+
+def test_ball_budget_names_the_radius():
+    # genus 2 has 457 elements within radius 3, so a budget of 1,000 runs out
+    # while radius 4 is being built
+    genus2 = parse_group_file("groups/genus2.grp")
+    with pytest.raises(ResourceLimit) as err:
+        ball_tree(genus2.resolve(None), 8, budget=1000)
+    assert str(err.value) == ("ball enumeration exceeded budget 1000 at "
+                              "radius 4 of 8")
 
 
 def test_ball_budget_stops_within_a_layer(f2, monkeypatch):

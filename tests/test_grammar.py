@@ -2,7 +2,8 @@
 
 import pytest
 
-from geoshift import FormatError, UnknownLetter, parse_group_file, parse_group_text
+from geoshift import FormatError, UnknownLetter, parse_group_file
+from geoshift.grammar import parse_group_text
 
 FREE = """\
 name: F2

@@ -5,15 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from geoshift import (
     FormatError,
-    GeneratingSet,
     UnknownLetter,
-    dehn_group,
-    finite_table_group,
     free_group,
     free_product_group,
-    normalize,
     parse_group_file,
 )
+from geoshift.groups import dehn_group, finite_table_group
 
 F = free_group(2)
 A, AI, B, BI = "a", "a^-1", "b", "b^-1"
@@ -194,7 +191,3 @@ def test_commutator_relator_warns():
     with pytest.warns(UserWarning):
         dehn_group([("a", "b", "a^-1", "b^-1")], letters, inv)
 
-
-def test_normalize_helper():
-    x = normalize([A, B, BI], F)
-    assert x == F.element([A])

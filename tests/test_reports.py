@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from geoshift import RNG_ALGORITHM, csv_text, make_rng, render_report
+from geoshift import csv_text, make_rng, render_report
+from geoshift.randomness import RNG_ALGORITHM
 from geoshift.reports import render_value
 
 

@@ -2,15 +2,9 @@
 
 import pytest
 
-from geoshift import (
-    Potential,
-    Sft,
-    components,
-    digraph_period,
-    maximal_components,
-    sft_from_automaton,
-    strongly_connected,
-)
+from geoshift import components, maximal_components, sft_from_automaton
+from geoshift.sft import Sft, digraph_period, strongly_connected
+from geoshift.thermo import Potential
 
 # edges are (source state, symbol, target state)
 FULL2 = Sft([(0, 0, 0), (0, 1, 0)], 1)

@@ -13,21 +13,23 @@ import numpy as np
 import pytest
 
 from geoshift import (
-    Potential,
-    Sft,
     check_variational,
     components,
-    cylinder_measure,
     entropy,
     gibbs_ratio_scan,
     growth_rate,
     maximal_components,
-    mean_potential,
     parry_gibbs_measure,
-    pressure,
-    sample_ray,
     sft_from_automaton,
     word_length_potential,
+)
+from geoshift.dimension import sample_ray
+from geoshift.sft import Sft
+from geoshift.thermo import (
+    Potential,
+    cylinder_measure,
+    mean_potential,
+    pressure,
 )
 
 LOG3 = math.log(3.0)
