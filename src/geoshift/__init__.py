@@ -5,8 +5,8 @@ by presentations, turns them into edge shifts of finite type, and computes
 thermodynamic quantities on those shifts: pressure, Parry-Gibbs measures,
 entropy, and growth rates.  On top of that sit exact and Monte Carlo mean
 distortion between word metrics, an empirical law of large numbers, a
-rough-similarity scan, boundary shadows, and drift-based dimension
-estimates.  `geoshift battery` runs the twelve-part self-test suite.
+rough-similarity scan, and drift-based dimension estimates.  `geoshift
+battery` runs the twelve-part self-test suite.
 """
 
 __version__ = "0.1.0"
@@ -26,9 +26,9 @@ from .sft import components, sft_from_automaton
 from .thermo import (check_variational, entropy, gibbs_ratio_scan,
                      growth_rate, maximal_components, parry_gibbs_measure,
                      word_length_potential)
-from .distortion import (check_growth_inequality, distortion_report,
-                         lln_check, mean_distortion_exact,
-                         mean_distortion_mc, rough_similarity_scan)
+from .distortion import (check_growth_inequality, lln_check,
+                         mean_distortion_exact, mean_distortion_mc,
+                         rough_similarity_scan)
 from .dimension import drift, ps_dimension_estimate, regular_growth_check
 from .battery import (PROFILES, battery_lines, battery_report_dict,
                       run_battery)
@@ -54,7 +54,7 @@ __all__ = [
     "growth_rate",
     # distortion
     "mean_distortion_exact", "mean_distortion_mc", "check_growth_inequality",
-    "lln_check", "rough_similarity_scan", "distortion_report",
+    "lln_check", "rough_similarity_scan",
     # dimension
     "drift", "ps_dimension_estimate", "regular_growth_check",
     # battery

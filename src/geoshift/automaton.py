@@ -57,10 +57,6 @@ class GeodesicAutomaton:
     _succ: Optional[list] = field(default=None, repr=False)
     _path_counts: Optional[list] = field(default=None, repr=False)
 
-    @property
-    def states(self) -> list[int]:
-        return list(range(self.n_states))
-
     def successors(self, state: int) -> tuple:
         """Outgoing (letter index, target) pairs, in letter order."""
         if self._succ is None:

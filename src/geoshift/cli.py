@@ -25,7 +25,9 @@ from .automaton import (build_geodesic_automaton, serialize_automaton,
 from .battery import (CRITERION_COUNT, PROFILES, battery_lines,
                       battery_report_dict, run_battery)
 from .dimension import ps_dimension_estimate, regular_growth_check
-from .distortion import distortion_report, mean_distortion_mc
+from .distortion import (check_growth_inequality, cross_lipschitz,
+                         lln_check, mean_distortion_exact, mean_distortion_mc,
+                         rough_similarity_scan)
 from .errors import (FormatError, GeoshiftError, StabilizationFailure,
                      UnknownLetter)
 from .grammar import parse_group_file
@@ -234,70 +236,66 @@ def _cmd_distortion(args) -> int:
     Sstar = spec.resolve(args.to)
     aut_s = _build(spec, S, args, args.n_check)
     aut_star = _build(spec, Sstar, args, args.n_check)
-    rep = distortion_report(
-        aut_s, aut_star,
-        exact_n_max=args.exact_n,
-        mc_n_list=args.n,
-        samples=args.samples,
-        seed=args.seed,
-        lln_n_list=args.lln_n,
-        lln_samples=args.lln_samples,
-        scan_radius=args.scan,
-    )
-    exact_rows = [{"n": n, "mean_length": rep.exact[n]}
-                  for n in range(1, len(rep.exact))]
-    mc_rows = [{"n": r.n, "mean": r.mean, "stderr": r.stderr,
-                "samples": r.samples} for r in rep.mc.rows]
+    exact = (mean_distortion_exact(aut_s, Sstar, args.exact_n)
+             if args.exact_n >= 1 else [])
+    mc = mean_distortion_mc(aut_s, Sstar, args.n, args.samples,
+                            seed=args.seed)
+    gr_s = growth_rate(aut_s)
+    gr_sstar = growth_rate(aut_star)
+    verdict = check_growth_inequality(mc, gr_s, gr_sstar)
+    lln = (lln_check(aut_s, Sstar, mc.tau_hat, args.lln_n,
+                     samples=args.lln_samples, seed=args.seed)
+           if args.lln_n else None)
+    scan = (rough_similarity_scan(S, Sstar, mc.tau_hat, args.scan)
+            if args.scan >= 1 else None)
     report = {
-        "group": rep.group,
-        "from": rep.from_genset,
-        "to": rep.to_genset,
-        "lipschitz": rep.lip,
-        "gr_s": rep.gr_s,
-        "gr_sstar": rep.gr_sstar,
-        "exact": exact_rows,
-        "mc": mc_rows,
-        "tau_hat": rep.mc.tau_hat,
-        "half_width": rep.mc.half_width,
+        "group": spec.name,
+        "from": S.name,
+        "to": Sstar.name,
+        "lipschitz": cross_lipschitz(S, Sstar),
+        "gr_s": gr_s,
+        "gr_sstar": gr_sstar,
+        "exact": [{"n": n, "mean_length": exact[n]}
+                  for n in range(1, len(exact))],
+        "mc": [{"n": r.n, "mean": r.mean, "stderr": r.stderr,
+                "samples": r.samples} for r in mc.rows],
+        "tau_hat": mc.tau_hat,
+        "half_width": mc.half_width,
         "inequality": {
-            "ratio": rep.inequality.ratio,
-            "margin": rep.inequality.margin,
-            "passed": rep.inequality.passed,
+            "ratio": verdict.ratio,
+            "margin": verdict.margin,
+            "passed": verdict.passed,
         },
+        "lln": None,
+        "scan": None,
     }
-    if rep.lln is not None:
-        table = {}
-        for n in rep.lln.n_list:
-            table[f"n={n}"] = {f"eps={eps:g}": rep.lln.fractions[(n, eps)]
-                               for eps in rep.lln.eps_list}
+    if lln is not None:
         report["lln"] = {
-            "samples": rep.lln.samples,
-            "fractions": table,
-            "monotone": {f"eps={eps:g}": rep.lln.monotone[eps]
-                         for eps in rep.lln.eps_list},
+            "samples": lln.samples,
+            "fractions": {f"n={n}": {f"eps={eps:g}": lln.fractions[(n, eps)]
+                                     for eps in lln.eps_list}
+                          for n in lln.n_list},
+            "monotone": {f"eps={eps:g}": lln.monotone[eps]
+                         for eps in lln.eps_list},
         }
-    else:
-        report["lln"] = None
-    if rep.scan is not None:
+    if scan is not None:
         report["scan"] = {
-            "radii": rep.scan.radii,
-            "deviations": rep.scan.deviations,
-            "witnesses": rep.scan.witnesses,
-            "verdict": rep.scan.verdict,
-            "tolerance": rep.scan.tolerance,
+            "radii": scan.radii,
+            "deviations": scan.deviations,
+            "witnesses": scan.witnesses,
+            "verdict": scan.verdict,
+            "tolerance": scan.tolerance,
         }
-    else:
-        report["scan"] = None
 
     # Plot-ready CSV: one row per radius, exact column where available.
     # Both length columns are per-letter means so they can be compared.
-    radii = sorted(set(range(1, len(rep.exact))) | {r.n for r in rep.mc.rows})
-    by_n = {r.n: r for r in rep.mc.rows}
+    radii = sorted(set(range(1, len(exact))) | {r.n for r in mc.rows})
+    by_n = {r.n: r for r in mc.rows}
     csv_rows = []
     for n in radii:
-        exact = rep.exact[n] / n if n < len(rep.exact) else ""
+        mean = exact[n] / n if n < len(exact) else ""
         r = by_n.get(n)
-        csv_rows.append([n, exact,
+        csv_rows.append([n, mean,
                          r.mean if r else "", r.stderr if r else "",
                          r.samples if r else ""])
     csv = csv_text(["n", "exact", "mc_mean", "mc_stderr", "samples"], csv_rows)
@@ -309,7 +307,7 @@ def _cmd_distortion(args) -> int:
               "lln_samples": args.lln_samples, "scan": args.scan,
               "seed": args.seed}
     _emit(args, "distortion", config, report, {"distortion.csv": csv})
-    return 0 if rep.inequality.passed else 1
+    return 0 if verdict.passed else 1
 
 
 def _cmd_dimension(args) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .automaton import GeodesicAutomaton, enumerate_sphere, sample_uniform_sphere
 from .errors import EmptySphere
@@ -34,8 +34,6 @@ __all__ = [
     "LlnReport",
     "rough_similarity_scan",
     "SimilarityScan",
-    "DistortionReport",
-    "distortion_report",
 ]
 
 EXACT_BUDGET = 2_000_000  # sphere size and length-search states, exact means
@@ -190,11 +188,6 @@ class InequalityVerdict:
     margin: float
     passed: bool
 
-    def summary(self) -> str:
-        word = "PASS" if self.passed else "FAIL"
-        return (f"tau_hat {self.tau_hat:.6f} (±{self.half_width:.6f}) vs "
-                f"gr ratio {self.ratio:.6f}: margin {self.margin:+.6f} [{word}]")
-
 
 def check_growth_inequality(tau: TauEstimate, gr_s: float,
                             gr_sstar: float) -> InequalityVerdict:
@@ -224,15 +217,6 @@ class LlnReport:
     fractions: dict            # (n, eps) -> outlier fraction
     monotone: dict             # eps -> bool, nonincreasing within noise
     seed: int
-
-    def summary(self) -> str:
-        lines = []
-        for eps in self.eps_list:
-            row = ", ".join(f"n={n}: {self.fractions[(n, eps)]:.4f}"
-                            for n in self.n_list)
-            tag = "nonincreasing" if self.monotone[eps] else "NOT nonincreasing"
-            lines.append(f"eps={eps:g}: {row}  [{tag}]")
-        return "\n".join(lines)
 
 
 def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
@@ -281,11 +265,6 @@ class SimilarityScan:
     verdict: str               # BOUNDED-LOOKING or GROWING
     tolerance: float
 
-    def summary(self) -> str:
-        dev = ", ".join(f"{d:.3f}" for d in self.deviations)
-        return (f"max | |x|_Sstar - tau r | for r=1..{self.radii[-1]}: "
-                f"[{dev}] -> {self.verdict}")
-
 
 def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
                           tau: float, R: int) -> SimilarityScan:
@@ -325,58 +304,3 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     return SimilarityScan(tau, list(range(1, R + 1)), deviations, witnesses,
                           verdict, SCAN_TOLERANCE)
 
-
-# ---------------------------------------------------------------------------
-# Combined report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DistortionReport:
-    group: str
-    from_genset: str
-    to_genset: str
-    n_values: list
-    exact: list                # Fractions up to exact_n_max (may be empty)
-    mc: TauEstimate
-    lip: int
-    gr_s: float
-    gr_sstar: float
-    inequality: InequalityVerdict
-    lln: Optional[LlnReport]
-    scan: Optional[SimilarityScan]
-    seed: int
-
-
-def distortion_report(aut_s: GeodesicAutomaton, aut_sstar: GeodesicAutomaton,
-                      exact_n_max: int = 6,
-                      mc_n_list: Sequence[int] = (4, 8, 12, 16),
-                      samples: int = 2000, seed: int = 0,
-                      lln_n_list: Optional[Sequence[int]] = None,
-                      lln_samples: int = 2000,
-                      scan_radius: int = 0) -> DistortionReport:
-    """Run the full distortion pipeline for a pair of validated automata
-    over the same group."""
-    from .thermo import growth_rate
-
-    S = aut_s.genset
-    Sstar = aut_sstar.genset
-    if aut_s.group is not aut_sstar.group:
-        raise ValueError("the two automata must describe the same group")
-    exact = (mean_distortion_exact(aut_s, Sstar, exact_n_max)
-             if exact_n_max >= 1 else [])
-    mc = mean_distortion_mc(aut_s, Sstar, mc_n_list, samples, seed)
-    gr_s = growth_rate(aut_s)
-    gr_sstar = growth_rate(aut_sstar)
-    verdict = check_growth_inequality(mc, gr_s, gr_sstar)
-    lln = None
-    if lln_n_list:
-        lln = lln_check(aut_s, Sstar, mc.tau_hat, lln_n_list,
-                        samples=lln_samples, seed=seed)
-    scan = None
-    if scan_radius >= 1:
-        scan = rough_similarity_scan(S, Sstar, mc.tau_hat, scan_radius)
-    return DistortionReport(
-        aut_s.group.name, S.name, Sstar.name, sorted(set(mc_n_list)),
-        exact, mc, cross_lipschitz(S, Sstar), gr_s, gr_sstar, verdict,
-        lln, scan, seed,
-    )

@@ -1,33 +1,26 @@
-"""Metric computations in Cayley graphs: balls, lengths, Gromov products.
+"""Metric computations in Cayley graphs: balls and word lengths.
 
-Distances are exact integers throughout.  Gromov products are half-integers
-and are returned as :class:`fractions.Fraction`; internal scans keep them
-doubled so all comparisons stay in integer arithmetic.
+Distances are exact integers throughout: a breadth-first ball tree for the
+base metric, and an exact A* search for the length in any other
+generating set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappush, heappop
 
-import numpy as np
-
 from .errors import CapExceeded, ResourceLimit
-from .groups import GroupElement, GroupSpec, ResolvedGenSet
+from .groups import GroupElement, ResolvedGenSet
 
 __all__ = [
     "ball_tree",
     "BallTree",
     "word_length",
-    "gromov_product",
-    "estimate_delta",
-    "HyperbolicityEstimate",
 ]
 
 DEFAULT_LENGTH_CAP = 64
 DEFAULT_BALL_BUDGET = 5_000_000
-DELTA_BUDGET = 700  # ball elements for the cubic four-point scan
 
 
 @dataclass
@@ -161,67 +154,3 @@ def word_length(x: GroupElement, T: ResolvedGenSet,
     if -(-x.length() // T.max_letter_length) > cap:
         raise CapExceeded(f"word length exceeds cap {cap}")
     return _astar_length(T, x, cap, budget)
-
-
-def gromov_product(x: GroupElement, y: GroupElement, T: ResolvedGenSet,
-                   cap: int = DEFAULT_LENGTH_CAP) -> Fraction:
-    """Gromov product (x|y) at the identity: (|x| + |y| - |x^-1 y|) / 2."""
-    lx = word_length(x, T, cap)
-    ly = word_length(y, T, cap)
-    lxy = word_length(x.inverse() * y, T, cap)
-    return Fraction(lx + ly - lxy, 2)
-
-
-@dataclass(frozen=True)
-class HyperbolicityEstimate:
-    """Smallest half-integer delta passing the four-point condition on a ball."""
-
-    delta: Fraction
-    radius: int
-    basepoint: GroupElement
-
-    def __post_init__(self):
-        if self.delta < 0 or self.delta.denominator not in (1, 2):
-            raise ValueError("delta must be a nonnegative half-integer")
-
-
-def estimate_delta(spec: GroupSpec, T: ResolvedGenSet, radius: int
-                   ) -> HyperbolicityEstimate:
-    """Exhaustive four-point scan over the ball of the given radius.
-
-    Returns the least half-integer delta with
-    (x|y) >= min((x|z), (z|y)) - delta for all triples in the ball, the
-    Gromov products being taken at the identity.  The scan is quadratic in
-    the ball size for distances and cubic (vectorized) for the triple test,
-    so balls of more than DELTA_BUDGET elements are refused.
-    """
-    tree = ball_tree(T, radius)
-    n = len(tree.keys)
-    if n > DELTA_BUDGET:
-        raise ResourceLimit(
-            f"ball has {n} elements, above the pairwise budget {DELTA_BUDGET}")
-    eng = spec.engine
-    tkeys = [e.key for e in T.elements]
-    lengths = np.array(tree.depth, dtype=np.int64)
-    # Pairwise distances d(x, y) = |x^-1 y|: walk the tree once per row so
-    # each entry costs one letter multiplication.
-    dmat = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        xinv = eng.invert(tree.keys[i])
-        row_keys = [None] * n
-        row_keys[0] = xinv
-        dmat[i, 0] = eng.length(xinv)
-        for j in range(1, n):
-            z = eng.mult(row_keys[tree.parent[j]], tkeys[tree.letter[j]])
-            row_keys[j] = z
-            dmat[i, j] = eng.length(z)
-    # Doubled Gromov products stay integral.
-    g2 = lengths[:, None] + lengths[None, :] - dmat
-    worst = 0
-    for z in range(n):
-        defect = np.minimum.outer(g2[:, z], g2[z, :]) - g2
-        m = int(defect.max())
-        if m > worst:
-            worst = m
-    return HyperbolicityEstimate(Fraction(max(worst, 0), 2), radius, spec.identity())
-

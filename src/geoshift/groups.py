@@ -104,8 +104,7 @@ class _FreeEngine:
 
     family = "free"
 
-    def __init__(self, n_letters: int, inv: tuple[int, ...]):
-        self.n_letters = n_letters
+    def __init__(self, inv: tuple[int, ...]):
         self.inv = inv
         self.identity = b""
 
@@ -284,8 +283,7 @@ class _DehnEngine:
 
     family = "dehn"
 
-    def __init__(self, n_letters: int, inv: tuple[int, ...], relators):
-        self.n_letters = n_letters
+    def __init__(self, inv: tuple[int, ...], relators):
         self.inv = inv
         sym: set[bytes] = set()
         for rel in relators:
@@ -530,8 +528,7 @@ class ResolvedGenSet:
         self.genset = genset
         self.elements = elements
         self.is_base = is_base
-        pos = {a: i for i, a in enumerate(genset.letters)}
-        self.inverse_index = tuple(pos[genset.inverses[a]] for a in genset.letters)
+        self.inverse_index = genset.inverse_index()
         for i, x in enumerate(elements):
             if x.is_identity():
                 raise FormatError(
@@ -649,7 +646,7 @@ def free_group(rank: int, letters: Optional[Sequence[str]] = None,
     inv = base.inverse_index()
     if any(inv[i] == i for i in range(len(inv))):
         raise FormatError("free group letters cannot be self-inverse")
-    engine = _FreeEngine(len(base.letters), inv)
+    engine = _FreeEngine(inv)
     return GroupSpec("free", base, engine, {"rank": rank}, name=name)
 
 
@@ -718,6 +715,6 @@ def dehn_group(relators: Sequence[Sequence[str]], letters: Sequence[str],
             raise UnknownLetter(f"relator uses unknown letter {exc.args[0]!r}") from None
     if not rel_ids:
         raise FormatError("dehn family needs at least one relator")
-    engine = _DehnEngine(len(base.letters), inv, rel_ids)
+    engine = _DehnEngine(inv, rel_ids)
     return GroupSpec("dehn", base, engine, {"relators": tuple(rel_ids)}, name=name)
 

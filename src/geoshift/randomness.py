@@ -1,17 +1,16 @@
 """Deterministic random number utilities.
 
 All sampling in the toolkit flows through a named, seedable, splittable
-counter-based generator (Philox) so that runs are reproducible and parallel
-streams never overlap.  Reports record :data:`RNG_ALGORITHM` next to the seed.
+counter-based generator (numpy's Philox) so that runs are reproducible and
+parallel streams never overlap.  Reports record the seed; each sampler
+draws from its own fixed stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RNG_ALGORITHM = "philox4x64(numpy)"
-
-__all__ = ["RNG_ALGORITHM", "make_rng", "ExactSampler"]
+__all__ = ["make_rng", "ExactSampler"]
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

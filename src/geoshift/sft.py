@@ -110,10 +110,6 @@ class Sft:
     def __len__(self):
         return len(self.edges)
 
-    def follows(self, i: int, j: int) -> bool:
-        """May edge j follow edge i."""
-        return self.edges[i][2] == self.edges[j][0]
-
     def __repr__(self):
         return f"Sft({len(self.edges)} edges, {self.n_states} states)"
 

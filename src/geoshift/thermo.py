@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "parry_gibbs_measure",
     "MarkovMeasure",
     "entropy",
-    "cylinder_measure",
     "check_variational",
     "VariationalReport",
     "gibbs_ratio_scan",
@@ -187,7 +186,6 @@ class MarkovMeasure:
     component: Component
     potential: Potential
     nodes: list  # global edge ids, in the component's order
-    node_index: dict  # edge id -> node
     P: np.ndarray
     pi: np.ndarray
     pressure: float
@@ -230,8 +228,8 @@ def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:
         raise NonConvergence("stationary vector drifted")
 
     nodes = list(C.edge_ids)
-    return MarkovMeasure(C, psi, nodes, {e: i for i, e in enumerate(nodes)},
-                         P, pi, math.log(lam) + shift, arrows, support)
+    return MarkovMeasure(C, psi, nodes, P, pi, math.log(lam) + shift,
+                         arrows, support)
 
 
 def _entropy_rate(P: np.ndarray, pi: np.ndarray) -> float:
@@ -254,29 +252,6 @@ def mean_potential(m: MarkovMeasure) -> float:
     return _integral(m.P, m.pi, np.where(m.support, m.psi_arrows, 0.0))
 
 
-def cylinder_measure(m: MarkovMeasure, block: Sequence[int]) -> float:
-    """Measure of the cylinder fixing the given consecutive edges.
-
-    The empty block describes the whole space and has measure 1.
-    """
-    block = tuple(block)
-    if not block:
-        return float(sum(m.pi))
-    cur = m.node_index.get(block[0])
-    if cur is None:
-        return 0.0
-    prob = float(m.pi[cur])
-    for e in block[1:]:
-        nxt = m.node_index.get(e)
-        if nxt is None:
-            return 0.0
-        prob *= float(m.P[cur, nxt])
-        if prob == 0.0:
-            return 0.0
-        cur = nxt
-    return prob
-
-
 # ---------------------------------------------------------------------------
 # Variational check
 # ---------------------------------------------------------------------------
@@ -290,12 +265,6 @@ class VariationalReport:
     best_trial: float
     max_violation: float
     ok: bool
-
-    def summary(self) -> str:
-        verdict = "ok" if self.ok else "VIOLATED"
-        return (f"pressure {self.pressure:.12g}; equilibrium value off by "
-                f"{self.parry_gap:.3g}; best of {self.n_trials} random "
-                f"measures {self.best_trial:.12g} ({verdict})")
 
 
 def check_variational(C: Component, psi: Potential, trials: int = 200,
@@ -343,12 +312,6 @@ class GibbsReport:
     n_max: int
     pressure: float
     truncated: bool = False
-
-    def summary(self) -> str:
-        note = " (scan truncated)" if self.truncated else ""
-        return (f"{self.n_cylinders} cylinders up to length {self.n_max}: "
-                f"measure / exp(-nP + S_n psi) within "
-                f"[{self.c_lower:.9g}, {self.c_upper:.9g}]{note}")
 
 
 def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
@@ -404,11 +367,6 @@ class MaximalPressure:
     maximal: tuple[int, ...]   # component indices within tolerance of the top
     semisimple: bool
 
-    def summary(self) -> str:
-        flag = "semisimple" if self.semisimple else "NOT semisimple"
-        return (f"max pressure {self.max_pressure:.12g} attained by "
-                f"components {list(self.maximal)} ({flag})")
-
 
 def maximal_components(dec: ComponentDecomposition,
                        psi: Optional[Potential] = None) -> MaximalPressure:
@@ -430,13 +388,12 @@ def maximal_components(dec: ComponentDecomposition,
 
 def growth_rate(aut, dec: Optional[ComponentDecomposition] = None) -> float:
     """Exponential growth rate of sphere sizes: the top zero-potential
-    pressure over recurrent components.  Warns when the language grows
+    pressure over recurrent components, and exactly 0 for a finite group,
+    which has none.  Warns when an infinite language grows
     subexponentially (an elementary group)."""
     if dec is None:
         dec = components(sft_from_automaton(aut))
     if not dec.components:
-        warnings.warn("no recurrent component: the group is finite "
-                      "and the growth rate is 0", stacklevel=2)
         return 0.0
     mp = maximal_components(dec)
     if mp.max_pressure <= 1e-9:

@@ -5,6 +5,7 @@ wall-clock-ish goes to stderr.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +120,15 @@ def test_commands_fail_on_a_finite_group(args, message):
     assert r.returncode == 1
     assert message in r.stderr
     assert "Traceback" not in r.stderr
+    assert "Warning" not in r.stderr
+
+
+def test_growth_of_a_finite_group_is_quiet():
+    # a growth rate of 0 is exact for a finite group: nothing to warn about
+    r = run("growth", "--group", S3)
+    assert r.returncode == 0
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("wall-clock ")
 
 
 def test_validate():
@@ -143,6 +153,22 @@ def test_distortion_csv(tmp_path):
     assert row4["exact"] == "7/8"
     assert abs(float(row4["mc_mean"]) - 7 / 8) < 0.05
     assert row4["samples"] == "200"
+
+
+def test_distortion_report_wiring():
+    r = run("distortion", "--group", F2, "--to", "Sstar_ab", "--exact-n", "4",
+            "--n", "4,8", "--samples", "300", "--lln-n", "6,10",
+            "--lln-samples", "200", "--scan", "5")
+    assert r.returncode == 0
+    rep = json.loads(r.stdout)["report"]
+    assert [row["mean_length"] for row in rep["exact"]] == [
+        "1/1", "11/6", "8/3", "7/2"]
+    assert rep["lipschitz"] == 2
+    assert rep["gr_s"] == pytest.approx(math.log(3.0), abs=1e-12)
+    assert rep["gr_sstar"] == pytest.approx(math.log(4.0), abs=1e-9)
+    assert rep["inequality"]["passed"] is True
+    assert set(rep["lln"]["fractions"]) == {"n=6", "n=10"}
+    assert rep["scan"]["radii"] == [1, 2, 3, 4, 5]
 
 
 def test_dimension_report(tmp_path):

@@ -1,7 +1,6 @@
-"""Shadows, drift along typical rays, and the dimension estimate."""
+"""Drift along typical rays, regular growth, and the dimension estimate."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,6 @@ from geoshift import (
     sft_from_automaton,
     word_length_potential,
 )
-from geoshift.dimension import shadow_mass
 
 
 @pytest.fixture(scope="module")
@@ -24,29 +22,6 @@ def f2_measure(f2_aut):
     psi = word_length_potential(math.log(3.0))
     C = dec.components[maximal_components(dec, psi).maximal[0]]
     return parry_gibbs_measure(C, psi)
-
-
-@pytest.mark.parametrize("word,n", [
-    (["a"], 5), (["a", "b"], 6), (["a", "b", "a"], 7), (["b", "b"], 8),
-])
-def test_shadow_mass_in_the_free_group(f2, f2_aut, f2_measure, word, n):
-    # the sphere-n mass sitting behind x is exactly (3/4) * 3^{-|x|}
-    x = f2.element(word)
-    mass = shadow_mass(f2_aut, x, 0, n)
-    assert isinstance(mass, Fraction)
-    assert mass == Fraction(3, 4) / Fraction(3) ** len(word)
-
-
-def test_fatter_shadows_carry_more_mass(f2, f2_aut):
-    x = f2.element(["a", "b"])
-    thin = shadow_mass(f2_aut, x, 0, 6)
-    fat = shadow_mass(f2_aut, x, 2, 6)
-    assert fat > thin
-    assert fat <= 1
-
-
-def test_shadow_of_the_identity_is_everything(f2, f2_aut):
-    assert shadow_mass(f2_aut, f2.identity(), 0, 5) == 1
 
 
 def test_drift_of_the_native_metric_is_one(f2, f2_measure):

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoshift import (
-    build_geodesic_automaton,
     check_growth_inequality,
-    distortion_report,
     lln_check,
     mean_distortion_exact,
     mean_distortion_mc,
@@ -132,20 +130,6 @@ def test_scan_detects_genuine_distortion(f2, f2_star_a2):
         expected = max(abs(-(r // 2) - (r % 2) + tau * r), r * abs(1 - tau))
         assert dev == pytest.approx(expected, abs=1e-12)
     assert all(w for w in scan.witnesses[1:])
-
-
-def test_full_report_wiring(f2, f2_aut, f2_star_ab):
-    aut_star = build_geodesic_automaton(f2, f2_star_ab, n_check=6)
-    rep = distortion_report(f2_aut, aut_star, exact_n_max=4, mc_n_list=(4, 8),
-                            samples=300, seed=0, lln_n_list=(6, 10),
-                            lln_samples=200, scan_radius=5)
-    assert rep.exact == EXACT_AB[:5]
-    assert rep.gr_s == pytest.approx(1.0986122886681098, abs=1e-12)
-    assert rep.gr_sstar == pytest.approx(1.3862943611198906, abs=1e-9)
-    assert rep.lip == 2
-    assert rep.inequality.passed
-    assert rep.lln is not None and rep.scan is not None
-    assert rep.seed == 0
 
 
 # --- structural facts the estimates rely on ---

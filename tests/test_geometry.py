@@ -1,14 +1,11 @@
-"""Balls, word metrics for alternative generating sets, hyperbolicity."""
-
-from fractions import Fraction
+"""Balls and word metrics for alternative generating sets."""
 
 import pytest
 
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import CapExceeded, ResourceLimit
-from geoshift.geometry import (ball_tree, estimate_delta, gromov_product,
-                               word_length)
+from geoshift.geometry import ball_tree, word_length
 from geoshift.groups import GroupElement
 
 
@@ -106,23 +103,3 @@ def test_cross_lipschitz(f2, f2_star_ab):
     assert cross_lipschitz(S, f2_star_ab) == 2
     assert cross_lipschitz(f2_star_ab, S) == 2
 
-
-def test_gromov_product_is_shared_prefix_in_a_tree(f2):
-    S = f2.resolve(None)
-    x = f2.element(["a", "b"])
-    y = f2.element(["a", "b", "b"])
-    assert gromov_product(x, y, S) == Fraction(2)
-    assert gromov_product(x, x, S) == Fraction(2)
-    assert gromov_product(x, y.inverse(), S) == 0
-
-
-def test_free_group_is_zero_hyperbolic(f2):
-    est = estimate_delta(f2, f2.resolve(None), 4)
-    assert est.delta == 0
-    assert est.radius == 4
-
-
-def test_modular_group_delta_is_small(psl2z):
-    est = estimate_delta(psl2z, psl2z.resolve(None), 5)
-    assert isinstance(est.delta, Fraction)
-    assert 0 <= est.delta <= 1

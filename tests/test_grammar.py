@@ -1,6 +1,10 @@
 """Group description files: parsing, validation, and error reporting."""
 
+import copy
+import json
+
 import pytest
+import yaml
 
 from geoshift import FormatError, UnknownLetter, parse_group_file
 from geoshift.grammar import parse_group_text
@@ -127,3 +131,48 @@ gensets:
 """
     with pytest.raises(FormatError):
         parse_group_text(text)
+
+
+STOCK_FILES = ["groups/f2.grp", "groups/psl2z.grp", "groups/s3.grp",
+               "groups/genus2.grp"]
+MUTANTS = (None, -1, "x", [[0]])
+
+
+def _node_paths(node, prefix=()):
+    """The path to every node of a parsed document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _node_paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _node_paths(child, prefix + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("path", STOCK_FILES)
+def test_mutated_stock_files_parse_or_fail_cleanly(path):
+    # every mutant either parses or raises one of the two classes the
+    # command line reports as an input error (exit 2)
+    with open(path) as fh:
+        doc = yaml.safe_load(fh)
+    others = []
+    for where in _node_paths(doc):
+        for value in MUTANTS:
+            try:
+                parse_group_text(json.dumps(_replaced(doc, where, value)))
+            except (FormatError, UnknownLetter):
+                pass
+            except Exception as exc:
+                others.append((where, value, repr(exc)))
+    assert others == []
