@@ -191,3 +191,17 @@ def test_commutator_relator_warns():
     with pytest.warns(UserWarning):
         dehn_group([("a", "b", "a^-1", "b^-1")], letters, inv)
 
+
+
+@pytest.mark.parametrize("path", ["groups/f2.grp", "groups/psl2z.grp",
+                                  "groups/s3.grp", "groups/genus2.grp"])
+def test_resolved_inverse_index_pairs_inverse_letters(path):
+    G = parse_group_file(path)
+    for name in [None, *G.gensets]:
+        T = G.resolve(name)
+        inv = T.inverse_index
+        assert all(inv[inv[i]] == i for i in range(len(T)))
+        assert [T.letters[j] for j in inv] == [
+            T.genset.inverses[a] for a in T.letters]
+        assert [T.elements[j] for j in inv] == [
+            x.inverse() for x in T.elements]

@@ -304,3 +304,32 @@ def test_sampled_rays_are_geodesics(f2_aut, f2_measure):
     assert [y.length() for y in trail] == list(range(31))
     assert walk(5) == trail
     assert walk(6) != trail
+
+
+@pytest.mark.parametrize("group", ["f2", "psl2z", "s3"])
+def test_every_automaton_state_is_reachable_from_the_start(request, group):
+    # the ray sampler draws its first edge from the whole stationary law,
+    # which is right only because construction drops unreachable states
+    aut = build_geodesic_automaton(request.getfixturevalue(group), n_check=6)
+    seen, todo = {aut.initial}, [aut.initial]
+    while todo:
+        for _, t in aut.successors(todo.pop()):
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    assert seen == set(range(aut.n_states))
+
+
+def test_ray_entry_law_is_the_normalised_stationary_law(psl_measure):
+    aut, entry = dimension._ray_chain(psl_measure)
+    assert aut is psl_measure.component.sft.automaton
+    assert entry.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(entry > 0.0, psl_measure.pi > 0.0)
+
+
+def test_rays_need_a_shift_backed_by_an_automaton():
+    sft = Sft([(0, 0, 0), (0, 1, 0)], 1)
+    C = components(sft).components[0]
+    m = parry_gibbs_measure(C, word_length_potential(math.log(2.0)))
+    with pytest.raises(ValueError, match="automaton"):
+        dimension._ray_chain(m)
