@@ -366,28 +366,34 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
         raise ValueError("n must be nonnegative")
     spec = aut.group
     eng = spec.engine
+    mult = eng.mult
     tkeys = [e.key for e in aut.genset.elements]
+    succ = [tuple((tkeys[li], t) for li, t in aut.successors(s))
+            for s in range(aut.n_states)]
     counts = aut.path_counts(n)
     total = counts[n][aut.initial]
     if total == 0:
         raise EmptySphere(f"no elements at distance {n}")
-    sampler = ExactSampler(rng)
     out = []
-    for _ in range(count):
-        s = aut.initial
-        gk = eng.identity
-        for k in range(n, 0, -1):
-            r = sampler.randbelow(counts[k][s])
-            for li, t in aut.successors(s):
-                w = counts[k - 1][t]
-                if r < w:
-                    s = t
-                    gk = eng.mult(gk, tkeys[li])
-                    break
-                r -= w
-            else:  # pragma: no cover - counts guarantee a branch is taken
-                raise AssertionError("path count bookkeeping is inconsistent")
-        out.append(GroupElement(spec, gk))
+    with ExactSampler(rng) as sampler:
+        randbelow = sampler.randbelow
+        for _ in range(count):
+            s = aut.initial
+            gk = eng.identity
+            for k in range(n, 0, -1):
+                r = randbelow(counts[k][s])
+                below = counts[k - 1]
+                for key, t in succ[s]:
+                    w = below[t]
+                    if r < w:
+                        s = t
+                        gk = mult(gk, key)
+                        break
+                    r -= w
+                else:  # pragma: no cover - counts guarantee a branch is taken
+                    raise AssertionError("path count bookkeeping is "
+                                         "inconsistent")
+            out.append(GroupElement(spec, gk))
     return out
 
 

@@ -138,7 +138,7 @@ def _cmd_growth(args) -> int:
     report = {
         "group": spec.name,
         "genset": T.name,
-        "growth_rate": mp.max_pressure,
+        "growth_rate": growth_rate(aut, dec),
         "component_pressures": list(mp.pressures),
         "maximal_components": list(mp.maximal),
         "semisimple": mp.semisimple,
@@ -177,7 +177,7 @@ def _cmd_components(args) -> int:
         "components": rows,
         "maximal": list(mp.maximal),
         "semisimple": mp.semisimple,
-        "growth_rate": mp.max_pressure,
+        "growth_rate": growth_rate(aut, dec),
     }
     config = {"group_file": args.group, "gens": T.name,
               "n_check": args.n_check, "seed": args.seed}

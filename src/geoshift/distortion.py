@@ -12,6 +12,7 @@ two metrics.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,7 +60,13 @@ class _ForeignLength:
     scan.  Some geodesic S*-word multiplies out with no cancellation
     between pieces (any cancelling pair of two-letter pieces can be
     rewritten as at most two shorter pieces), so the length is a minimum
-    over tilings of the reduced word.
+    over tilings of the reduced word.  Every base letter is a piece, so a
+    tiling that uses k two-letter pieces has length m - k on a word of
+    length m, and the minimum is m minus the most disjoint two-letter
+    windows of the word that are pieces.  Those windows all have length
+    two, so taking the leftmost one that fits, over and over, is an optimal
+    interval schedule: the count is what the non-overlapping leftmost
+    matches of one compiled alternation of the two-letter pieces find.
 
     ``search``: everything else goes to :func:`word_length`, with a cap
     just above the cross-Lipschitz constant times the largest radius asked
@@ -73,31 +80,25 @@ class _ForeignLength:
         self.cap = self.lip * n_max + 4
         self.budget = budget
         self.mode = "search"
-        self.pieces = None
+        self.pairs = None
         spec = Sstar.group
         base_keys = {x.key for x in spec.resolve(None).elements}
         star_keys = {x.key for x in Sstar.elements}
         if (spec.family == "free" and S.is_base
                 and base_keys <= star_keys
                 and all(x.length() <= 2 for x in Sstar.elements)):
-            self.pieces = star_keys  # keys are reduced words as bytes
+            # keys are reduced words as bytes, one byte per letter
+            pairs = sorted(k for k in star_keys if len(k) == 2)
+            if pairs:
+                self.pairs = re.compile(b"|".join(map(re.escape, pairs)))
             self.mode = "tiling"
-
-    def _tiling_length(self, x: GroupElement) -> int:
-        seq = x.key
-        m = len(seq)
-        dp = [0] + [m + 1] * m
-        pieces = self.pieces
-        for i in range(1, m + 1):
-            if seq[i - 1: i] in pieces:
-                dp[i] = dp[i - 1] + 1
-            if i >= 2 and seq[i - 2: i] in pieces:
-                dp[i] = min(dp[i], dp[i - 2] + 1)
-        return dp[m]
 
     def __call__(self, x: GroupElement) -> int:
         if self.mode == "tiling":
-            return self._tiling_length(x)
+            key = x.key
+            if self.pairs is None:
+                return len(key)
+            return len(key) - len(self.pairs.findall(key))
         return word_length(x, self.Sstar, self.cap, self.budget)
 
 

@@ -3,7 +3,7 @@
 A presentation file is YAML with a fixed schema; unknown keys are rejected.
 Top-level keys:
 
-* ``name``       -- optional display name.
+* ``name``       -- optional display name, a string.
 * ``family``     -- one of ``free``, ``finite_table``, ``free_product``,
                     ``dehn``.
 * ``generators`` -- mapping with ``letters`` (list of names), ``inverses``
@@ -93,6 +93,8 @@ def parse_group_text(text: str) -> GroupSpec:
     )
     family = doc.get("family")
     name = doc.get("name", "G")
+    if not isinstance(name, str):
+        raise FormatError("name must be a string")
     if family not in ("free", "finite_table", "free_product", "dehn"):
         raise FormatError(f"unknown family {family!r}")
     if "generators" not in doc:

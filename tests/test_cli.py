@@ -16,16 +16,28 @@ import pytest
 F2 = "groups/f2.grp"
 PSL = "groups/psl2z.grp"
 S3 = "groups/s3.grp"
-# Stands for a presentation file whose table is a number, not a list of rows.
+# Stand for presentation files whose table is a number, not a list of rows,
+# and whose name is a list, not a string.
 BAD_TABLE = "<bad table file>"
-BAD_TABLE_TEXT = """\
+BAD_NAME = "<bad name file>"
+BAD_FILES = {
+    BAD_TABLE: """\
 family: finite_table
 table: 7
 generators:
   letters: [a]
   inverses: {a: a}
   elements: {a: 1}
-"""
+""",
+    BAD_NAME: """\
+name: [[0]]
+family: free
+rank: 1
+generators:
+  letters: [a, A]
+  inverses: {a: A, A: a}
+""",
+}
 
 
 # The package may be importable only through pytest's `pythonpath`, which a
@@ -131,6 +143,16 @@ def test_growth_of_a_finite_group_is_quiet():
     assert line.startswith("wall-clock ")
 
 
+@pytest.mark.parametrize("command", ["growth", "components"])
+def test_finite_group_reports_growth_rate_zero(command):
+    # no recurrent component: the rate is the exact 0 of thermo.growth_rate,
+    # not the maximum of an empty set of pressures
+    r = run(command, "--group", S3)
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["report"]["growth_rate"] == 0.0
+
+
 def test_validate():
     r = run("validate", "--group", F2, "-N", "9")
     doc = json.loads(r.stdout)
@@ -207,11 +229,14 @@ def test_battery_stdout_is_byte_identical():
     ("distortion", "--group", F2, "--to", "Sstar_ab", "--lln-n=-4,10"),
     ("battery", "--profile", "nonsense"),
     ("automaton", "--group", BAD_TABLE),
+    ("automaton", "--group", BAD_NAME),
 ])
 def test_input_errors_exit_2(args, tmp_path):
     bad = tmp_path / "bad.grp"
-    bad.write_text(BAD_TABLE_TEXT)
-    r = run(*(str(bad) if a == BAD_TABLE else a for a in args))
+    for a in args:
+        if a in BAD_FILES:
+            bad.write_text(BAD_FILES[a])
+    r = run(*(str(bad) if a in BAD_FILES else a for a in args))
     assert r.returncode == 2
     assert r.stdout == ""
 

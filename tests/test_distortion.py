@@ -12,7 +12,10 @@ from geoshift import (
     mean_distortion_mc,
     rough_similarity_scan,
 )
-from geoshift.geometry import word_length
+from geoshift.distortion import _ForeignLength
+from geoshift.geometry import ball_tree, word_length
+from geoshift.grammar import parse_group_text
+from geoshift.groups import GroupElement
 
 # per-sphere averages of the composite-letter length, small enough to check
 # against a full enumeration by hand
@@ -162,3 +165,65 @@ def f2_cached():
 
     f2 = parse_group_file("groups/f2.grp")
     return f2, f2.resolve("Sstar_ab")
+
+
+# --- the tiling length kernel ---
+
+def dp_tiling_length(pieces, key):
+    """Fewest pieces (reduced words as bytes) that tile `key`, by the
+    dynamic program over prefixes."""
+    m = len(key)
+    dp = [0] + [m + 1] * m
+    for i in range(1, m + 1):
+        if key[i - 1: i] in pieces:
+            dp[i] = dp[i - 1] + 1
+        if i >= 2 and key[i - 2: i] in pieces:
+            dp[i] = min(dp[i], dp[i - 2] + 1)
+    return dp[m]
+
+
+@pytest.mark.parametrize("star", ["Sstar_ab", "Sstar_a2"])
+def test_tiling_length_is_the_word_length_on_a_ball(f2, star):
+    S, Sstar = f2.resolve(None), f2.resolve(star)
+    length = _ForeignLength(S, Sstar, 6)
+    assert length.mode == "tiling"
+    keys = ball_tree(S, 6).keys
+    assert len(keys) == 1457
+    for key in keys:
+        x = GroupElement(f2, key)
+        assert length(x) == word_length(x, Sstar)
+
+
+OVERLAPPING = """\
+name: F2
+family: free
+rank: 2
+generators:
+  letters: [a, A, b, B]
+  inverses: {a: A, A: a, b: B, B: b}
+gensets:
+  T:
+    letters: [a, A, b, B, aa, AA, ab, BA, ba, AB]
+    inverses: {a: A, A: a, b: B, B: b, aa: AA, AA: aa, ab: BA, BA: ab,
+               ba: AB, AB: ba}
+    words: {aa: [a, a], AA: [A, A], ab: [a, b], BA: [B, A], ba: [b, a],
+            AB: [A, B]}
+"""
+
+
+@pytest.fixture(scope="module")
+def overlapping():
+    return parse_group_text(OVERLAPPING)
+
+
+@given(st.lists(st.sampled_from("aAbB"), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_tiling_length_matches_the_dynamic_program(overlapping, word):
+    # two-letter pieces that overlap (aa, ab, ba) are where a greedy scan
+    # could go wrong; the leftmost-first schedule never does
+    T = overlapping.resolve("T")
+    length = _ForeignLength(overlapping.resolve(None), T, 40)
+    assert length.mode == "tiling"
+    x = overlapping.element(list(word))
+    pieces = {e.key for e in T.elements}
+    assert length(x) == dp_tiling_length(pieces, x.key)

@@ -102,6 +102,9 @@ generators:
     (Z2_Z3[:Z2_Z3.index("factors:")] + "factors: 3\n"
      + Z2_Z3[Z2_Z3.index("generators:"):], "factors"),
     (FREE.replace("{a: a^-1, a^-1: a,", "{a: [A], a^-1: a,"), "letter names"),
+    (FREE.replace("name: F2", "name: null"), "name"),
+    (FREE.replace("name: F2", "name: -1"), "name"),
+    (FREE.replace("name: F2", "name: [[0]]"), "name"),
 ])
 def test_malformed_inputs(text, fragment):
     with pytest.raises(FormatError) as err:
