@@ -11,6 +11,7 @@ checks that the counts stay within exponential envelopes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,25 +45,28 @@ def _ray_chain(m: MarkovMeasure):
 def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng) -> list:
     """A length-n prefix of a typical geodesic ray: the group elements
     o = x_0, x_1, ..., x_n along it.  The first edge is drawn from `entry`,
-    the rest from the Markov chain."""
+    the rest from the Markov chain.
+
+    The walk takes its n + 1 uniforms in one ``rng.random(n + 1)`` call,
+    which yields the same doubles and leaves the same generator state as
+    n + 1 scalar calls (the last uniform picks an edge the prefix does not
+    use); a walk that raises EmptySphere has still drawn all of them.  Each
+    step is then a bisection of the row's cumulative sums."""
     sft = m.component.sft
     T = aut.genset
-    cum_entry = np.cumsum(entry)
     trail = [aut.group.identity()]
     if n == 0:
         return trail
-    j = int(np.searchsorted(cum_entry, rng.random(), side="right"))
-    j = min(j, len(entry) - 1)
-    for _ in range(n):
+    u = rng.random(n + 1).tolist()
+    j = min(bisect_right(np.cumsum(entry).tolist(), u[0]), len(entry) - 1)
+    cum_rows = np.cumsum(m.P, axis=1).tolist()
+    for k in range(1, n + 1):
         li = sft.edges[m.nodes[j]][1]
         trail.append(trail[-1] * T.elements[li])
-        row = m.P[j]
-        cum = np.cumsum(row)
+        cum = cum_rows[j]
         if cum[-1] <= 0.0:
             raise EmptySphere("the chain reached an absorbing defect")
-        r = rng.random() * cum[-1]
-        j = int(np.searchsorted(cum, r, side="right"))
-        j = min(j, len(row) - 1)
+        j = min(bisect_right(cum, u[k] * cum[-1]), len(cum) - 1)
     return trail
 
 

@@ -196,6 +196,9 @@ class _FreeProductEngine:
 
     Element keys are alternating syllable tuples ``((factor, element), ...)``
     with nontrivial elements and adjacent syllables in distinct factors.
+    Two such keys can only combine where they meet, so a product costs its
+    junction (the syllable pairs that cancel, plus at most one merge) and
+    one tuple concatenation, not a push per syllable of the right operand.
     """
 
     family = "free_product"
@@ -220,6 +223,10 @@ class _FreeProductEngine:
                 raise FormatError(f"letters assigned to factor {f} do not generate it")
             self._dist.append(dist)
             self._parent.append(parent)
+        # When every nontrivial factor element is a letter (as in PSL2Z =
+        # Z/2 * Z/3 on its standard letters), each syllable has length 1.
+        self.unit_syllables = all(d <= 1 for dist in self._dist
+                                  for d in dist.values())
 
     def from_word(self, ids: Iterable[int]) -> tuple:
         out: list[tuple[int, int]] = []
@@ -240,15 +247,28 @@ class _FreeProductEngine:
             out.append((f, e))
 
     def mult(self, a: tuple, b: tuple) -> tuple:
-        out = list(a)
-        for f, e in b:
-            self._push(out, f, e)
-        return tuple(out)
+        # Cancel syllable pairs across the junction a[i-1] | b[j] while they
+        # share a factor; the first nonzero product is the one merge, after
+        # which the neighbours lie in other factors than it.
+        i, j, nb = len(a), 0, len(b)
+        while i and j < nb:
+            f, x = a[i - 1]
+            g, y = b[j]
+            if f != g:
+                break
+            prod = self.tables[f][x][y]
+            if prod:
+                return a[:i - 1] + ((f, prod),) + b[j + 1:]
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
 
     def invert(self, a: tuple) -> tuple:
         return tuple((f, self._factor_inverse[f][e]) for f, e in reversed(a))
 
     def length(self, a: tuple) -> int:
+        if self.unit_syllables:
+            return len(a)
         return sum(self._dist[f][e] for f, e in a)
 
     def to_word(self, a: tuple) -> tuple[int, ...]:

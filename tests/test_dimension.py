@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from geoshift import (
@@ -14,6 +15,10 @@ from geoshift import (
     sft_from_automaton,
     word_length_potential,
 )
+from geoshift.dimension import _ray_chain, _walk
+from geoshift.errors import EmptySphere
+from geoshift.randomness import make_rng
+from test_randomness import state
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +27,52 @@ def f2_measure(f2_aut):
     psi = word_length_potential(math.log(3.0))
     C = dec.components[maximal_components(dec, psi).maximal[0]]
     return parry_gibbs_measure(C, psi)
+
+
+@pytest.fixture(scope="module")
+def psl_measure(psl_aut):
+    dec = components(sft_from_automaton(psl_aut))
+    mp = maximal_components(dec)
+    return parry_gibbs_measure(dec.components[mp.maximal[0]],
+                               word_length_potential(mp.max_pressure))
+
+
+def _walk_per_step(m, aut, entry, n, rng):
+    """The ray walk with one scalar draw and one cumulative sum per step."""
+    sft = m.component.sft
+    T = aut.genset
+    cum_entry = np.cumsum(entry)
+    trail = [aut.group.identity()]
+    if n == 0:
+        return trail
+    j = int(np.searchsorted(cum_entry, rng.random(), side="right"))
+    j = min(j, len(entry) - 1)
+    for _ in range(n):
+        li = sft.edges[m.nodes[j]][1]
+        trail.append(trail[-1] * T.elements[li])
+        row = m.P[j]
+        cum = np.cumsum(row)
+        if cum[-1] <= 0.0:
+            raise EmptySphere("the chain reached an absorbing defect")
+        r = rng.random() * cum[-1]
+        j = int(np.searchsorted(cum, r, side="right"))
+        j = min(j, len(row) - 1)
+    return trail
+
+
+@pytest.mark.parametrize("which", ["f2_measure", "psl_measure"])
+def test_walk_replays_the_per_step_walk(request, which):
+    m = request.getfixturevalue(which)
+    aut, entry = _ray_chain(m)
+    for seed in range(5):
+        for n in (0, 1, 7, 40):
+            rng, ref_rng = make_rng(seed, stream=317), make_rng(seed, stream=317)
+            # two rays in a row: the second starts where the first left off
+            for _ in range(2):
+                trail = _walk(m, aut, entry, n, rng)
+                ref = _walk_per_step(m, aut, entry, n, ref_rng)
+                assert [x.key for x in trail] == [x.key for x in ref]
+                assert state(rng) == state(ref_rng)
 
 
 def test_drift_of_the_native_metric_is_one(f2, f2_measure):

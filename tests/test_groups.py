@@ -10,6 +10,7 @@ from geoshift import (
     free_product_group,
     parse_group_file,
 )
+from geoshift.geometry import ball_tree
 from geoshift.groups import dehn_group, finite_table_group
 
 F = free_group(2)
@@ -105,6 +106,79 @@ def test_free_product_lengths(modular):
     x = modular.element(["s", "t", "s", "t^-1", "s"])
     assert x.length() == 5
     assert x.inverse().length() == 5
+
+
+def _fold_mult(eng, a, b):
+    """The syllable-by-syllable product: push each syllable of b onto a,
+    merging with or cancelling against the last one in the same factor."""
+    out = list(a)
+    for f, e in b:
+        if out and out[-1][0] == f:
+            prod = eng.tables[f][out[-1][1]][e]
+            out.pop()
+            if prod != 0:
+                out.append((f, prod))
+        else:
+            out.append((f, e))
+    return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def s3_star_z2(s3):
+    # S3 is nonabelian, so products within its factor merge in both orders
+    return free_product_group(
+        (s3.engine.table, Z2),
+        letters=("r", "r^-1", "f", "s"),
+        letter_syllables={"r": (0, 1), "r^-1": (0, 2), "f": (0, 3),
+                          "s": (1, 1)},
+        inverses={"r": "r^-1", "r^-1": "r", "f": "f", "s": "s"},
+    )
+
+
+letter_ids = st.lists(st.integers(0, 3), max_size=10)
+
+
+@pytest.mark.parametrize("which", ["psl2z", "s3_star_z2"])
+@given(u=letter_ids, c=letter_ids, w=letter_ids, v=letter_ids)
+@settings(max_examples=300, deadline=None)
+def test_junction_product_matches_the_syllable_fold(request, which, u, c, w, v):
+    eng = request.getfixturevalue(which).engine
+    k = len(eng.letter_syllables)
+    u, c, w, v = ([i % k for i in ids] for ids in (u, c, w, v))
+    # b opens with the inverse of a's tail c, so the junction cancels all
+    # of c and then meets u against w: cascades, merges or a clean join
+    c_inv = [eng.inv[i] for i in reversed(c)]
+    a, b = eng.from_word(u + c), eng.from_word(c_inv + w)
+    assert eng.mult(a, b) == _fold_mult(eng, a, b) == eng.from_word(u + w)
+    x = eng.from_word(v)
+    assert eng.mult(a, x) == _fold_mult(eng, a, x)
+    assert eng.mult(eng.mult(a, b), x) == eng.mult(a, eng.mult(b, x))
+    assert eng.mult(a, eng.identity) == eng.mult(eng.identity, a) == a
+    assert eng.mult(a, eng.invert(a)) == eng.identity
+
+
+Z5 = tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_free_product_length_is_the_ball_depth(psl2z, unit):
+    # psl2z's letters are all its nontrivial factor elements, so every
+    # syllable has length 1.  In Z/5 * Z/2 with only t, t^-1 for Z/5 the
+    # syllables t^2 and t^3 have length 2, so lengths must be summed.
+    if unit:
+        G, radius = psl2z, 10
+    else:
+        G = free_product_group(
+            (Z5, Z2), letters=("t", "t^-1", "s"),
+            letter_syllables={"t": (0, 1), "t^-1": (0, 4), "s": (1, 1)},
+            inverses={"t": "t^-1", "t^-1": "t", "s": "s"})
+        radius = 9
+        assert G.element(["t", "t"]).length() == 2
+    eng = G.engine
+    assert eng.unit_syllables is unit
+    tree = ball_tree(G.resolve(None), radius)
+    assert tree.depth[-1] == radius
+    assert [eng.length(k) for k in tree.keys] == tree.depth
 
 
 # --- finite multiplication tables ---
