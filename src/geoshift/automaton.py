@@ -84,53 +84,39 @@ class GeodesicAutomaton:
         return counts
 
 
-def _word_trie(n_letters: int, depth: int) -> list[tuple[int, int]]:
-    """Prefix tree of all nonempty words of length <= depth; node = (parent, letter)."""
-    nodes: list[tuple[int, int]] = [(-1, -1)]
-    level = [0]
-    for _ in range(depth):
-        nxt = []
-        for p in level:
-            for li in range(n_letters):
-                nxt.append(len(nodes))
-                nodes.append((p, li))
-        level = nxt
-    return nodes
-
-
 def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
                tail_len: int):
-    """One construction attempt at a fixed neighbourhood depth."""
-    eng = spec.engine
-    tkeys = [e.key for e in T.elements]
-    nt = len(tkeys)
-    trie = _word_trie(nt, level)
+    """One construction attempt at a fixed neighbourhood depth.
+
+    Products are read from the ball's neighbour table: every element this
+    reads it for lies within distance radius - 1, so it was expanded.
+    """
+    nt = len(T)
     vote_horizon = tree.radius() - level
     if vote_horizon < 1:
         raise ResourceLimit("validation horizon too small for this level")
     top = tree.layer_bounds[vote_horizon + 1]
-    depth, index = tree.depth, tree.index
+    depth, nbr = tree.depth, tree.nbr
+    parent, letter = tree.parent, tree.letter
+    # Words of length < level, whose one-letter extensions are the rest of
+    # the prefix tree of words of length <= level.
+    inner = sum(nt ** k for k in range(level))
 
     # Signature of each element within the voting horizon: length increments
-    # of all translates x*w with |w| <= L, plus the trailing letters of the
-    # breadth-first tree word.
-    state_of = np.empty(top, dtype=np.int64)
+    # of all translates x*w with 1 <= |w| <= L, in breadth-first order of w,
+    # plus the trailing letters of the breadth-first tree word.
+    state_of = [0] * top
     sig_state: dict = {}
     tails: list[tuple] = [()] * top
-    prods: list = [None] * len(trie)
     for i in range(top):
-        xk = tree.keys[i]
         d = depth[i]
         if i > 0:
-            tails[i] = (tails[tree.parent[i]] + (tree.letter[i],))[-tail_len:]
-        prods[0] = xk
-        deltas = []
-        for nid in range(1, len(trie)):
-            p, li = trie[nid]
-            k = eng.mult(prods[p], tkeys[li])
-            prods[nid] = k
-            deltas.append(depth[index[k]] - d)
-        sig = (tuple(deltas), tails[i])
+            tails[i] = (tails[parent[i]] + (letter[i],))[-tail_len:]
+        prods = [i]
+        for p in range(inner):
+            b = prods[p] * nt
+            prods += nbr[b:b + nt]
+        sig = (tuple([depth[k] - d for k in prods[1:]]), tails[i])
         sid = sig_state.get(sig)
         if sid is None:
             sid = len(sig_state)
@@ -139,31 +125,24 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
 
     # Transitions, voted by every element that can see its children's
     # signatures; the first representative wins, disagreements are counted.
+    # Only tree edges are allowed: x*T[li] must have been found from x by li.
     vote_top = tree.layer_bounds[vote_horizon]
     trans_raw: dict = {}
     conflicts = 0
     for i in range(vote_top):
-        s = int(state_of[i])
-        xk = tree.keys[i]
-        d = depth[i]
+        s = state_of[i]
+        b = i * nt
         for li in range(nt):
-            ck = eng.mult(xk, tkeys[li])
-            ci = index.get(ck)
-            allowed = (
-                ci is not None
-                and ci < top
-                and depth[ci] == d + 1
-                and tree.parent[ci] == i
-                and tree.letter[ci] == li
-            )
-            out = int(state_of[ci]) if allowed else -1
+            ci = nbr[b + li]
+            out = (state_of[ci] if parent[ci] == i and letter[ci] == li
+                   else -1)
             prev = trans_raw.setdefault((s, li), out)
             if prev != out:
                 conflicts += 1
 
     # Renumber states in breadth-first order from the start state and drop
     # anything unreachable, so equal inputs give byte-identical automata.
-    initial_raw = int(state_of[0])
+    initial_raw = state_of[0]
     remap = {initial_raw: 0}
     order = [initial_raw]
     qi = 0
@@ -238,13 +217,15 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
     if first_mismatch is None:
         # Depth-first sweep: every accepted word must spell a fresh element
         # at its exact distance.
-        index, depth = tree.index, tree.depth
-        seen = bytearray(len(tree.keys))
-        stack = [(aut.initial, eng.identity, 0)]
+        # A word of d letters lands in the radius-d ball, and only words
+        # shorter than the horizon are extended, so every product is in the
+        # neighbour table.
+        depth, nbr, nt = tree.depth, tree.nbr, len(tkeys)
+        seen = bytearray(len(depth))
+        stack = [(aut.initial, 0, 0)]
         while stack:
-            s, gk, d = stack.pop()
-            i = index.get(gk)
-            if i is None or depth[i] != d:
+            s, i, d = stack.pop()
+            if depth[i] != d:
                 geodesic_failures += 1
                 continue
             if seen[i]:
@@ -252,8 +233,9 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
                 continue
             seen[i] = 1
             if d < horizon:
+                b = i * nt
                 for li, t in aut.successors(s):
-                    stack.append((t, eng.mult(gk, tkeys[li]), d + 1))
+                    stack.append((t, nbr[b + li], d + 1))
         # Spot checks from interior states: every path, wherever it starts,
         # must spell a geodesic word.
         rng = make_rng(seed, stream=977)
@@ -292,6 +274,15 @@ def build_geodesic_automaton(spec: GroupSpec, T: Optional[ResolvedGenSet] = None
     report when no level works; the report's first mismatch row names the
     failing radius.
     """
+    return _build_with_report(spec, T, n_check, seed)[0]
+
+
+def _build_with_report(spec: GroupSpec, T: Optional[ResolvedGenSet],
+                       n_check: int, seed: int
+                       ) -> tuple[GeodesicAutomaton, ValidationReport]:
+    """The level loop of :func:`build_geodesic_automaton`; also hands back
+    the accepting validation report, which is what re-validating the
+    automaton against a fresh radius-n_check ball with the same seed gives."""
     if T is None:
         T = spec.resolve()
     tree = ball_tree(T, n_check)
@@ -308,7 +299,7 @@ def build_geodesic_automaton(spec: GroupSpec, T: Optional[ResolvedGenSet] = None
         report = _validate_against_tree(aut, tree, seed=seed)
         if report.ok:
             aut.validated_to = n_check
-            return aut
+            return aut, report
         last = report
     detail = ""
     if last is not None and last.first_mismatch is not None:

@@ -396,7 +396,7 @@ def _c8(ctx: BatteryContext):
     spec = ctx.group("f2")
     length = _ForeignLength(S, star, R)
     radii = list(range(1, R + 1))
-    devs = [abs(length(spec.element(("a",) * r)) - mc.tau_hat * r)
+    devs = [abs(length(spec.element(("a",) * r).key) - mc.tau_hat * r)
             for r in radii]
     slope = _lsq_slope(radii, devs)
     expected = abs(mc.tau_hat - 0.5)

@@ -91,7 +91,7 @@ def drift(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int, samples: int,
     vals = []
     for _ in range(samples):
         trail = _walk(m, aut, entry, n, rng)
-        vals.append(length(trail[-1]) / n)
+        vals.append(length(trail[-1].key) / n)
     mean = sum(vals) / samples
     var = (sum((v - mean) ** 2 for v in vals) / (samples - 1)
            if samples > 1 else 0.0)
@@ -139,7 +139,7 @@ def ps_dimension_estimate(aut_s: GeodesicAutomaton, Sstar: ResolvedGenSet,
     for ri in range(diag_rays):
         trail = _walk(m, aut, entry, n, rng)
         for k in ks:
-            lk = length(trail[k])
+            lk = length(trail[k].key)
             local = gr_s * k / lk if lk > 0 else math.inf
             diagnostics.append((ri, k, lk, local))
     return DimensionEstimate(gr_s, est, dim_hat, width, diagnostics, seed)

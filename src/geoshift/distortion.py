@@ -93,13 +93,14 @@ class _ForeignLength:
                 self.pairs = re.compile(b"|".join(map(re.escape, pairs)))
             self.mode = "tiling"
 
-    def __call__(self, x: GroupElement) -> int:
+    def __call__(self, key) -> int:
+        """Length in S* of the element with this engine key."""
         if self.mode == "tiling":
-            key = x.key
             if self.pairs is None:
                 return len(key)
             return len(key) - len(self.pairs.findall(key))
-        return word_length(x, self.Sstar, self.cap, self.budget)
+        return word_length(GroupElement(self.Sstar.group, key), self.Sstar,
+                           self.cap, self.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +118,7 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
         total = 0
         count = 0
         for x in enumerate_sphere(aut, n, budget=EXACT_BUDGET):
-            total += length(x)
+            total += length(x.key)
             count += 1
         if count == 0:
             raise EmptySphere(f"no elements at distance {n}")
@@ -166,7 +167,7 @@ def mean_distortion_mc(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     for i, n in enumerate(n_list):
         rng = make_rng(seed, stream=1000 + i)
         xs = sample_uniform_sphere(aut, n, rng, count=samples)
-        vals = [length(x) / n for x in xs]
+        vals = [length(x.key) / n for x in xs]
         mean = sum(vals) / samples
         var = sum((v - mean) ** 2 for v in vals) / (samples - 1)
         rows.append(McRow(n, mean, math.sqrt(var / samples), samples))
@@ -236,7 +237,7 @@ def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
     for i, n in enumerate(n_list):
         rng = make_rng(seed, stream=2000 + i)
         xs = sample_uniform_sphere(aut, n, rng, count=samples)
-        devs = [abs(length(x) - n * tau_hat) / n for x in xs]
+        devs = [abs(length(x.key) - n * tau_hat) / n for x in xs]
         for eps in eps_list:
             outliers = sum(1 for d in devs if d > eps)
             fractions[(n, eps)] = outliers / samples
@@ -286,11 +287,12 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     if tree.sphere_size(last) == 0:  # a finite group ran out of spheres
         last -= 1
     R = min(R, last)
+    keys = tree.keys
     deviations = [0.0] * (R + 1)
     witnesses = [""] * (R + 1)
     for r in range(1, R + 1):
         for i in range(tree.layer_bounds[r], tree.layer_bounds[r + 1]):
-            dev = abs(length(GroupElement(S.group, tree.keys[i])) - tau * r)
+            dev = abs(length(keys[i]) - tau * r)
             if dev > deviations[r]:
                 deviations[r] = dev
                 witnesses[r] = " ".join(S.letters[li]

@@ -7,6 +7,7 @@ generating set.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
@@ -31,14 +32,23 @@ class BallTree:
     index ``letter[i]``; letters are tried in index order, so the tree word of
     each element is its shortlex-least geodesic word.  ``index`` maps each
     key to its position and ``depth[i]`` is the distance of ``keys[i]``.
+    ``parent`` is a compact ``array('i')``: a list would hold one int object
+    per distinct parent position.
+
+    ``nbr`` is the neighbour table the enumeration fills as it goes:
+    ``nbr[i * len(T) + li]`` is the position of ``keys[i] * T[li]``, for
+    every expanded position i, that is every i below
+    ``layer_bounds[radius()]`` (all but the last sphere).  Walks that stay
+    below the last sphere read products from it instead of multiplying.
     """
 
     keys: list
     depth: list[int]
-    parent: list[int]
+    parent: array
     letter: list[int]
     index: dict
     layer_bounds: list[int]  # keys[layer_bounds[n]:layer_bounds[n+1]] is sphere n
+    nbr: list[int]
 
     def tree_word(self, i: int) -> tuple[int, ...]:
         out = []
@@ -63,35 +73,40 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     budget + len(T) elements are built.
     """
     eng = T.group.engine
-    tkeys = [e.key for e in T.elements]
+    mult = eng.mult
+    tkeys = list(enumerate(e.key for e in T.elements))
     keys = [eng.identity]
     depths = [0]
-    parent = [-1]
+    parent = array("i", [-1])
     letter = [-1]
     index = {eng.identity: 0}
+    setdefault = index.setdefault
+    nbr: list[int] = []
     layer_bounds = [0, 1]
     lo, hi = 0, 1
+    size = 1  # len(keys)
     for depth in range(radius):
         for i in range(lo, hi):
             g = keys[i]
-            for li, tk in enumerate(tkeys):
-                h = eng.mult(g, tk)
-                if h in index:
-                    continue
-                index[h] = len(keys)
-                keys.append(h)
-                depths.append(depth + 1)
-                parent.append(i)
-                letter.append(li)
-            if len(keys) > budget:
+            for li, tk in tkeys:
+                h = mult(g, tk)
+                j = setdefault(h, size)
+                if j == size:  # h is new: it takes the next position
+                    size += 1
+                    keys.append(h)
+                    parent.append(i)
+                    letter.append(li)
+                nbr.append(j)
+            if size > budget:
                 raise ResourceLimit(
                     f"ball enumeration exceeded budget {budget} at radius "
                     f"{depth + 1} of {radius}")
-        lo, hi = hi, len(keys)
+        lo, hi = hi, size
+        depths.extend([depth + 1] * (hi - lo))
         layer_bounds.append(hi)
         if lo == hi:
             break
-    return BallTree(keys, depths, parent, letter, index, layer_bounds)
+    return BallTree(keys, depths, parent, letter, index, layer_bounds, nbr)
 
 
 def _astar_length(T: ResolvedGenSet, x: GroupElement, cap: int,

@@ -1,5 +1,6 @@
 """Geodesic machines: construction, counting, validation, serialization."""
 
+import numpy as np
 import pytest
 
 from geoshift import (
@@ -8,13 +9,29 @@ from geoshift import (
     build_geodesic_automaton,
     enumerate_sphere,
     make_rng,
+    parse_group_file,
     sample_uniform_sphere,
     serialize_automaton,
     sphere_count,
     validate_automaton,
 )
-from geoshift.automaton import deserialize_automaton
-from geoshift.geometry import ball_tree
+from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
+                                ValidationReport, _candidate,
+                                _validate_against_tree, deserialize_automaton)
+from geoshift.errors import ResourceLimit
+from geoshift.geometry import ball_tree, word_length
+from geoshift.groups import GroupElement
+
+
+@pytest.fixture(scope="module")
+def genus2():
+    return parse_group_file("groups/genus2.grp")
+
+
+@pytest.fixture(scope="module")
+def genus2_aut(genus2):
+    # the relator has length 8, so the training ball must see past radius 4
+    return build_geodesic_automaton(genus2, n_check=6)
 
 
 def test_free_group_machine_shape(f2_aut):
@@ -127,12 +144,8 @@ def test_finite_group_spheres_die_out(s3):
     assert sum(counts) == 6
 
 
-def test_surface_group_machine():
-    from geoshift import parse_group_file
-
-    spec = parse_group_file("groups/genus2.grp")
-    # the relator has length 8, so the training ball must see past radius 4
-    aut = build_geodesic_automaton(spec, n_check=6)
+def test_surface_group_machine(genus2_aut):
+    aut = genus2_aut
     assert aut.tail_used == 4
     assert aut.n_states == 3193
     assert [sphere_count(aut, n) for n in range(7)] == [
@@ -147,3 +160,270 @@ def test_alternative_generators_get_their_own_machine(f2, f2_star_ab):
     ball = ball_tree(f2_star_ab, 5)
     for n in range(6):
         assert sphere_count(aut, n) == ball.layer_bounds[n + 1] - ball.layer_bounds[n]
+
+
+# ---------------------------------------------------------------------------
+# Key-based reference: the construction and the validation sweep as they
+# were before they read products from the ball's neighbour table.  Each one
+# multiplies keys with the engine and looks every product up in the index.
+# ---------------------------------------------------------------------------
+
+def reference_word_trie(n_letters, depth):
+    nodes = [(-1, -1)]
+    level = [0]
+    for _ in range(depth):
+        nxt = []
+        for p in level:
+            for li in range(n_letters):
+                nxt.append(len(nodes))
+                nodes.append((p, li))
+        level = nxt
+    return nodes
+
+
+def reference_candidate(spec, T, tree, level, tail_len):
+    eng = spec.engine
+    tkeys = [e.key for e in T.elements]
+    nt = len(tkeys)
+    trie = reference_word_trie(nt, level)
+    vote_horizon = tree.radius() - level
+    if vote_horizon < 1:
+        raise ResourceLimit("validation horizon too small for this level")
+    top = tree.layer_bounds[vote_horizon + 1]
+    depth, index = tree.depth, tree.index
+    state_of = np.empty(top, dtype=np.int64)
+    sig_state = {}
+    tails = [()] * top
+    prods = [None] * len(trie)
+    for i in range(top):
+        xk = tree.keys[i]
+        d = depth[i]
+        if i > 0:
+            tails[i] = (tails[tree.parent[i]] + (tree.letter[i],))[-tail_len:]
+        prods[0] = xk
+        deltas = []
+        for nid in range(1, len(trie)):
+            p, li = trie[nid]
+            k = eng.mult(prods[p], tkeys[li])
+            prods[nid] = k
+            deltas.append(depth[index[k]] - d)
+        sig = (tuple(deltas), tails[i])
+        sid = sig_state.get(sig)
+        if sid is None:
+            sid = len(sig_state)
+            sig_state[sig] = sid
+        state_of[i] = sid
+    vote_top = tree.layer_bounds[vote_horizon]
+    trans_raw = {}
+    conflicts = 0
+    for i in range(vote_top):
+        s = int(state_of[i])
+        xk = tree.keys[i]
+        d = depth[i]
+        for li in range(nt):
+            ck = eng.mult(xk, tkeys[li])
+            ci = index.get(ck)
+            allowed = (
+                ci is not None
+                and ci < top
+                and depth[ci] == d + 1
+                and tree.parent[ci] == i
+                and tree.letter[ci] == li
+            )
+            out = int(state_of[ci]) if allowed else -1
+            prev = trans_raw.setdefault((s, li), out)
+            if prev != out:
+                conflicts += 1
+    initial_raw = int(state_of[0])
+    remap = {initial_raw: 0}
+    order = [initial_raw]
+    qi = 0
+    while qi < len(order):
+        s = order[qi]
+        qi += 1
+        for li in range(nt):
+            t = trans_raw.get((s, li), -1)
+            if t >= 0 and t not in remap:
+                remap[t] = len(remap)
+                order.append(t)
+    transitions = {
+        (remap[s], li): remap[t]
+        for (s, li), t in trans_raw.items()
+        if t >= 0 and s in remap
+    }
+    return GeodesicAutomaton(group=spec, genset=T, n_states=len(remap),
+                             initial=0, transitions=transitions,
+                             level_used=level, tail_used=tail_len,
+                             validated_to=0, conflicts=conflicts)
+
+
+def reference_validate(aut, tree, seed=0):
+    spec = aut.group
+    eng = spec.engine
+    T = aut.genset
+    tkeys = [e.key for e in T.elements]
+    horizon = tree.radius()
+    counts = aut.path_counts(horizon)
+    rows = []
+    first_mismatch = None
+    for n in range(horizon + 1):
+        a = counts[n][aut.initial]
+        b = tree.sphere_size(n)
+        rows.append((n, a, b))
+        if a != b and first_mismatch is None:
+            first_mismatch = n
+    geodesic_failures = 0
+    injectivity_failures = 0
+    if first_mismatch is None:
+        index, depth = tree.index, tree.depth
+        seen = bytearray(len(tree.keys))
+        stack = [(aut.initial, eng.identity, 0)]
+        while stack:
+            s, gk, d = stack.pop()
+            i = index.get(gk)
+            if i is None or depth[i] != d:
+                geodesic_failures += 1
+                continue
+            if seen[i]:
+                injectivity_failures += 1
+                continue
+            seen[i] = 1
+            if d < horizon:
+                for li, t in aut.successors(s):
+                    stack.append((t, eng.mult(gk, tkeys[li]), d + 1))
+        rng = make_rng(seed, stream=977)
+        for _ in range(SPOT_SAMPLES):
+            s = int(rng.integers(aut.n_states))
+            gk = eng.identity
+            length = 0
+            budget = int(rng.integers(1, horizon + 1))
+            for _ in range(budget):
+                succ = aut.successors(s)
+                if not succ:
+                    break
+                li, s = succ[int(rng.integers(len(succ)))]
+                gk = eng.mult(gk, tkeys[li])
+                length += 1
+            if length == 0:
+                continue
+            x = GroupElement(spec, gk)
+            if word_length(x, T, cap=length) != length:
+                geodesic_failures += 1
+    ok = (first_mismatch is None and geodesic_failures == 0
+          and injectivity_failures == 0)
+    return ValidationReport(rows, first_mismatch, geodesic_failures,
+                            injectivity_failures, horizon, ok)
+
+
+def spot_walk_steps(aut, horizon, seed=0):
+    """Letters the spot checks multiply, replayed from their stream."""
+    rng = make_rng(seed, stream=977)
+    steps = 0
+    for _ in range(SPOT_SAMPLES):
+        s = int(rng.integers(aut.n_states))
+        for _ in range(int(rng.integers(1, horizon + 1))):
+            succ = aut.successors(s)
+            if not succ:
+                break
+            _, s = succ[int(rng.integers(len(succ)))]
+            steps += 1
+    return steps
+
+
+def with_transitions(aut, transitions):
+    return GeodesicAutomaton(
+        group=aut.group, genset=aut.genset, n_states=aut.n_states,
+        initial=aut.initial, transitions=transitions,
+        level_used=aut.level_used, tail_used=aut.tail_used,
+        validated_to=0, conflicts=aut.conflicts)
+
+
+@pytest.mark.parametrize("group,radius,levels", [
+    ("f2", 7, (1, 2, 3, 4)),
+    ("psl2z", 10, (1, 2, 3, 4)),
+    ("s3", 5, (1, 2, 3, 4)),    # levels 3 and 4 leave no voting horizon
+    ("genus2", 5, (1,)),
+])
+def test_candidate_matches_the_key_based_reference(group, radius, levels,
+                                                   request):
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(None)
+    tree = ball_tree(T, radius)
+    for lv in levels:
+        tail = max(4 if spec.family == "dehn" else 1, lv)
+        try:
+            want = reference_candidate(spec, T, tree, lv, tail)
+        except ResourceLimit:
+            with pytest.raises(ResourceLimit):
+                _candidate(spec, T, tree, lv, tail)
+            continue
+        got = _candidate(spec, T, tree, lv, tail)
+        assert got.transitions == want.transitions
+        assert got.conflicts == want.conflicts
+        assert got.n_states == want.n_states
+
+
+@pytest.mark.parametrize("group,aut_fixture,radius", [
+    ("f2", "f2_aut", 8),
+    ("psl2z", "psl_aut", 10),
+    ("s3", None, 5),
+    ("genus2", "genus2_aut", 5),
+])
+def test_validation_matches_the_key_based_reference(group, aut_fixture,
+                                                    radius, request):
+    spec = request.getfixturevalue(group)
+    aut = (request.getfixturevalue(aut_fixture) if aut_fixture
+           else build_geodesic_automaton(spec, n_check=5))
+    tree = ball_tree(aut.genset, radius)
+    for seed in (0, 5):
+        got = _validate_against_tree(aut, tree, seed=seed)
+        assert got.ok
+        assert got == reference_validate(aut, tree, seed=seed)
+
+
+def test_mutants_fail_validation_like_the_reference(f2_aut):
+    tree = ball_tree(f2_aut.genset, 8)
+    edges = dict(f2_aut.transitions)
+    (s, li), t = next((k, v) for k, v in sorted(edges.items()) if k[0] > 0)
+    other = next(u for u in range(1, f2_aut.n_states) if u != t)
+    missing = next((q, lj) for q in range(1, f2_aut.n_states)
+                   for lj in range(len(f2_aut.genset))
+                   if (q, lj) not in edges)
+    redirected = with_transitions(f2_aut, {**edges, (s, li): other})
+    deleted = with_transitions(
+        f2_aut, {k: v for k, v in edges.items() if k != (s, li)})
+    added = with_transitions(f2_aut, {**edges, missing: t})
+    for mutant in (redirected, deleted, added):
+        got = _validate_against_tree(mutant, tree)
+        assert not got.ok
+        assert got == reference_validate(mutant, tree)
+    # equal counts: only the sweep can catch the redirected edge
+    redirected_report = _validate_against_tree(redirected, tree)
+    assert redirected_report.first_mismatch is None
+    assert redirected_report.geodesic_failures > 0
+
+
+@pytest.mark.parametrize("group,radius", [("f2", 8), ("psl2z", 10),
+                                          ("s3", 5)])
+def test_construction_and_sweep_do_not_multiply(group, radius, request,
+                                                monkeypatch):
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(None)
+    tree = ball_tree(T, radius)
+    calls = []
+    mult = spec.engine.mult
+
+    def counted(a, b):
+        calls.append(1)
+        return mult(a, b)
+
+    monkeypatch.setattr(spec.engine, "mult", counted)
+    for lv in (1, 2):
+        aut = _candidate(spec, T, tree, lv, lv)
+        assert calls == []
+        rep = _validate_against_tree(aut, tree)
+        if rep.ok:
+            break
+    assert rep.ok
+    # base lengths need no products, so every call is a spot-walk step
+    assert len(calls) == spot_walk_steps(aut, tree.radius())

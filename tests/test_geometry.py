@@ -25,6 +25,31 @@ def test_tree_words_spell_their_elements(f2):
         assert t.depth[t.index[x.key]] == len(word) == x.length()
 
 
+@pytest.mark.parametrize("group,genset,radius", [
+    ("f2", None, 5),
+    ("f2", "Sstar_ab", 4),
+    ("f2", "Sstar_a2", 4),
+    ("psl2z", None, 8),
+    ("psl2z", "Sstar_st", 6),
+    ("s3", None, 5),       # runs out of spheres at radius 3
+    ("genus2", None, 4),
+])
+def test_neighbour_table_holds_every_product(group, genset, radius):
+    spec = parse_group_file(f"groups/{group}.grp")
+    T = spec.resolve(genset)
+    tree = ball_tree(T, radius)
+    nt = len(T)
+    expanded = tree.layer_bounds[tree.radius()]
+    assert len(tree.nbr) == nt * expanded
+    mult = spec.engine.mult
+    for i in range(expanded):
+        for li, x in enumerate(T.elements):
+            assert tree.nbr[i * nt + li] == tree.index[mult(tree.keys[i],
+                                                            x.key)]
+    for c in range(1, len(tree.keys)):
+        assert tree.nbr[tree.parent[c] * nt + tree.letter[c]] == c
+
+
 def test_ball_budget_enforced(f2):
     with pytest.raises(ResourceLimit):
         ball_tree(f2.resolve(None), 20, budget=1000)
