@@ -38,7 +38,8 @@ __all__ = [
     "dehn_group",
 ]
 
-# Rewriting-search states per Dehn normalisation, and cached normal forms.
+# Rewriting-search states per Dehn normalisation, and cached normal forms of
+# words (products of normal forms bypass the cache).
 DEHN_BUDGET = 200_000
 
 
@@ -299,6 +300,10 @@ class _DehnEngine:
     a further shortening.  This decides the word problem for presentations
     where greedy replacement is complete (small-cancellation presentations);
     a warning is emitted when the metric C'(1/6) condition fails.
+
+    Normal forms of words are cached.  A product of two normal forms is not:
+    both are freely reduced, so it cancels only at the junction, and most
+    products match no relator prefix and are returned after one search.
     """
 
     family = "dehn"
@@ -325,10 +330,14 @@ class _DehnEngine:
         # So one search for these words tells exactly whether either loop
         # can change w.  The ordered loops stay the only code that picks a
         # replacement.
-        self._long_prefixes = _any_of(r[:len(r) // 2 + 1]
-                                      for r in self.symmetrized if len(r) > 2)
-        self._halves = _any_of(r[:len(r) // 2] for r in self.symmetrized
-                               if len(r) % 2 == 0)
+        long_prefixes = [r[:len(r) // 2 + 1] for r in self.symmetrized
+                         if len(r) > 2]
+        halves = [r[:len(r) // 2] for r in self.symmetrized if len(r) % 2 == 0]
+        self._long_prefixes = _any_of(long_prefixes)
+        self._halves = _any_of(halves)
+        # _rewritable asks for both at once.  An empty list leaves its loop a
+        # no-op, so the joined pattern of the other list still decides.
+        self._rewritable = _any_of(long_prefixes + halves)
         self.identity = b""
         self._nf_cache: dict[bytes, bytes] = {}
 
@@ -399,7 +408,11 @@ class _DehnEngine:
                 start = i + 1
 
     def _normalize(self, word: bytes) -> bytes:
-        w = _free_reduce_bytes(word, self.inv)
+        return self._normalize_reduced(_free_reduce_bytes(word, self.inv))
+
+    def _normalize_reduced(self, w: bytes) -> bytes:
+        if not self._rewritable.search(w):
+            return w
         while True:
             w = self._greedy_shorten(w)
             if not w:
@@ -441,7 +454,14 @@ class _DehnEngine:
         return cached
 
     def mult(self, a: bytes, b: bytes) -> bytes:
-        return self.from_word(a + b)
+        # Keys are freely reduced, so free reduction of a + b only cancels
+        # where a ends and b begins.
+        ia = len(a)
+        jb = 0
+        while ia > 0 and jb < len(b) and a[ia - 1] == self.inv[b[jb]]:
+            ia -= 1
+            jb += 1
+        return self._normalize_reduced(a[:ia] + b[jb:])
 
     def invert(self, a: bytes) -> bytes:
         return self.from_word(_invert_bytes(a, self.inv))

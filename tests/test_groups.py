@@ -1,5 +1,8 @@
 """Word-problem engines: free groups, free products, finite tables, Dehn."""
 
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,7 @@ from geoshift import (
     parse_group_file,
 )
 from geoshift.geometry import ball_tree
-from geoshift.groups import dehn_group, finite_table_group
+from geoshift.groups import _free_reduce_bytes, dehn_group, finite_table_group
 
 F = free_group(2)
 A, AI, B, BI = "a", "a^-1", "b", "b^-1"
@@ -264,6 +267,133 @@ def test_commutator_relator_warns():
     inv = {"a": "a^-1", "a^-1": "a", "b": "b^-1", "b^-1": "b"}
     with pytest.warns(UserWarning):
         dehn_group([("a", "b", "a^-1", "b^-1")], letters, inv)
+
+
+def reference_product(eng, a, b):
+    """The product as a full normalisation of a + b: free reduction of the
+    whole word, then the greedy-shortening and half-swap search with no
+    pre-check."""
+    w = _free_reduce_bytes(a + b, eng.inv)
+    while True:
+        w = eng._greedy_shorten(w)
+        if not w:
+            return w
+        seen, queue, best, shorter = {w}, deque([w]), w, None
+        while queue and shorter is None:
+            u = queue.popleft()
+            for v in eng._half_swaps(u):
+                if len(v) < len(u):
+                    shorter = v
+                    break
+                v2 = eng._greedy_shorten(v)
+                if len(v2) < len(u):
+                    shorter = v2
+                    break
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+                    best = min(best, v)
+        if shorter is None:
+            return best
+        w = shorter
+
+
+def test_junction_product_is_the_full_normalisation(genus2):
+    eng = genus2.engine
+    T = genus2.resolve(None)
+    big, small = ball_tree(T, 3), ball_tree(T, 2)
+    assert (len(big.keys), len(small.keys)) == (457, 65)
+    cancelled = {}
+    long_prefix = halves = rewritten = identities = 0
+    for a in big.keys:
+        for b in small.keys:
+            got = eng.mult(a, b)
+            assert got == reference_product(eng, a, b)
+            w = _free_reduce_bytes(a + b, eng.inv)
+            pairs = (len(a) + len(b) - len(w)) // 2
+            cancelled[pairs] = cancelled.get(pairs, 0) + 1
+            long_prefix += bool(eng._long_prefixes.search(w))
+            halves += bool(eng._halves.search(w))
+            rewritten += got != w
+            identities += got == b""
+    # the inputs reach every branch: all 65 inverse pairs, cancellations of
+    # two letter pairs, greedy shortening and half swaps
+    assert cancelled == {0: 26057, 1: 3200, 2: 448}
+    assert identities == 65
+    assert (long_prefix, halves, rewritten) == (16, 240, 128)
+
+
+nf_words = st.lists(st.integers(0, 7), max_size=8)
+
+
+@given(nf_words, nf_words)
+@settings(max_examples=300, deadline=None)
+def test_junction_product_on_random_normal_forms(genus2, u, v):
+    eng = genus2.engine
+    a, b = eng.from_word(u), eng.from_word(v)
+    assert eng.mult(a, b) == reference_product(eng, a, b)
+
+
+def test_junction_product_with_an_odd_relator():
+    # every symmetrized relator has odd length, so there are no half swaps
+    # and the pre-check is the long-prefix pattern alone
+    letters = ("a", "a^-1", "b", "b^-1")
+    inv = {"a": "a^-1", "a^-1": "a", "b": "b^-1", "b^-1": "b"}
+    with pytest.warns(UserWarning):
+        G = dehn_group([("a", "a", "b", "a", "b")], letters, inv)
+    eng = G.engine
+    assert all(len(r) % 2 for r in eng.symmetrized)
+    forms = sorted({eng.from_word(w) for n in range(4)
+                    for w in itertools.product(range(4), repeat=n)})
+    shortened = 0
+    for a in forms:
+        for b in forms:
+            assert eng.mult(a, b) == reference_product(eng, a, b)
+            w = _free_reduce_bytes(a + b, eng.inv)
+            shortened += bool(eng._long_prefixes.search(w))
+    assert shortened > 0
+
+
+def test_dehn_normal_forms_are_the_ball_geodesics():
+    # Cannon's growth series of the genus-2 surface group in the standard
+    # generators: (1+2z+2z^2+2z^3+z^4) / (1-6z-6z^2-6z^3+z^4)
+    num, den = (1, 2, 2, 2, 1), (1, -6, -6, -6, 1)
+    radius = 6
+    series = []
+    for n in range(radius + 1):
+        c = num[n] if n < len(num) else 0
+        c -= sum(den[k] * series[n - k] for k in range(1, min(n, 4) + 1))
+        series.append(c)
+    tree = ball_tree(parse_group_file("groups/genus2.grp").resolve(None), radius)
+    assert [tree.sphere_size(n) for n in range(radius + 1)] == series
+    # letters are tried in index order, so the tree word is the shortlex-least
+    # geodesic, which the normal form must spell
+    for i, key in enumerate(tree.keys):
+        assert key == bytes(tree.tree_word(i))
+        assert len(key) == tree.depth[i]
+
+
+def test_ball_products_bypass_the_normal_form_cache(monkeypatch):
+    G = parse_group_file("groups/genus2.grp")
+    eng = G.engine
+    T = G.resolve(None)
+    cached = dict(eng._nf_cache)
+    calls = []
+
+    def counted(name):
+        fn = getattr(eng, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("from_word", "_normalize"):
+        monkeypatch.setattr(eng, name, counted(name))
+    tree = ball_tree(T, 5)
+    assert len(tree.keys) == 22_289
+    assert calls == []
+    assert eng._nf_cache == cached
 
 
 
