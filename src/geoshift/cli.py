@@ -48,14 +48,20 @@ class EmptyDecomposition(GeoshiftError):
 # Argument helpers
 # ---------------------------------------------------------------------------
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _at_least(least: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer")
+        return value
+    return parse
+
+
+_positive = _at_least(1, "positive")
+_nonnegative = _at_least(0, "nonnegative")
 
 
 def _int_list(text: str) -> list[int]:
@@ -438,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="to", required=True, metavar="NAME",
                     help="target generating set")
     sp.add_argument("-N", "--n-check", type=_positive, default=8)
-    sp.add_argument("--exact-n", type=int, default=6,
+    sp.add_argument("--exact-n", type=_nonnegative, default=6,
                     help="exhaustive averages up to this radius (0 disables)")
     sp.add_argument("--n", type=_int_list, default=[4, 8, 12, 16],
                     help="Monte Carlo radii (comma separated)")
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lln-n", type=_int_list, default=None,
                     help="radii for the outlier-fraction table")
     sp.add_argument("--lln-samples", type=_positive, default=2000)
-    sp.add_argument("--scan", type=int, default=0,
+    sp.add_argument("--scan", type=_nonnegative, default=0,
                     help="rough-similarity scan radius (0 disables)")
     sp.set_defaults(handler=_cmd_distortion)
 

@@ -59,7 +59,7 @@ def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng) -> list:
         return trail
     u = rng.random(n + 1).tolist()
     j = min(bisect_right(np.cumsum(entry).tolist(), u[0]), len(entry) - 1)
-    cum_rows = np.cumsum(m.P, axis=1).tolist()
+    cum_rows = m._cum_rows  # built once per measure, not once per ray
     for k in range(1, n + 1):
         li = sft.edges[m.nodes[j]][1]
         trail.append(trail[-1] * T.elements[li])

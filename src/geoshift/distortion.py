@@ -12,7 +12,6 @@ two metrics.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -55,20 +54,25 @@ def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet) -> int:
 class _ForeignLength:
     """Length in S*, in one of two exact modes chosen from the input.
 
-    ``tiling``: free groups whose S* consists of words of base length at
-    most two, including every base letter, admit a linear factorization
-    scan.  Some geodesic S*-word multiplies out with no cancellation
-    between pieces (any cancelling pair of two-letter pieces can be
-    rewritten as at most two shorter pieces), so the length is a minimum
-    over tilings of the reduced word.  Every base letter is a piece, so a
-    tiling that uses k two-letter pieces has length m - k on a word of
-    length m, and the minimum is m minus the most disjoint two-letter
-    windows of the word that are pieces.  Those windows all have length
-    two, so taking the leftmost one that fits, over and over, is an optimal
-    interval schedule: the count is what the non-overlapping leftmost
-    matches of one compiled alternation of the two-letter pieces find.
+    ``band``: a transducer reads the key of x, an S-geodesic word, one
+    letter at a time.  After a prefix p its row holds, for each d in the
+    radius-1 S-ball, the shortest S*-path to p.d within S-distance 1 of the
+    prefixes, less the row's minimum, whose rise is the step's increment.
+    The length is the sum of the increments plus the last row's value at e.
 
-    ``search``: everything else goes to :func:`word_length`, with a cap
+    Radius 1 is exact when S is the base set of a free group, or of a free
+    product of finite groups whose nontrivial factor elements are all
+    letters; every base letter is an S*-letter; and every S*-letter has
+    base length at most 2.  Then Cay(G, S) is a tree of complete pieces,
+    and each interior vertex c of the S-geodesic [e, x] separates e from x.
+    An S*-step spans at most two S-edges, so an S*-path passes c: it visits
+    c or steps between two neighbours of c.  Between its first and last
+    passage of c an S*-geodesic runs from u to w, both within distance 1 of
+    c; if it leaves the band there, it takes at least two steps, and at
+    most two base letters through c replace them.  So some S*-geodesic
+    passes the vertices of [e, x] in order and stays in the band.
+
+    ``search``: every other pair goes to :func:`word_length`, with a cap
     just above the cross-Lipschitz constant times the largest radius asked
     for, which no answer can exceed.
     """
@@ -76,31 +80,69 @@ class _ForeignLength:
     def __init__(self, S: ResolvedGenSet, Sstar: ResolvedGenSet, n_max: int,
                  budget: int = DEFAULT_BALL_BUDGET):
         self.Sstar = Sstar
-        self.lip = cross_lipschitz(S, Sstar)
-        self.cap = self.lip * n_max + 4
         self.budget = budget
-        self.mode = "search"
-        self.pairs = None
         spec = Sstar.group
-        base_keys = {x.key for x in spec.resolve(None).elements}
         star_keys = {x.key for x in Sstar.elements}
-        if (spec.family == "free" and S.is_base
-                and base_keys <= star_keys
+        pieces = spec.family == "free" or (spec.family == "free_product"
+                                           and spec.engine.unit_syllables)
+        if (S.is_base and pieces and {x.key for x in S.elements} <= star_keys
                 and all(x.length() <= 2 for x in Sstar.elements)):
-            # keys are reduced words as bytes, one byte per letter
-            pairs = sorted(k for k in star_keys if len(k) == 2)
-            if pairs:
-                self.pairs = re.compile(b"|".join(map(re.escape, pairs)))
-            self.mode = "tiling"
+            self.mode = "band"
+            self.steps, self.tails = _band_table(S, Sstar)
+        else:
+            self.mode = "search"
+            self.cap = cross_lipschitz(S, Sstar) * n_max + 4
 
     def __call__(self, key) -> int:
         """Length in S* of the element with this engine key."""
-        if self.mode == "tiling":
-            if self.pairs is None:
-                return len(key)
-            return len(key) - len(self.pairs.findall(key))
+        if self.mode == "band":
+            steps = self.steps
+            q = total = 0
+            for c in key:  # a letter: a byte or a syllable of the key
+                q, inc = steps[q][c]
+                total += inc
+            return total + self.tails[q]
         return word_length(GroupElement(self.Sstar.group, key), self.Sstar,
                            self.cap, self.budget)
+
+
+def _band_table(S: ResolvedGenSet, Sstar: ResolvedGenSet):
+    """The band's rows, breadth-first from the start row: per row its step
+    (next row, increment) on each letter of a key, and its value at e."""
+    mult = S.group.engine.mult
+    ball = [S.group.engine.identity] + [x.key for x in S.elements]
+    stars = [x.key for x in Sstar.elements]
+
+    def relax(g: dict) -> dict:  # shortest S*-paths among g's elements
+        changed = True
+        while changed:
+            changed = False
+            for x in g:
+                for y in (mult(x, s) for s in stars):
+                    if g[x] + 1 < g.get(y, -1):
+                        g[y] = g[x] + 1
+                        changed = True
+        return g
+
+    far = 1 << 30  # not reached yet
+    # each row and its number; every base letter is an S*-letter
+    rows = {(0,) + (1,) * len(S): 0}
+    steps = []
+    while len(steps) < len(rows):  # the next row in the order found
+        r = list(rows)[len(steps)]
+        steps.append([])
+        for a in ball[1:]:
+            shifted = [mult(a, d) for d in ball]
+            g = relax(dict.fromkeys(shifted, far) | dict(zip(ball, r)))
+            low = min(g[y] for y in shifted)
+            row = tuple(g[y] - low for y in shifted)
+            steps[-1].append((rows.setdefault(row, len(rows)), low))
+    # a free group's keys are bytes of letter indices, a free product's are
+    # syllables: index each row's steps by the letter as the key spells it
+    spelled = [x.key[0] for x in S.elements]
+    if spelled != list(range(len(spelled))):
+        steps = [dict(zip(spelled, out)) for out in steps]
+    return steps, [r[0] for r in rows]
 
 
 # ---------------------------------------------------------------------------

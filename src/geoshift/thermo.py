@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -193,6 +194,10 @@ class MarkovMeasure:
     support: np.ndarray
 
     memory = 1  # edges a node of the chain remembers
+
+    @cached_property
+    def _cum_rows(self) -> list:  # of P, per row, as float lists
+        return np.cumsum(self.P, axis=1).tolist()
 
 
 def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:

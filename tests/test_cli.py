@@ -230,6 +230,8 @@ def test_battery_stdout_is_byte_identical():
     ("battery", "--profile", "nonsense"),
     ("automaton", "--group", BAD_TABLE),
     ("automaton", "--group", BAD_NAME),
+    ("distortion", "--group", F2, "--to", "Sstar_ab", "--exact-n", "-3"),
+    ("distortion", "--group", F2, "--to", "Sstar_ab", "--scan", "-2"),
 ])
 def test_input_errors_exit_2(args, tmp_path):
     bad = tmp_path / "bad.grp"

@@ -15,7 +15,7 @@ from geoshift import (
 from geoshift.distortion import _ForeignLength
 from geoshift.geometry import ball_tree, word_length
 from geoshift.grammar import parse_group_text
-from geoshift.groups import GroupElement
+from geoshift.groups import GeneratingSet, GroupElement, free_product_group
 
 # per-sphere averages of the composite-letter length, small enough to check
 # against a full enumeration by hand
@@ -186,7 +186,7 @@ def dp_tiling_length(pieces, key):
 def test_tiling_length_is_the_word_length_on_a_ball(f2, star):
     S, Sstar = f2.resolve(None), f2.resolve(star)
     length = _ForeignLength(S, Sstar, 6)
-    assert length.mode == "tiling"
+    assert length.mode == "band"
     keys = ball_tree(S, 6).keys
     assert len(keys) == 1457
     for key in keys:
@@ -223,7 +223,109 @@ def test_tiling_length_matches_the_dynamic_program(overlapping, word):
     # could go wrong; the leftmost-first schedule never does
     T = overlapping.resolve("T")
     length = _ForeignLength(overlapping.resolve(None), T, 40)
-    assert length.mode == "tiling"
+    assert length.mode == "band"
     x = overlapping.element(list(word))
     pieces = {e.key for e in T.elements}
     assert length(x.key) == dp_tiling_length(pieces, x.key)
+
+
+# --- the banded length transducer against A* ---
+
+@pytest.mark.parametrize("group, star, radius, size", [
+    ("psl2z", "Sstar_st", 16, 1786),
+    ("psl2z", None, 16, 1786),
+    ("f2", "Sstar_ab", 7, 4373),
+    ("f2", "Sstar_a2", 7, 4373),
+])
+def test_band_length_is_the_word_length_on_a_ball(request, group, star,
+                                                  radius, size):
+    G = request.getfixturevalue(group)
+    S, Sstar = G.resolve(None), G.resolve(star)
+    length = _ForeignLength(S, Sstar, radius)
+    assert length.mode == "band"
+    keys = ball_tree(S, radius).keys
+    assert len(keys) == size
+    for key in keys:
+        assert length(key) == word_length(GroupElement(G, key), Sstar, 64)
+
+
+def test_band_length_is_the_word_length_on_long_modular_words(psl2z, psl_aut):
+    from geoshift import sample_uniform_sphere
+    from geoshift.randomness import make_rng
+
+    Sstar = psl2z.resolve("Sstar_st")
+    length = _ForeignLength(psl2z.resolve(None), Sstar, 24)
+    assert length.mode == "band"
+    xs = sample_uniform_sphere(psl_aut, 24, make_rng(5), count=200)
+    assert len({x.key for x in xs}) > 150
+    for x in xs:
+        assert length(x.key) == word_length(x, Sstar)
+
+
+Z2 = ((0, 1), (1, 0))
+Z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
+Z5 = tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+
+
+def _with_word(G, x, y):
+    """G's base letters plus the two-letter word xy and its inverse."""
+    S = G.base
+    inv = S.inverses
+    return G.resolve(GeneratingSet(
+        S.letters + ("w", "w^-1"), {**inv, "w": "w^-1"},
+        {"w": (x, y), "w^-1": (inv[y], inv[x])}, name="T"))
+
+
+@pytest.fixture(scope="module")
+def z2_z4():
+    # every nontrivial factor element is a letter: a tree of complete pieces
+    return free_product_group(
+        (Z2, Z4), letters=("s", "u", "u^-1", "v"),
+        letter_syllables={"s": (0, 1), "u": (1, 1), "u^-1": (1, 3),
+                          "v": (1, 2)},
+        inverses={"s": "s", "u": "u^-1", "v": "v"})
+
+
+@pytest.mark.parametrize("x, y", [("s", "u"), ("u", "s"), ("s", "v"),
+                                  ("v", "s"), ("s", "u^-1"), ("u^-1", "s")])
+def test_band_length_on_a_free_product_of_complete_pieces(z2_z4, x, y):
+    S, T = z2_z4.resolve(None), _with_word(z2_z4, x, y)
+    length = _ForeignLength(S, T, 8)
+    assert length.mode == "band"
+    for key in ball_tree(S, 8).keys:
+        assert length(key) == word_length(GroupElement(z2_z4, key), T, 64)
+
+
+def _refused(G, S, Sstar):
+    length = _ForeignLength(S, Sstar, 6)
+    x = G.element(G.base.letters[:1] * 3 + G.base.letters[-1:])
+    assert length(x.key) == word_length(x, Sstar)
+    return length.mode == "search"
+
+
+def test_band_refuses_a_foreign_source_set(f2):
+    assert _refused(f2, f2.resolve("Sstar_ab"), f2.resolve(None))
+
+
+def test_band_refuses_a_letter_of_base_length_three(f2):
+    assert _refused(f2, f2.resolve(None), _with_word(f2, "a", "a")) is False
+    T = f2.resolve(GeneratingSet(
+        f2.base.letters + ("w", "w^-1"), {**f2.base.inverses, "w": "w^-1"},
+        {"w": ("a", "a", "b"), "w^-1": ("b^-1", "a^-1", "a^-1")}, name="T"))
+    assert _refused(f2, f2.resolve(None), T)
+
+
+def test_band_refuses_a_factor_element_that_is_no_letter():
+    # t^2 and t^3 have base length 2: the pieces are not complete graphs
+    G = free_product_group(
+        (Z5, Z2), letters=("t", "t^-1", "s"),
+        letter_syllables={"t": (0, 1), "t^-1": (0, 4), "s": (1, 1)},
+        inverses={"t": "t^-1", "t^-1": "t", "s": "s"})
+    assert _refused(G, G.resolve(None), _with_word(G, "s", "t"))
+
+
+def test_band_refuses_genus_two():
+    from geoshift import parse_group_file
+
+    G = parse_group_file("groups/genus2.grp")
+    assert _refused(G, G.resolve(None), _with_word(G, "a", "b"))
