@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .automaton import GeodesicAutomaton, enumerate_sphere, sample_uniform_sphere
-from .errors import EmptySphere
+from .automaton import (GeodesicAutomaton, enumerate_sphere,
+                        sample_uniform_sphere, sphere_count)
+from .errors import EmptySphere, ResourceLimit
 from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
@@ -88,7 +90,8 @@ class _ForeignLength:
         if (S.is_base and pieces and {x.key for x in S.elements} <= star_keys
                 and all(x.length() <= 2 for x in Sstar.elements)):
             self.mode = "band"
-            self.steps, self.tails = _band_table(S, Sstar)
+            self.steps, self.tails = _band_table(
+                spec, *(tuple(x.key for x in T.elements) for T in (S, Sstar)))
         else:
             self.mode = "search"
             self.cap = cross_lipschitz(S, Sstar) * n_max + 4
@@ -106,12 +109,12 @@ class _ForeignLength:
                            self.cap, self.budget)
 
 
-def _band_table(S: ResolvedGenSet, Sstar: ResolvedGenSet):
+@lru_cache(maxsize=16)  # by letter keys: callers resolve the sets afresh
+def _band_table(group, keys: tuple, stars: tuple):
     """The band's rows, breadth-first from the start row: per row its step
     (next row, increment) on each letter of a key, and its value at e."""
-    mult = S.group.engine.mult
-    ball = [S.group.engine.identity] + [x.key for x in S.elements]
-    stars = [x.key for x in Sstar.elements]
+    mult = group.engine.mult
+    ball = [group.engine.identity, *keys]
 
     def relax(g: dict) -> dict:  # shortest S*-paths among g's elements
         changed = True
@@ -126,7 +129,7 @@ def _band_table(S: ResolvedGenSet, Sstar: ResolvedGenSet):
 
     far = 1 << 30  # not reached yet
     # each row and its number; every base letter is an S*-letter
-    rows = {(0,) + (1,) * len(S): 0}
+    rows = {(0,) + (1,) * len(keys): 0}
     steps = []
     while len(steps) < len(rows):  # the next row in the order found
         r = list(rows)[len(steps)]
@@ -139,10 +142,19 @@ def _band_table(S: ResolvedGenSet, Sstar: ResolvedGenSet):
             steps[-1].append((rows.setdefault(row, len(rows)), low))
     # a free group's keys are bytes of letter indices, a free product's are
     # syllables: index each row's steps by the letter as the key spells it
-    spelled = [x.key[0] for x in S.elements]
+    spelled = [k[0] for k in keys]
     if spelled != list(range(len(spelled))):
         steps = [dict(zip(spelled, out)) for out in steps]
     return steps, [r[0] for r in rows]
+
+
+def _key_letters(S: ResolvedGenSet, length: _ForeignLength):
+    """The band's steps by letter index, and per letter a the letters b that
+    follow a in keys (|ab|_S = 2), then all letters, for the start."""
+    eng, keys = S.group.engine, [x.key for x in S.elements]
+    return ([[out[k[0]] for k in keys] for out in length.steps],
+            [{b for b, k in enumerate(keys) if eng.length(eng.mult(a, k)) == 2}
+             for a in keys] + [range(len(keys))])
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +165,19 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
                           n_max: int) -> list[Fraction]:
     """Exact expectation of |x|_{S*} over the uniform sphere of each radius
     n <= n_max, as exact rationals; entry 0 is 0.  Raises EmptySphere when
-    one of those spheres has no elements."""
+    one of those spheres has no elements.  A band pair walks the product of
+    the automaton with the band rows, when every accepted word spells its
+    key; other pairs check all spheres against EXACT_BUDGET, then enumerate."""
     length = _ForeignLength(aut.genset, Sstar, n_max, EXACT_BUDGET)
+    if length.mode == "band":
+        steps, follow = _key_letters(aut.genset, length)
+        if all(b in follow[a] for (_, a), s in aut.transitions.items()
+               for b, _ in aut.successors(s)):
+            return _band_means(aut, steps, length.tails, n_max)
+    for n in range(1, n_max + 1):
+        if sphere_count(aut, n) > EXACT_BUDGET:
+            raise ResourceLimit(f"sphere of radius {n} exceeds budget "
+                                f"{EXACT_BUDGET}")
     out = [Fraction(0)]
     for n in range(1, n_max + 1):
         total = 0
@@ -165,6 +188,24 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
         if count == 0:
             raise EmptySphere(f"no elements at distance {n}")
         out.append(Fraction(total, count))
+    return out
+
+
+def _band_means(aut: GeodesicAutomaton, steps, tails, n_max: int) -> list:
+    """Per node (automaton state, band row): its paths and their increments."""
+    layer, out = {(aut.initial, 0): (1, 0)}, [Fraction(0)]
+    for n in range(1, n_max + 1):
+        nxt: dict = {}
+        for (s, q), (count, total) in layer.items():
+            for li, t in aut.successors(s):
+                r, inc = steps[q][li]
+                c, tot = nxt.get((t, r), (0, 0))
+                nxt[t, r] = (c + count, tot + total + count * inc)
+        layer, count = nxt, sum(c for c, _ in nxt.values())
+        if count == 0:
+            raise EmptySphere(f"no elements at distance {n}")
+        out.append(Fraction(sum(tot + c * tails[q] for (_, q), (c, tot)
+                                in layer.items()), count))
     return out
 
 
@@ -324,23 +365,26 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     if R < 1:
         raise ValueError("scan radius must be at least 1")
     length = _ForeignLength(S, Sstar, R)
-    tree = ball_tree(S, R)
-    last = tree.radius()
-    if tree.sphere_size(last) == 0:  # a finite group ran out of spheres
-        last -= 1
-    R = min(R, last)
-    keys = tree.keys
-    deviations = [0.0] * (R + 1)
-    witnesses = [""] * (R + 1)
-    for r in range(1, R + 1):
-        for i in range(tree.layer_bounds[r], tree.layer_bounds[r + 1]):
-            dev = abs(length(keys[i]) - tau * r)
-            if dev > deviations[r]:
-                deviations[r] = dev
-                witnesses[r] = " ".join(S.letters[li]
-                                        for li in tree.tree_word(i))
-    deviations = deviations[1:]
-    witnesses = witnesses[1:]
+    if length.mode == "band":
+        deviations, witnesses = _band_scan(S, length, tau, R)
+    else:
+        tree = ball_tree(S, R)
+        last = tree.radius()
+        if tree.sphere_size(last) == 0:  # a finite group ran out of spheres
+            last -= 1
+        R = min(R, last)
+        keys = tree.keys
+        deviations = [0.0] * (R + 1)
+        witnesses = [""] * (R + 1)
+        for r in range(1, R + 1):
+            for i in range(tree.layer_bounds[r], tree.layer_bounds[r + 1]):
+                dev = abs(length(keys[i]) - tau * r)
+                if dev > deviations[r]:
+                    deviations[r] = dev
+                    witnesses[r] = " ".join(S.letters[li]
+                                            for li in tree.tree_word(i))
+        deviations, witnesses = deviations[1:], witnesses[1:]
+    R = len(deviations)
     start = max(1, (2 * R) // 3)
     worst_step = 0.0
     for i in range(start, R):
@@ -349,3 +393,29 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     return SimilarityScan(tau, list(range(1, R + 1)), deviations, witnesses,
                           verdict, SCAN_TOLERANCE)
 
+
+def _band_scan(S: ResolvedGenSet, length: _ForeignLength, tau: float, R: int):
+    """A walk over the product of the key acceptor (state: the last letter)
+    with the band rows.  A node keeps (-total, word) and (total, word) for
+    its largest and smallest running total with the lex-first word to each:
+    |L - tau r| peaks at an extreme of L, and the ball orders words so."""
+    steps, follow = _key_letters(S, length)
+    layer, deviations, witnesses = {(len(S), 0): ((0, ()), (0, ()))}, [], []
+    for r in range(1, R + 1):
+        nxt: dict = {}
+        for (a, q), ((hi, hw), (lo, lw)) in layer.items():
+            for b in follow[a]:
+                q2, inc = steps[q][b]
+                new = ((hi - inc, hw + (b,)), (lo + inc, lw + (b,)))
+                old = nxt.setdefault((b, q2), new)
+                nxt[b, q2] = (min(old[0], new[0]), min(old[1], new[1]))
+        if not nxt:  # a finite group ran out of spheres
+            break
+        layer, tails = nxt, length.tails
+        dev, word = min((-abs(total - tau * r), w)
+                        for (_, q), ((hi, hw), (lo, lw)) in layer.items()
+                        for total, w in ((tails[q] - hi, hw),
+                                         (tails[q] + lo, lw)))
+        deviations.append(-dev)
+        witnesses.append(" ".join(S.letters[b] for b in word) if dev else "")
+    return deviations, witnesses

@@ -193,6 +193,20 @@ def test_distortion_report_wiring():
     assert rep["scan"]["radii"] == [1, 2, 3, 4, 5]
 
 
+def test_exact_means_budget_applies_only_to_enumeration():
+    # a band pair walks the product, so radius 16 is no longer out of reach
+    r = run("distortion", "--group", F2, "--to", "Sstar_ab", "--exact-n", "16",
+            "--n", "4,8", "--samples", "200")
+    assert r.returncode == 0, r.stderr
+    exact = json.loads(r.stdout)["report"]["exact"]
+    assert [row["n"] for row in exact] == list(range(1, 17))
+    # from S* to S the spheres are enumerated; all are checked first
+    r = run("distortion", "--group", F2, "--from", "Sstar_ab", "--to", "S",
+            "-N", "6", "--exact-n", "16", "--n", "4", "--samples", "100")
+    assert r.returncode == 1
+    assert "error: sphere of radius 11 exceeds budget 2000000" in r.stderr
+
+
 def test_dimension_report(tmp_path):
     out = str(tmp_path / "dim")
     r = run("dimension", "--group", F2, "--to", "Sstar_ab", "-n", "12",

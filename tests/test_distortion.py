@@ -1,18 +1,24 @@
 """Comparing word metrics: exact sphere averages, sampling, LLN, scans."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoshift import (
+    build_geodesic_automaton,
     check_growth_inequality,
+    enumerate_sphere,
     lln_check,
     mean_distortion_exact,
     mean_distortion_mc,
     rough_similarity_scan,
+    sphere_count,
 )
+from geoshift.automaton import GeodesicAutomaton
 from geoshift.distortion import _ForeignLength
+from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
 from geoshift.grammar import parse_group_text
 from geoshift.groups import GeneratingSet, GroupElement, free_product_group
@@ -105,6 +111,7 @@ def test_scan_is_flat_for_the_same_metric(f2):
     S = f2.resolve(None)
     scan = rough_similarity_scan(S, S, 1.0, 6)
     assert scan.deviations == [0.0] * len(scan.deviations)
+    assert scan.witnesses == [""] * 6  # no element deviates
     assert scan.verdict == "BOUNDED-LOOKING"
 
 
@@ -329,3 +336,186 @@ def test_band_refuses_genus_two():
 
     G = parse_group_file("groups/genus2.grp")
     assert _refused(G, G.resolve(None), _with_word(G, "a", "b"))
+
+
+# --- band pairs walk the product; the enumerations they replaced as oracles ---
+
+def reference_scan(S, tree, lengths, tau):
+    """The scan that band pairs ran before the product walk: over a ball
+    tree and the S*-length of each of its keys, the largest deviation per
+    radius and the first element of the sphere that attains it."""
+    last = tree.radius()
+    if tree.sphere_size(last) == 0:  # a finite group ran out of spheres
+        last -= 1
+    deviations = [0.0] * (last + 1)
+    witnesses = [""] * (last + 1)
+    for r in range(1, last + 1):
+        for i in range(tree.layer_bounds[r], tree.layer_bounds[r + 1]):
+            dev = abs(lengths[i] - tau * r)
+            if dev > deviations[r]:
+                deviations[r] = dev
+                witnesses[r] = " ".join(S.letters[li]
+                                        for li in tree.tree_word(i))
+    return deviations[1:], witnesses[1:]
+
+
+def reference_exact_means(aut, Sstar, n_max):
+    """Exact sphere means by enumerating every sphere and summing lengths."""
+    length = _ForeignLength(aut.genset, Sstar, n_max)
+    out = [Fraction(0)]
+    for n in range(1, n_max + 1):
+        total = count = 0
+        for x in enumerate_sphere(aut, n):
+            total += length(x.key)
+            count += 1
+        out.append(Fraction(total, count))
+    return out
+
+
+@pytest.fixture(scope="module")
+def z2_z2():
+    return free_product_group((Z2, Z2), letters=("s", "t"),
+                              letter_syllables={"s": (0, 1), "t": (1, 1)},
+                              inverses={"s": "s", "t": "t"})
+
+
+def _pair(request, group, star):
+    """(group, S, S*) for a fixture group; star None is S, a pair of base
+    letters is S plus their product."""
+    G = request.getfixturevalue(group)
+    if isinstance(star, tuple):
+        return G, G.resolve(None), _with_word(G, *star)
+    return G, G.resolve(None), G.resolve(star)
+
+
+F2_TAUS = (0.5, 2 / 3, 0.75, 5 / 6, 0.878, 1.0)
+WALK_CASES = (
+    [("f2", star, 10, F2_TAUS) for star in (None, "Sstar_ab", "Sstar_a2")]
+    + [("psl2z", "Sstar_st", 16, (0.5, 0.625, 2 / 3, 1.0)),
+       ("z2_z4", ("s", "u"), 8, (0.5, 0.6, 0.75)),
+       ("z2_z4", ("u^-1", "s"), 8, (0.5, 0.6, 0.75)),
+       ("z2_z2", ("s", "t"), 12, (0.5, 0.75, 1.0))])
+PAIR_IDS = {None: "S", ("s", "u"): "su", ("u^-1", "s"): "Us",
+            ("v", "s"): "vs", ("s", "t"): "st"}
+
+
+@pytest.mark.parametrize("group, star, radius, taus", WALK_CASES,
+                         ids=[f"{g}-{PAIR_IDS.get(s, s)}"
+                              for g, s, _, _ in WALK_CASES])
+def test_band_scan_is_the_ball_scan(request, group, star, radius, taus):
+    G, S, Sstar = _pair(request, group, star)
+    length = _ForeignLength(S, Sstar, radius)
+    assert length.mode == "band"
+    tree = ball_tree(S, radius)
+    lengths = [length(key) for key in tree.keys]
+    if group == "z2_z4":  # keys spell syllables: the steps are dicts
+        assert isinstance(length.steps[0], dict)
+    for tau in taus:
+        want = reference_scan(S, tree, lengths, tau)
+        assert len(want[0]) == radius
+        for R in range(1, radius + 1):
+            scan = rough_similarity_scan(S, Sstar, tau, R)
+            assert scan.radii == list(range(1, R + 1))
+            assert scan.deviations == want[0][:R]
+            assert scan.witnesses == want[1][:R]
+
+
+def test_band_scan_breaks_a_tie_by_the_first_word(f2, f2_star_a2):
+    # at tau = 3/4 and even r, b^r (length r) and a^r (length r/2) lie
+    # r/4 above and below tau r; the witness is the lex-first word of both
+    # extremes, which is a^r, the smallest
+    S = f2.resolve(None)
+    scan = rough_similarity_scan(S, f2_star_a2, 0.75, 10)
+    for r, dev, word in zip(scan.radii, scan.deviations, scan.witnesses):
+        if r % 2 == 0:
+            assert dev == r / 4
+            assert word == " ".join(["a"] * r)
+
+
+@pytest.fixture(scope="module")
+def walk_automata(request):
+    """Automata of the base sets of the two generated free products."""
+    return {g: build_geodesic_automaton(request.getfixturevalue(g),
+                                        n_check=8)
+            for g in ("z2_z4", "z2_z2")}
+
+
+MEAN_CASES = [
+    ("f2", None, 10), ("f2", "Sstar_ab", 10), ("f2", "Sstar_a2", 10),
+    ("psl2z", "Sstar_st", 16), ("z2_z4", ("s", "u"), 8),
+    ("z2_z4", ("v", "s"), 8), ("z2_z2", ("s", "t"), 12)]
+
+
+@pytest.mark.parametrize("group, star, n_max", MEAN_CASES,
+                         ids=[f"{g}-{PAIR_IDS.get(s, s)}"
+                              for g, s, _ in MEAN_CASES])
+def test_band_means_are_the_enumerated_means(request, walk_automata,
+                                             monkeypatch, group, star, n_max):
+    from geoshift import distortion
+
+    G, S, Sstar = _pair(request, group, star)
+    aut = (request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut"}[group])
+           if group in ("f2", "psl2z") else walk_automata[group])
+    want = reference_exact_means(aut, Sstar, n_max)
+    # the product walk enumerates nothing
+    monkeypatch.setattr(distortion, "enumerate_sphere", None)
+    assert mean_distortion_exact(aut, Sstar, n_max) == want
+
+
+def test_means_enumerate_when_a_word_does_not_spell_its_key(f2):
+    # a machine that accepts a a a^-1 a^-1, whose key is empty: the band
+    # read along that word gives 2, not the length 0 of the identity
+    S = f2.resolve(None)
+    aut = GeodesicAutomaton(group=f2, genset=S, n_states=5, initial=0,
+                            transitions={(0, 0): 1, (1, 0): 2, (2, 1): 3,
+                                         (3, 1): 4},
+                            level_used=1, tail_used=1, validated_to=0)
+    star = f2.resolve("Sstar_ab")
+    got = mean_distortion_exact(aut, star, 4)
+    assert got == reference_exact_means(aut, star, 4)
+    assert got[4] == 0
+
+
+def test_band_means_cost_no_sphere_enumeration(f2_aut, f2_star_ab):
+    t0 = time.perf_counter()
+    means = mean_distortion_exact(f2_aut, f2_star_ab, 200)
+    assert time.perf_counter() - t0 < 1.0
+    assert means[:len(EXACT_AB)] == EXACT_AB
+    assert abs(float(means[200]) / 200 - 5 / 6) < 0.01
+
+
+def test_mc_row_agrees_with_the_exact_mean_at_forty(f2_aut, f2_star_ab):
+    exact = mean_distortion_exact(f2_aut, f2_star_ab, 40)[40] / 40
+    est = mean_distortion_mc(f2_aut, f2_star_ab, (40,), samples=2000, seed=3)
+    row = est.row(40)
+    assert row.stderr > 0
+    assert abs(row.mean - float(exact)) <= 4 * row.stderr
+
+
+def test_exact_means_check_the_budget_before_enumerating(f2, monkeypatch):
+    # from S* to S the lengths come from the search mode, which enumerates
+    from geoshift import distortion
+
+    star = f2.resolve("Sstar_ab")
+    aut = build_geodesic_automaton(f2, star, n_check=6)
+    S = f2.resolve(None)
+    assert _ForeignLength(star, S, 16).mode == "search"
+    first = next(n for n in range(1, 17)
+                 if sphere_count(aut, n) > distortion.EXACT_BUDGET)
+    assert first < 16
+    monkeypatch.setattr(distortion, "enumerate_sphere", None)
+    with pytest.raises(ResourceLimit,
+                       match=f"sphere of radius {first} exceeds budget "
+                             f"{distortion.EXACT_BUDGET}$"):
+        mean_distortion_exact(aut, S, 16)
+
+
+def test_band_table_is_built_once_per_pair(f2):
+    from geoshift import distortion
+
+    a = _ForeignLength(f2.resolve(None), f2.resolve("Sstar_a2"), 8)
+    b = _ForeignLength(f2.resolve(None), f2.resolve("Sstar_a2"), 8)
+    assert a.steps is b.steps and a.tails is b.tails
+    c = _ForeignLength(f2.resolve(None), f2.resolve("Sstar_ab"), 8)
+    assert c.steps is not a.steps
+    assert distortion._band_table.cache_info().hits >= 1

@@ -4,7 +4,9 @@ Lengths are exact integers and every draw is seeded, so a refactor of a
 length oracle, a sampler or an engine must leave each report byte-identical.
 Each digest is the sha256 of ``json.dumps(doc["report"], sort_keys=True)``
 as recorded before the banded length transducer replaced the A* search and
-the tiling pattern; a changed digest means a changed number.
+the tiling pattern; the last three were recorded before the band pairs'
+exact means and scan became walks over the product of the key acceptor and
+the band rows.  A changed digest means a changed number.
 """
 
 import hashlib
@@ -31,12 +33,26 @@ GOLDEN = [
     ("dimension --group groups/f2.grp --to Sstar_ab -n 12 --samples 80 "
      "--rays 2 --mc-samples 100",
      "1205d6f2a959b3c002f4d6d9d9fa5ee035b08d398526d76e83597bd68e5222d2"),
+    ("distortion --group groups/f2.grp --to Sstar_a2 --exact-n 2 --n 4,8 "
+     "--samples 200 --scan 11",
+     "7880bcedf076bc7f2daa905fc3b451660c2c9145e3d03d5d2ac5b19321eacf06"),
+    ("distortion --group groups/f2.grp --to Sstar_ab --exact-n 10 --n 4,8 "
+     "--samples 200",
+     "7b7084444e72a856e3e7e71be721a2e1da9c4490b67434ab1c685585fb897892"),
+    ("distortion --group groups/psl2z.grp --to Sstar_st --exact-n 16 "
+     "--n 8,16 --samples 200 --scan 16",
+     "0befb7946f76968d4a523680857b85fdce89d4a43c8bed659e64260db0cf17e3"),
 ]
 
 
-@pytest.mark.parametrize("args, digest", GOLDEN,
-                         ids=[a.split(" --")[0] + ":" + a.split()[2]
-                              for a, _ in GOLDEN])
+# the first four ids name only the command and the group file; later
+# entries share those, so their ids add the pair and the radii
+IDS = [a.split(" --")[0] + ":" + a.split()[2] for a, _ in GOLDEN[:4]] + [
+    "distortion:f2-Sstar_a2-scan11", "distortion:f2-Sstar_ab-exact10",
+    "distortion:psl2z-Sstar_st-exact16-scan16"]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN, ids=IDS)
 def test_report_fingerprint_is_unchanged(args, digest):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
