@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 
 # The public surface is what the README, the command line, the battery and
 # the benchmark use; everything else is imported from its submodule.
-from .errors import (CapExceeded, EmptySphere, FormatError, GeoshiftError,
-                     NonConvergence, ResourceLimit, StabilizationFailure,
-                     UnknownLetter)
+from .errors import (EmptySphere, FormatError, GeoshiftError, NonConvergence,
+                     ResourceLimit, StabilizationFailure, UnknownLetter)
 from .groups import GeneratingSet, free_group, free_product_group
 from .grammar import parse_group_file
 from .randomness import make_rng
@@ -37,8 +36,8 @@ from .reports import csv_text, render_report, write_artifact
 __all__ = [
     "__version__",
     # errors
-    "GeoshiftError", "FormatError", "UnknownLetter", "CapExceeded",
-    "ResourceLimit", "EmptySphere", "StabilizationFailure", "NonConvergence",
+    "GeoshiftError", "FormatError", "UnknownLetter", "ResourceLimit",
+    "EmptySphere", "StabilizationFailure", "NonConvergence",
     # groups and presentations
     "GeneratingSet", "free_group", "free_product_group", "parse_group_file",
     # randomness

@@ -254,7 +254,7 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
             if length == 0:
                 continue
             x = GroupElement(spec, gk)
-            if word_length(x, T, cap=length) != length:
+            if word_length(x, T) != length:
                 geodesic_failures += 1
 
     ok = (first_mismatch is None and geodesic_failures == 0

@@ -394,7 +394,7 @@ def _c8(ctx: BatteryContext):
     # Along a, a^2, a^3, ... the second metric only needs about half the
     # letters, so the deviation climbs like (tau - 1/2) r.
     spec = ctx.group("f2")
-    length = _ForeignLength(S, star, R)
+    length = _ForeignLength(S, star)
     radii = list(range(1, R + 1))
     devs = [abs(length(spec.element(("a",) * r).key) - mc.tau_hat * r)
             for r in radii]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import GeodesicAutomaton, sphere_count
+from .distortion import _ForeignLength
 from .errors import EmptySphere
 from .groups import ResolvedGenSet
 from .randomness import make_rng
@@ -83,10 +84,10 @@ def drift(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int, samples: int,
           seed: int = 0) -> DriftEstimate:
     """Mean of |x_n|_{S*} / n over sampled rays; the almost-sure limit of
     that ratio is the drift of d_{S*} along typical d_S-geodesics."""
-    from .distortion import _ForeignLength
-
+    if n < 1 or samples < 1:
+        raise ValueError("need a positive ray length and at least one ray")
     aut, entry = _ray_chain(m)
-    length = _ForeignLength(aut.genset, Sstar, n)
+    length = _ForeignLength(aut.genset, Sstar)
     rng = make_rng(seed, stream=317)
     vals = []
     for _ in range(samples):
@@ -132,7 +133,7 @@ def ps_dimension_estimate(aut_s: GeodesicAutomaton, Sstar: ResolvedGenSet,
     width = gr_s * (3.0 * est.stderr) / (est.mean ** 2)
 
     aut, entry = _ray_chain(m)
-    length = _ForeignLength(aut_s.genset, Sstar, n)
+    length = _ForeignLength(aut_s.genset, Sstar)
     rng = make_rng(seed, stream=337)
     ks = sorted({max(1, (n * q) // 4) for q in (1, 2, 3, 4)})
     diagnostics = []

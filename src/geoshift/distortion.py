@@ -74,12 +74,11 @@ class _ForeignLength:
     most two base letters through c replace them.  So some S*-geodesic
     passes the vertices of [e, x] in order and stays in the band.
 
-    ``search``: every other pair goes to :func:`word_length`, with a cap
-    just above the cross-Lipschitz constant times the largest radius asked
-    for, which no answer can exceed.
+    ``search``: every other pair goes to :func:`word_length`, an exact A*
+    search.
     """
 
-    def __init__(self, S: ResolvedGenSet, Sstar: ResolvedGenSet, n_max: int,
+    def __init__(self, S: ResolvedGenSet, Sstar: ResolvedGenSet,
                  budget: int = DEFAULT_BALL_BUDGET):
         self.Sstar = Sstar
         self.budget = budget
@@ -90,31 +89,35 @@ class _ForeignLength:
         if (S.is_base and pieces and {x.key for x in S.elements} <= star_keys
                 and all(x.length() <= 2 for x in Sstar.elements)):
             self.mode = "band"
-            self.steps, self.tails = _band_table(
+            self.steps, self.tails, self.follow, self.index = _band_table(
                 spec, *(tuple(x.key for x in T.elements) for T in (S, Sstar)))
         else:
             self.mode = "search"
-            self.cap = cross_lipschitz(S, Sstar) * n_max + 4
 
     def __call__(self, key) -> int:
         """Length in S* of the element with this engine key."""
         if self.mode == "band":
-            steps = self.steps
+            steps, index = self.steps, self.index
             q = total = 0
-            for c in key:  # a letter: a byte or a syllable of the key
+            for c in key if index is None else map(index.__getitem__, key):
                 q, inc = steps[q][c]
                 total += inc
             return total + self.tails[q]
         return word_length(GroupElement(self.Sstar.group, key), self.Sstar,
-                           self.cap, self.budget)
+                           self.budget)
 
 
 @lru_cache(maxsize=16)  # by letter keys: callers resolve the sets afresh
 def _band_table(group, keys: tuple, stars: tuple):
-    """The band's rows, breadth-first from the start row: per row its step
-    (next row, increment) on each letter of a key, and its value at e."""
-    mult = group.engine.mult
-    ball = [group.engine.identity, *keys]
+    """The band product of a pair.  Its rows, breadth-first from the start
+    row: per row its step (next row, increment) on each letter index, and
+    its value at e.  The key acceptor: per letter a the letters b that
+    follow a in keys (|ab|_S = 2), then all letters, for the start.  And
+    the letter index of each syllable a free product's key spells, or None
+    where keys are bytes of letter indices, as a free group's are."""
+    eng = group.engine
+    mult = eng.mult
+    ball = [eng.identity, *keys]
 
     def relax(g: dict) -> dict:  # shortest S*-paths among g's elements
         changed = True
@@ -140,21 +143,12 @@ def _band_table(group, keys: tuple, stars: tuple):
             low = min(g[y] for y in shifted)
             row = tuple(g[y] - low for y in shifted)
             steps[-1].append((rows.setdefault(row, len(rows)), low))
-    # a free group's keys are bytes of letter indices, a free product's are
-    # syllables: index each row's steps by the letter as the key spells it
+    letters = range(len(keys))
+    follow = [[b for b in letters if eng.length(mult(a, keys[b])) == 2]
+              for a in keys] + [letters]
     spelled = [k[0] for k in keys]
-    if spelled != list(range(len(spelled))):
-        steps = [dict(zip(spelled, out)) for out in steps]
-    return steps, [r[0] for r in rows]
-
-
-def _key_letters(S: ResolvedGenSet, length: _ForeignLength):
-    """The band's steps by letter index, and per letter a the letters b that
-    follow a in keys (|ab|_S = 2), then all letters, for the start."""
-    eng, keys = S.group.engine, [x.key for x in S.elements]
-    return ([[out[k[0]] for k in keys] for out in length.steps],
-            [{b for b, k in enumerate(keys) if eng.length(eng.mult(a, k)) == 2}
-             for a in keys] + [range(len(keys))])
+    index = None if spelled == list(letters) else dict(zip(spelled, letters))
+    return steps, [r[0] for r in rows], follow, index
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +159,12 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
                           n_max: int) -> list[Fraction]:
     """Exact expectation of |x|_{S*} over the uniform sphere of each radius
     n <= n_max, as exact rationals; entry 0 is 0.  Raises EmptySphere when
-    one of those spheres has no elements.  A band pair walks the product of
-    the automaton with the band rows, when every accepted word spells its
-    key; other pairs check all spheres against EXACT_BUDGET, then enumerate."""
-    length = _ForeignLength(aut.genset, Sstar, n_max, EXACT_BUDGET)
+    one of those spheres has no elements.  A band pair walks the band
+    product over the group's keys; other pairs check all spheres of the
+    automaton against EXACT_BUDGET, then enumerate them."""
+    length = _ForeignLength(aut.genset, Sstar, EXACT_BUDGET)
     if length.mode == "band":
-        steps, follow = _key_letters(aut.genset, length)
-        if all(b in follow[a] for (_, a), s in aut.transitions.items()
-               for b, _ in aut.successors(s)):
-            return _band_means(aut, steps, length.tails, n_max)
+        return _band_means(length, n_max)
     for n in range(1, n_max + 1):
         if sphere_count(aut, n) > EXACT_BUDGET:
             raise ResourceLimit(f"sphere of radius {n} exceeds budget "
@@ -191,16 +182,18 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     return out
 
 
-def _band_means(aut: GeodesicAutomaton, steps, tails, n_max: int) -> list:
-    """Per node (automaton state, band row): its paths and their increments."""
-    layer, out = {(aut.initial, 0): (1, 0)}, [Fraction(0)]
+def _band_means(length: _ForeignLength, n_max: int) -> list:
+    """Per node (last letter, band row) of the band product: its keys and
+    the sum of their increments."""
+    steps, follow, tails = length.steps, length.follow, length.tails
+    layer, out = {(len(follow) - 1, 0): (1, 0)}, [Fraction(0)]
     for n in range(1, n_max + 1):
         nxt: dict = {}
-        for (s, q), (count, total) in layer.items():
-            for li, t in aut.successors(s):
-                r, inc = steps[q][li]
-                c, tot = nxt.get((t, r), (0, 0))
-                nxt[t, r] = (c + count, tot + total + count * inc)
+        for (a, q), (count, total) in layer.items():
+            for b in follow[a]:
+                r, inc = steps[q][b]
+                c, tot = nxt.get((b, r), (0, 0))
+                nxt[b, r] = (c + count, tot + total + count * inc)
         layer, count = nxt, sum(c for c, _ in nxt.values())
         if count == 0:
             raise EmptySphere(f"no elements at distance {n}")
@@ -245,7 +238,7 @@ def mean_distortion_mc(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("sphere radii must be positive")
-    length = _ForeignLength(aut.genset, Sstar, n_list[-1])
+    length = _ForeignLength(aut.genset, Sstar)
     rows = []
     for i, n in enumerate(n_list):
         rng = make_rng(seed, stream=1000 + i)
@@ -314,8 +307,10 @@ def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("sphere radii must be positive")
+    if samples < 1:
+        raise ValueError("need at least one sample per radius")
     eps_list = list(eps_list)
-    length = _ForeignLength(aut.genset, Sstar, n_list[-1])
+    length = _ForeignLength(aut.genset, Sstar)
     fractions = {}
     for i, n in enumerate(n_list):
         rng = make_rng(seed, stream=2000 + i)
@@ -364,7 +359,7 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     """
     if R < 1:
         raise ValueError("scan radius must be at least 1")
-    length = _ForeignLength(S, Sstar, R)
+    length = _ForeignLength(S, Sstar)
     if length.mode == "band":
         deviations, witnesses = _band_scan(S, length, tau, R)
     else:
@@ -395,11 +390,11 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
 
 
 def _band_scan(S: ResolvedGenSet, length: _ForeignLength, tau: float, R: int):
-    """A walk over the product of the key acceptor (state: the last letter)
-    with the band rows.  A node keeps (-total, word) and (total, word) for
-    its largest and smallest running total with the lex-first word to each:
-    |L - tau r| peaks at an extreme of L, and the ball orders words so."""
-    steps, follow = _key_letters(S, length)
+    """A walk over the band product, whose nodes are (last letter, band
+    row).  A node keeps (-total, word) and (total, word) for its largest
+    and smallest running total with the lex-first word to each: |L - tau r|
+    peaks at an extreme of L, and the ball orders words so."""
+    steps, follow = length.steps, length.follow
     layer, deviations, witnesses = {(len(S), 0): ((0, ()), (0, ()))}, [], []
     for r in range(1, R + 1):
         nxt: dict = {}

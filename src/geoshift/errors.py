@@ -13,10 +13,6 @@ class UnknownLetter(GeoshiftError):
     """A word uses a letter that is not part of the generating set."""
 
 
-class CapExceeded(GeoshiftError):
-    """A word-length query exceeded its search cap without resolving."""
-
-
 class ResourceLimit(GeoshiftError):
     """An enumeration or search exceeded its configured budget."""
 

@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
-from .errors import CapExceeded, ResourceLimit
+from .errors import ResourceLimit
 from .groups import GroupElement, ResolvedGenSet
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "word_length",
 ]
 
-DEFAULT_LENGTH_CAP = 64
 DEFAULT_BALL_BUDGET = 5_000_000
 
 
@@ -109,13 +108,14 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     return BallTree(keys, depths, parent, letter, index, layer_bounds, nbr)
 
 
-def _astar_length(T: ResolvedGenSet, x: GroupElement, cap: int,
-                  budget: int) -> int:
+def _astar_length(T: ResolvedGenSet, x: GroupElement, budget: int) -> int:
     """Exact foreign length by A* over left quotients.
 
     The state is g = z^-1 x where z is the partial product; the remaining
     distance is at least ceil(|g|_S / L) with L the largest base length of a
-    letter, which is an admissible and consistent heuristic.
+    letter, which is an admissible and consistent heuristic.  Nodes pop in
+    order of their bound, so the identity pops before any node whose bound
+    exceeds the length, and the search needs no limit on the length.
     """
     eng = T.group.engine
     lip = T.max_letter_length
@@ -127,7 +127,7 @@ def _astar_length(T: ResolvedGenSet, x: GroupElement, cap: int,
     heap = [(h0, 0, start)]
     best = {start: 0}
     popped = 0
-    while heap:
+    while True:
         f, g_cost, gk = heappop(heap)
         if g_cost > best.get(gk, -1):
             continue
@@ -136,36 +136,24 @@ def _astar_length(T: ResolvedGenSet, x: GroupElement, cap: int,
         popped += 1
         if popped > budget:
             raise ResourceLimit(f"length search exceeded budget {budget}")
-        if g_cost >= cap:
-            continue
         for ik in inv_keys:
             nk = eng.mult(ik, gk)
             nc = g_cost + 1
             if nc < best.get(nk, nc + 1):
                 best[nk] = nc
                 h = -(-eng.length(nk) // lip)
-                if nc + h <= cap:
-                    heappush(heap, (nc + h, nc, nk))
-    raise CapExceeded(f"word length exceeds cap {cap}")
+                heappush(heap, (nc + h, nc, nk))
 
 
 def word_length(x: GroupElement, T: ResolvedGenSet,
-                cap: int = DEFAULT_LENGTH_CAP,
                 budget: int = DEFAULT_BALL_BUDGET) -> int:
     """Geodesic length of x with respect to the generating set T.
 
     For the base set this is the engine's normal-form length.  For any
     other set it is an A* search whose heuristic, the base length divided
     by the longest letter, never overestimates, so the answer is exact.
-    Raises CapExceeded when the length is provably above ``cap`` and
-    ResourceLimit when the search pops more than ``budget`` states.
+    Raises ResourceLimit when the search pops more than ``budget`` states.
     """
     if T.is_base:
-        n = x.length()
-        if n > cap:
-            raise CapExceeded(f"word length {n} exceeds cap {cap}")
-        return n
-    # Lower bound from the Lipschitz comparison of the two metrics.
-    if -(-x.length() // T.max_letter_length) > cap:
-        raise CapExceeded(f"word length exceeds cap {cap}")
-    return _astar_length(T, x, cap, budget)
+        return x.length()
+    return _astar_length(T, x, budget)

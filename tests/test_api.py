@@ -2,8 +2,8 @@
 
 A name belongs in ``geoshift.__all__`` when the README, the command line,
 the battery or the benchmark workloads use it, or when it is one of the
-exception classes callers catch.  Everything else is imported from its
-submodule.
+exception classes callers catch, which the package must raise.  Everything
+else is imported from its submodule.
 """
 
 import re
@@ -26,3 +26,20 @@ def test_every_export_has_a_user():
         if not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text):
             unused.append(name)
     assert unused == []
+
+
+def test_every_exported_exception_is_raised():
+    # directly, or through a subclass; GeoshiftError is the common base
+    text = "\n".join(p.read_text()
+                     for p in (ROOT / "src" / "geoshift").glob("*.py"))
+    raised = [getattr(geoshift.errors, name)
+              for name in set(re.findall(r"raise (\w+)\(", text))
+              if hasattr(geoshift.errors, name)]
+    unraised = []
+    for name in geoshift.__all__:
+        obj = getattr(geoshift, name)
+        if (isinstance(obj, type) and issubclass(obj, Exception)
+                and obj is not geoshift.GeoshiftError
+                and not any(issubclass(r, obj) for r in raised)):
+            unraised.append(name)
+    assert unraised == []

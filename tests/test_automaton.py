@@ -307,7 +307,7 @@ def reference_validate(aut, tree, seed=0):
             if length == 0:
                 continue
             x = GroupElement(spec, gk)
-            if word_length(x, T, cap=length) != length:
+            if word_length(x, T) != length:
                 geodesic_failures += 1
     ok = (first_mismatch is None and geodesic_failures == 0
           and injectivity_failures == 0)

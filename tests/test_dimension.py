@@ -127,3 +127,12 @@ def test_dimension_estimate_composite_metric(f2_aut, f2_star_ab, f2_measure):
         assert 1 <= length <= k
         assert 0.9 < local < 1.7
 
+
+@pytest.mark.parametrize("call", [
+    lambda m, star, aut: drift(m, star, 4, 0),
+    lambda m, star, aut: drift(m, star, 0, 5),
+    lambda m, star, aut: ps_dimension_estimate(aut, star, m, n=0),
+], ids=["no-rays", "drift-length-0", "estimate-length-0"])
+def test_empty_rays_are_rejected(f2_aut, f2_star_ab, f2_measure, call):
+    with pytest.raises(ValueError, match="positive ray length"):
+        call(f2_measure, f2_star_ab, f2_aut)

@@ -6,7 +6,8 @@ Each digest is the sha256 of ``json.dumps(doc["report"], sort_keys=True)``
 as recorded before the banded length transducer replaced the A* search and
 the tiling pattern; the last three were recorded before the band pairs'
 exact means and scan became walks over the product of the key acceptor and
-the band rows.  A changed digest means a changed number.
+the band rows.  The two search-mode digests were recorded before the
+length search lost its cap.  A changed digest means a changed number.
 """
 
 import hashlib
@@ -42,6 +43,13 @@ GOLDEN = [
     ("distortion --group groups/psl2z.grp --to Sstar_st --exact-n 16 "
      "--n 8,16 --samples 200 --scan 16",
      "0befb7946f76968d4a523680857b85fdce89d4a43c8bed659e64260db0cf17e3"),
+    # a foreign source set: every length comes from the A* search
+    ("distortion --group groups/f2.grp --from Sstar_ab --to Sstar_a2 "
+     "--exact-n 4 --n 4,8 --samples 200 --scan 5",
+     "73031b3430b13860cdf54aaadae6691efd67e46ebd1af0a5cff7ca00ebb4652a"),
+    ("dimension --group groups/f2.grp --from Sstar_ab --to Sstar_a2 -n 8 "
+     "--samples 40 --rays 2 --mc-samples 100",
+     "a76c1ec14faa2750c7c9ddf53f4f5823e0a5b6434fa30176de2276ddb255635b"),
 ]
 
 
@@ -49,7 +57,9 @@ GOLDEN = [
 # entries share those, so their ids add the pair and the radii
 IDS = [a.split(" --")[0] + ":" + a.split()[2] for a, _ in GOLDEN[:4]] + [
     "distortion:f2-Sstar_a2-scan11", "distortion:f2-Sstar_ab-exact10",
-    "distortion:psl2z-Sstar_st-exact16-scan16"]
+    "distortion:psl2z-Sstar_st-exact16-scan16",
+    "distortion:f2-Sstar_ab-Sstar_a2-search",
+    "dimension:f2-Sstar_ab-Sstar_a2-search"]
 
 
 @pytest.mark.parametrize("args, digest", GOLDEN, ids=IDS)

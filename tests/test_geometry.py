@@ -4,7 +4,7 @@ import pytest
 
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
-from geoshift.errors import CapExceeded, ResourceLimit
+from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
 from geoshift.groups import GroupElement
 
@@ -115,12 +115,6 @@ def test_length_search_matches_the_ball(group, genset, radius, request):
 def test_foreign_length_symmetry(f2, f2_star_ab):
     x = f2.element(["a", "b", "b", "a"])
     assert word_length(x, f2_star_ab) == word_length(x.inverse(), f2_star_ab)
-
-
-def test_length_cap(f2, f2_star_a2):
-    long = f2.element(["a", "b"] * 40)
-    with pytest.raises(CapExceeded):
-        word_length(long, f2_star_a2, cap=3)
 
 
 def test_cross_lipschitz(f2, f2_star_ab):
