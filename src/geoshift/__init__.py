@@ -24,7 +24,7 @@ from .automaton import (build_geodesic_automaton, enumerate_sphere,
 from .sft import components, sft_from_automaton
 from .thermo import (check_variational, entropy, gibbs_ratio_scan,
                      growth_rate, maximal_components, parry_gibbs_measure,
-                     word_length_potential)
+                     parry_measure, word_length_potential)
 from .distortion import (check_growth_inequality, lln_check,
                          mean_distortion_exact, mean_distortion_mc,
                          rough_similarity_scan)
@@ -48,7 +48,7 @@ __all__ = [
     # shifts
     "components", "sft_from_automaton",
     # thermodynamics
-    "word_length_potential", "parry_gibbs_measure", "entropy",
+    "word_length_potential", "parry_gibbs_measure", "parry_measure", "entropy",
     "check_variational", "gibbs_ratio_scan", "maximal_components",
     "growth_rate",
     # distortion

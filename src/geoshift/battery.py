@@ -32,10 +32,8 @@ from .distortion import (_ForeignLength, check_growth_inequality, lln_check,
 from .groups import GeneratingSet, free_group, free_product_group
 from .randomness import make_rng
 from .reports import render_report
-from .sft import components, sft_from_automaton
 from .thermo import (check_variational, entropy, gibbs_ratio_scan,
-                     growth_rate, maximal_components, parry_gibbs_measure,
-                     word_length_potential)
+                     growth_rate, parry_measure)
 
 __all__ = [
     "Profile",
@@ -127,17 +125,6 @@ def _psl2z_spec():
     return spec
 
 
-@dataclass
-class _Thermo:
-    aut: object
-    dec: object
-    mp: object
-    component: object
-    psi: object
-    measure: object
-    rate: float
-
-
 class BatteryContext:
     """Shared lazily-built state for one battery run."""
 
@@ -166,16 +153,10 @@ class BatteryContext:
             self._automata[key] = build_geodesic_automaton(spec, T)
         return self._automata[key]
 
-    def thermo(self, gname: str) -> _Thermo:
+    def thermo(self, gname: str):
+        """(growth rate, Parry measure) of the group's base automaton."""
         if gname not in self._thermo:
-            aut = self.automaton(gname, "S")
-            dec = components(sft_from_automaton(aut))
-            mp = maximal_components(dec)
-            rate = mp.max_pressure
-            C = dec.components[mp.maximal[0]]
-            psi = word_length_potential(rate)
-            measure = parry_gibbs_measure(C, psi)
-            self._thermo[gname] = _Thermo(aut, dec, mp, C, psi, measure, rate)
+            self._thermo[gname] = parry_measure(self.automaton(gname, "S"))
         return self._thermo[gname]
 
     def tau(self, gname: str, sname: str):
@@ -258,11 +239,11 @@ def _c4(ctx: BatteryContext):
     details = {}
     ok = True
     for gname in ("f2", "psl2z"):
-        th = ctx.thermo(gname)
-        vr = check_variational(th.component, th.psi,
+        m = ctx.thermo(gname)[1]
+        vr = check_variational(m.component, m.potential,
                                trials=ctx.profile.variational_trials,
                                seed=ctx.seed)
-        gs = gibbs_ratio_scan(th.measure, n_max=ctx.profile.gibbs_n_max)
+        gs = gibbs_ratio_scan(m, n_max=ctx.profile.gibbs_n_max)
         spread = gs.c_upper / gs.c_lower if gs.c_lower > 0 else math.inf
         good = (vr.max_violation <= 1e-9 and vr.parry_gap <= 1e-9
                 and gs.c_lower > 0.0 and math.isfinite(gs.c_upper)
@@ -288,10 +269,10 @@ def _c5(ctx: BatteryContext):
     details = {}
     ok = True
     for gname in ("f2", "psl2z"):
-        th = ctx.thermo(gname)
-        h = entropy(th.measure)
-        gap = abs(h - th.rate)
-        details[gname] = {"entropy": h, "growth_rate": th.rate, "gap": gap}
+        rate, m = ctx.thermo(gname)
+        h = entropy(m)
+        gap = abs(h - rate)
+        details[gname] = {"entropy": h, "growth_rate": rate, "gap": gap}
         ok = ok and gap <= 1e-9
     return ok, details
 
@@ -342,7 +323,7 @@ def _c7(ctx: BatteryContext):
     ok = True
     for gname, sname in _PAIRS:
         mc = ctx.tau(gname, sname)
-        gr_s = ctx.thermo(gname).rate
+        gr_s = ctx.thermo(gname)[0]
         gr_star = (gr_s if sname == "S"
                    else growth_rate(ctx.automaton(gname, sname)))
         verdict = check_growth_inequality(mc, gr_s, gr_star)
@@ -380,7 +361,7 @@ def _c8(ctx: BatteryContext):
     """Doubling one letter gives a strict inequality gap and a linearly
     growing deviation along the powers of that letter."""
     mc = ctx.tau("f2", "Sstar_a2")
-    gr_s = ctx.thermo("f2").rate
+    gr_s = ctx.thermo("f2")[0]
     gr_star = growth_rate(ctx.automaton("f2", "Sstar_a2"))
     verdict = check_growth_inequality(mc, gr_s, gr_star)
     strict = verdict.margin > verdict.half_width
@@ -441,15 +422,15 @@ def _c10(ctx: BatteryContext):
     """Growth rate over ray drift reproduces the boundary dimension: equal
     to gr(S) in the group's own gauge, and consistent with the distortion
     estimate in a foreign gauge."""
-    th = ctx.thermo("f2")
+    rate, m = ctx.thermo("f2")
     prof = ctx.profile
-    same = drift(th.measure, ctx.genset("f2", "S"),
+    same = drift(m, ctx.genset("f2", "S"),
                  prof.drift_n, prof.drift_samples, seed=ctx.seed)
-    dim_same = th.rate / same.mean
-    same_ok = abs(dim_same - th.rate) <= 1e-12
+    dim_same = rate / same.mean
+    same_ok = abs(dim_same - rate) <= 1e-12
 
     star = ctx.genset("f2", "Sstar_ab")
-    est = ps_dimension_estimate(ctx.automaton("f2", "S"), star, th.measure,
+    est = ps_dimension_estimate(ctx.automaton("f2", "S"), star, m,
                                 n=prof.drift_n, samples=prof.drift_samples,
                                 seed=ctx.seed, diag_rays=4)
     mc = ctx.tau("f2", "Sstar_ab")
@@ -461,7 +442,7 @@ def _c10(ctx: BatteryContext):
     ok = same_ok and tau_ok
     return ok, {
         "own_gauge": {"drift_mean": same.mean, "drift_stderr": same.stderr,
-                      "dim": dim_same, "growth_rate": th.rate,
+                      "dim": dim_same, "growth_rate": rate,
                       "ok": same_ok},
         "foreign_gauge": {"drift_mean": est.drift.mean,
                           "drift_stderr": est.drift.stderr,
@@ -469,7 +450,7 @@ def _c10(ctx: BatteryContext):
                           "gap": drift_gap,
                           "gap_allowance": 4.0 * combined,
                           "dim_hat": est.dim_hat,
-                          "dim_via_tau": th.rate / mc.tau_hat,
+                          "dim_via_tau": rate / mc.tau_hat,
                           "width": est.width,
                           "ok": tau_ok},
         "upper_bound_vs_target_growth": {"gr_sstar": gr_star,
@@ -516,19 +497,19 @@ def _determinism_core(seed: int) -> str:
     ctx = BatteryContext(seed, PROFILES["quick"])
     aut = ctx.automaton("f2", "S")
     star = ctx.genset("f2", "Sstar_ab")
-    th = ctx.thermo("f2")
+    m = ctx.thermo("f2")[1]
     mc = mean_distortion_mc(aut, star, (4, 8), 200, seed=seed)
-    vr = check_variational(th.component, th.psi, trials=30, seed=seed)
-    gs = gibbs_ratio_scan(th.measure, n_max=5)
-    dr = drift(th.measure, star, n=8, samples=60, seed=seed)
+    vr = check_variational(m.component, m.potential, trials=30, seed=seed)
+    gs = gibbs_ratio_scan(m, n_max=5)
+    dr = drift(m, star, n=8, samples=60, seed=seed)
     rng = make_rng(seed, stream=911)
     xs = sample_uniform_sphere(aut, 4, rng, count=24)
     return render_report({
         "automaton": {"states": aut.n_states,
                       "transitions": len(aut.transitions),
                       "spheres": [sphere_count(aut, n) for n in range(9)]},
-        "thermo": {"pressure": th.measure.pressure,
-                   "entropy": entropy(th.measure),
+        "thermo": {"pressure": m.pressure,
+                   "entropy": entropy(m),
                    "variational_best": vr.best_trial,
                    "gibbs": [gs.c_lower, gs.c_upper]},
         "mc": [[r.n, r.mean, r.stderr] for r in mc.rows],

@@ -34,14 +34,9 @@ from .grammar import parse_group_file
 from .reports import csv_text, render_report, write_artifact
 from .sft import components, sft_from_automaton
 from .thermo import (check_variational, entropy, gibbs_ratio_scan,
-                     growth_rate, maximal_components, parry_gibbs_measure,
-                     word_length_potential)
+                     growth_rate, maximal_components, parry_measure)
 
 __all__ = ["build_parser", "main"]
-
-
-class EmptyDecomposition(GeoshiftError):
-    """The automaton has no recurrent part to build a measure on."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,17 +70,6 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _add_io(sp, with_gens=True):
-    sp.add_argument("--group", required=True, metavar="FILE",
-                    help="group presentation file")
-    if with_gens:
-        sp.add_argument("--gens", default=None, metavar="NAME",
-                        help="named generating set (default: the base set)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None, metavar="DIR",
-                    help="directory to write artifact files into")
-
-
 def _emit(args, command: str, config: dict, report: dict,
           extra_artifacts: Optional[dict] = None):
     """Print the canonical body and write artifact files under --out."""
@@ -103,8 +87,14 @@ def _emit(args, command: str, config: dict, report: dict,
             write_artifact(os.path.join(args.out, fname), text)
 
 
-def _build(spec, T, args, n_check):
-    return build_geodesic_automaton(spec, T, n_check=n_check, seed=args.seed)
+def _load(args, *names):
+    """Every handler's first step: parse --group, resolve each named
+    generating set, and build its automaton to --n-check with --seed."""
+    spec = parse_group_file(args.group)
+    sets = [spec.resolve(name) for name in names]
+    return spec, sets, [build_geodesic_automaton(spec, T, n_check=args.n_check,
+                                                 seed=args.seed)
+                        for T in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +102,7 @@ def _build(spec, T, args, n_check):
 # ---------------------------------------------------------------------------
 
 def _cmd_automaton(args) -> int:
-    spec = parse_group_file(args.group)
-    T = spec.resolve(args.gens)
-    aut = _build(spec, T, args, args.n_check)
+    spec, [T], [aut] = _load(args, args.gens)
     counts = [sphere_count(aut, n) for n in range(args.n_check + 1)]
     report = {
         "group": spec.name,
@@ -135,9 +123,7 @@ def _cmd_automaton(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    spec = parse_group_file(args.group)
-    T = spec.resolve(args.gens)
-    aut = _build(spec, T, args, args.n_check)
+    spec, [T], [aut] = _load(args, args.gens)
     dec = components(sft_from_automaton(aut))
     mp = maximal_components(dec)
     rg = regular_growth_check(aut, args.n_max)
@@ -159,9 +145,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    spec = parse_group_file(args.group)
-    T = spec.resolve(args.gens)
-    aut = _build(spec, T, args, args.n_check)
+    spec, [T], [aut] = _load(args, args.gens)
     sft = sft_from_automaton(aut)
     dec = components(sft)
     mp = maximal_components(dec)
@@ -192,23 +176,15 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_gibbs(args) -> int:
-    spec = parse_group_file(args.group)
-    T = spec.resolve(args.gens)
-    aut = _build(spec, T, args, args.n_check)
-    dec = components(sft_from_automaton(aut))
-    mp = maximal_components(dec)
-    if not mp.maximal:
-        raise EmptyDecomposition("no recurrent component; nothing to measure")
-    C = dec.components[mp.maximal[0]]
-    v = mp.max_pressure
-    psi = word_length_potential(v)
-    m = parry_gibbs_measure(C, psi)
-    vr = check_variational(C, psi, trials=args.trials, seed=args.seed)
+    spec, [T], [aut] = _load(args, args.gens)
+    v, m = parry_measure(aut)
+    vr = check_variational(m.component, m.potential, trials=args.trials,
+                           seed=args.seed)
     gs = gibbs_ratio_scan(m, n_max=args.n_max)
     report = {
         "group": spec.name,
         "genset": T.name,
-        "component": mp.maximal[0],
+        "component": m.component.index,
         "growth_rate": v,
         "pressure": m.pressure,
         "entropy": entropy(m),
@@ -237,11 +213,7 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    spec = parse_group_file(args.group)
-    S = spec.resolve(args.frm)
-    Sstar = spec.resolve(args.to)
-    aut_s = _build(spec, S, args, args.n_check)
-    aut_star = _build(spec, Sstar, args, args.n_check)
+    spec, [S, Sstar], [aut_s, aut_star] = _load(args, args.frm, args.to)
     exact = (mean_distortion_exact(aut_s, Sstar, args.exact_n)
              if args.exact_n >= 1 else [])
     mc = mean_distortion_mc(aut_s, Sstar, args.n, args.samples,
@@ -317,17 +289,8 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_dimension(args) -> int:
-    spec = parse_group_file(args.group)
-    S = spec.resolve(args.frm)
-    Sstar = spec.resolve(args.to)
-    aut_s = _build(spec, S, args, args.n_check)
-    aut_star = _build(spec, Sstar, args, args.n_check)
-    dec = components(sft_from_automaton(aut_s))
-    mp = maximal_components(dec)
-    if not mp.maximal:
-        raise EmptyDecomposition("no recurrent component; nothing to measure")
-    C = dec.components[mp.maximal[0]]
-    m = parry_gibbs_measure(C, word_length_potential(mp.max_pressure))
+    spec, [S, Sstar], [aut_s, aut_star] = _load(args, args.frm, args.to)
+    m = parry_measure(aut_s)[1]
     est = ps_dimension_estimate(aut_s, Sstar, m, n=args.n,
                                 samples=args.samples, seed=args.seed,
                                 diag_rays=args.rays)
@@ -406,44 +369,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version",
                    version=f"geoshift {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    # Options shared by every subcommand; by those that read a group; by
+    # those that build its automata; by those that read one generating set
+    # or a pair of them.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_nonnegative, default=0)
+    seeded.add_argument("--out", default=None, metavar="DIR",
+                        help="directory to write artifact files into")
+    grouped = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    grouped.add_argument("--group", required=True, metavar="FILE",
+                         help="group presentation file")
+    built = argparse.ArgumentParser(add_help=False, parents=[grouped])
+    built.add_argument("-N", "--n-check", type=_positive, default=8,
+                       help="validation radius (default 8)")
+    one = argparse.ArgumentParser(add_help=False)
+    one.add_argument("--gens", default=None, metavar="NAME",
+                     help="named generating set (default: the base set)")
+    pair = argparse.ArgumentParser(add_help=False, parents=[built])
+    pair.add_argument("--from", dest="frm", default=None, metavar="NAME",
+                      help="source generating set (default: the base set)")
+    pair.add_argument("--to", dest="to", required=True, metavar="NAME",
+                      help="target generating set")
 
-    sp = sub.add_parser("automaton", help="build and validate an automaton")
-    _add_io(sp)
-    sp.add_argument("-N", "--n-check", type=_positive, default=8,
-                    help="validation radius (default 8)")
+    sp = sub.add_parser("automaton", parents=[built, one],
+                        help="build and validate an automaton")
     sp.set_defaults(handler=_cmd_automaton)
 
-    sp = sub.add_parser("growth", help="growth rate and envelope constants")
-    _add_io(sp)
-    sp.add_argument("-N", "--n-check", type=_positive, default=8)
+    sp = sub.add_parser("growth", parents=[built, one],
+                        help="growth rate and envelope constants")
     sp.add_argument("--n-max", type=_positive, default=20,
                     help="envelope scan depth (default 20)")
     sp.set_defaults(handler=_cmd_growth)
 
-    sp = sub.add_parser("components",
+    sp = sub.add_parser("components", parents=[built, one],
                         help="recurrent components, periods, pressures")
-    _add_io(sp)
-    sp.add_argument("-N", "--n-check", type=_positive, default=8)
     sp.set_defaults(handler=_cmd_components)
 
-    sp = sub.add_parser("gibbs",
+    sp = sub.add_parser("gibbs", parents=[built, one],
                         help="Parry measure, variational and Gibbs checks")
-    _add_io(sp)
-    sp.add_argument("-N", "--n-check", type=_positive, default=8)
     sp.add_argument("--n-max", type=_positive, default=8,
                     help="cylinder scan block length (default 8)")
     sp.add_argument("--trials", type=_positive, default=200,
                     help="random measures for the variational check")
     sp.set_defaults(handler=_cmd_gibbs)
 
-    sp = sub.add_parser("distortion",
+    sp = sub.add_parser("distortion", parents=[pair],
                         help="mean distortion of one word metric in another")
-    _add_io(sp, with_gens=False)
-    sp.add_argument("--from", dest="frm", default=None, metavar="NAME",
-                    help="source generating set (default: the base set)")
-    sp.add_argument("--to", dest="to", required=True, metavar="NAME",
-                    help="target generating set")
-    sp.add_argument("-N", "--n-check", type=_positive, default=8)
     sp.add_argument("--exact-n", type=_nonnegative, default=6,
                     help="exhaustive averages up to this radius (0 disables)")
     sp.add_argument("--n", type=_int_list, default=[4, 8, 12, 16],
@@ -456,12 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rough-similarity scan radius (0 disables)")
     sp.set_defaults(handler=_cmd_distortion)
 
-    sp = sub.add_parser("dimension",
+    sp = sub.add_parser("dimension", parents=[pair],
                         help="boundary dimension via growth over drift")
-    _add_io(sp, with_gens=False)
-    sp.add_argument("--from", dest="frm", default=None, metavar="NAME")
-    sp.add_argument("--to", dest="to", required=True, metavar="NAME")
-    sp.add_argument("-N", "--n-check", type=_positive, default=8)
     sp.add_argument("-n", "--n", type=_positive, default=32,
                     help="ray length (default 32)")
     sp.add_argument("--samples", type=_positive, default=200)
@@ -471,19 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sphere samples for the tau cross-check")
     sp.set_defaults(handler=_cmd_dimension)
 
-    sp = sub.add_parser("validate",
+    sp = sub.add_parser("validate", parents=[grouped, one],
                         help="re-check an automaton against the oracle")
-    _add_io(sp)
     sp.add_argument("-N", "--n", type=_positive, default=12,
                     help="oracle radius (default 12)")
     sp.set_defaults(handler=_cmd_validate)
 
-    sp = sub.add_parser("battery", help="run the acceptance battery")
+    sp = sub.add_parser("battery", parents=[seeded],
+                        help="run the acceptance battery")
     sp.add_argument("--profile", choices=sorted(PROFILES), default="full")
     sp.add_argument("--only", type=_int_list, default=None,
                     help=f"criterion indices (1..{CRITERION_COUNT})")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None, metavar="DIR")
     sp.set_defaults(handler=_cmd_battery)
     return p
 

@@ -123,8 +123,6 @@ def ps_dimension_estimate(aut_s: GeodesicAutomaton, Sstar: ResolvedGenSet,
     through the quotient.  Diagnostics list per-ray local-dimension values
     gr_S * k / |x_k|_{S*} at quarter points of a few sampled rays.
     """
-    from .distortion import _ForeignLength
-
     gr_s = growth_rate(aut_s)
     est = drift(m, Sstar, n, samples, seed)
     if est.mean <= 0.0:

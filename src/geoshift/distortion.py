@@ -164,7 +164,14 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     automaton against EXACT_BUDGET, then enumerate them."""
     length = _ForeignLength(aut.genset, Sstar, EXACT_BUDGET)
     if length.mode == "band":
-        return _band_means(length, n_max)
+        out, tails = [Fraction(0)], length.tails
+        for _, layer in zip(range(n_max), _band_walk(length)):
+            out.append(Fraction(sum(tot + c * tails[q] for (_, q), (c, tot, *_)
+                                    in layer.items()),
+                                sum(c for c, *_ in layer.values())))
+        if len(out) <= n_max:
+            raise EmptySphere(f"no elements at distance {len(out)}")
+        return out
     for n in range(1, n_max + 1):
         if sphere_count(aut, n) > EXACT_BUDGET:
             raise ResourceLimit(f"sphere of radius {n} exceeds budget "
@@ -182,24 +189,30 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     return out
 
 
-def _band_means(length: _ForeignLength, n_max: int) -> list:
-    """Per node (last letter, band row) of the band product: its keys and
-    the sum of their increments."""
-    steps, follow, tails = length.steps, length.follow, length.tails
-    layer, out = {(len(follow) - 1, 0): (1, 0)}, [Fraction(0)]
-    for n in range(1, n_max + 1):
+def _band_walk(length: _ForeignLength):
+    """The spheres of radius 1, 2, ... as layers of the band product, until
+    a finite group runs out of them.  A layer maps each node (last letter,
+    band row) to the number of keys that reach it, the sum of their
+    increments, and (-total, word) and (total, word) for the largest and
+    smallest running total with the lex-first word to each: |L - tau r|
+    peaks at an extreme of L, and the ball orders words so."""
+    steps, follow = length.steps, length.follow
+    layer = {(len(follow) - 1, 0): (1, 0, (0, ()), (0, ()))}
+    while True:
         nxt: dict = {}
-        for (a, q), (count, total) in layer.items():
+        for (a, q), (count, total, (hi, hw), (lo, lw)) in layer.items():
             for b in follow[a]:
                 r, inc = steps[q][b]
-                c, tot = nxt.get((b, r), (0, 0))
-                nxt[b, r] = (c + count, tot + total + count * inc)
-        layer, count = nxt, sum(c for c, _ in nxt.values())
-        if count == 0:
-            raise EmptySphere(f"no elements at distance {n}")
-        out.append(Fraction(sum(tot + c * tails[q] for (_, q), (c, tot)
-                                in layer.items()), count))
-    return out
+                new = (count, total + count * inc, (hi - inc, hw + (b,)),
+                       (lo + inc, lw + (b,)))
+                old = nxt.get((b, r))
+                nxt[b, r] = new if old is None else (
+                    old[0] + count, old[1] + new[1], min(old[2], new[2]),
+                    min(old[3], new[3]))
+        if not nxt:
+            return
+        layer = nxt
+        yield layer
 
 
 @dataclass
@@ -224,6 +237,21 @@ class TauEstimate:
         raise KeyError(n)
 
 
+def _sphere_lengths(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
+                    n_list: Sequence[int], samples: int, seed: int,
+                    stream: int) -> list:
+    """(n, S*-lengths of `samples` uniform draws from the sphere of radius
+    n) for each distinct radius in increasing order; the i-th radius draws
+    from stream `stream` + i."""
+    n_list = sorted(set(int(n) for n in n_list))
+    if not n_list or n_list[0] < 1:
+        raise ValueError("sphere radii must be positive")
+    length = _ForeignLength(aut.genset, Sstar)
+    return [(n, [length(x.key) for x in sample_uniform_sphere(
+                aut, n, make_rng(seed, stream=stream + i), count=samples)])
+            for i, n in enumerate(n_list)]
+
+
 def mean_distortion_mc(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
                        n_list: Sequence[int], samples: int,
                        seed: int = 0) -> TauEstimate:
@@ -235,15 +263,9 @@ def mean_distortion_mc(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples per radius")
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list or n_list[0] < 1:
-        raise ValueError("sphere radii must be positive")
-    length = _ForeignLength(aut.genset, Sstar)
     rows = []
-    for i, n in enumerate(n_list):
-        rng = make_rng(seed, stream=1000 + i)
-        xs = sample_uniform_sphere(aut, n, rng, count=samples)
-        vals = [length(x.key) / n for x in xs]
+    for n, lengths in _sphere_lengths(aut, Sstar, n_list, samples, seed, 1000):
+        vals = [L / n for L in lengths]
         mean = sum(vals) / samples
         var = sum((v - mean) ** 2 for v in vals) / (samples - 1)
         rows.append(McRow(n, mean, math.sqrt(var / samples), samples))
@@ -304,18 +326,14 @@ def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
     """Fraction of uniform sphere samples with | |x|_{S*} - n tau_hat | > eps n,
     per radius and epsilon, with a per-epsilon trend verdict: nonincreasing
     from each n to the next within twice the combined binomial deviation."""
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list or n_list[0] < 1:
-        raise ValueError("sphere radii must be positive")
     if samples < 1:
         raise ValueError("need at least one sample per radius")
     eps_list = list(eps_list)
-    length = _ForeignLength(aut.genset, Sstar)
+    rows = _sphere_lengths(aut, Sstar, n_list, samples, seed, 2000)
+    n_list = [n for n, _ in rows]
     fractions = {}
-    for i, n in enumerate(n_list):
-        rng = make_rng(seed, stream=2000 + i)
-        xs = sample_uniform_sphere(aut, n, rng, count=samples)
-        devs = [abs(length(x.key) - n * tau_hat) / n for x in xs]
+    for n, lengths in rows:
+        devs = [abs(L - n * tau_hat) / n for L in lengths]
         for eps in eps_list:
             outliers = sum(1 for d in devs if d > eps)
             fractions[(n, eps)] = outliers / samples
@@ -329,7 +347,7 @@ def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
             if fb > fa + 2.0 * math.hypot(sa, sb):
                 ok = False
         monotone[eps] = ok
-    return LlnReport(list(n_list), eps_list, samples, fractions, monotone, seed)
+    return LlnReport(n_list, eps_list, samples, fractions, monotone, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +379,16 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
         raise ValueError("scan radius must be at least 1")
     length = _ForeignLength(S, Sstar)
     if length.mode == "band":
-        deviations, witnesses = _band_scan(S, length, tau, R)
+        deviations, witnesses, tails = [], [], length.tails
+        for r, layer in zip(range(1, R + 1), _band_walk(length)):
+            dev, word = min((-abs(total - tau * r), w)
+                            for (_, q), (*_, (hi, hw), (lo, lw))
+                            in layer.items()
+                            for total, w in ((tails[q] - hi, hw),
+                                             (tails[q] + lo, lw)))
+            deviations.append(-dev)
+            witnesses.append(" ".join(S.letters[b] for b in word)
+                             if dev else "")
     else:
         tree = ball_tree(S, R)
         last = tree.radius()
@@ -388,29 +415,3 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     return SimilarityScan(tau, list(range(1, R + 1)), deviations, witnesses,
                           verdict, SCAN_TOLERANCE)
 
-
-def _band_scan(S: ResolvedGenSet, length: _ForeignLength, tau: float, R: int):
-    """A walk over the band product, whose nodes are (last letter, band
-    row).  A node keeps (-total, word) and (total, word) for its largest
-    and smallest running total with the lex-first word to each: |L - tau r|
-    peaks at an extreme of L, and the ball orders words so."""
-    steps, follow = length.steps, length.follow
-    layer, deviations, witnesses = {(len(S), 0): ((0, ()), (0, ()))}, [], []
-    for r in range(1, R + 1):
-        nxt: dict = {}
-        for (a, q), ((hi, hw), (lo, lw)) in layer.items():
-            for b in follow[a]:
-                q2, inc = steps[q][b]
-                new = ((hi - inc, hw + (b,)), (lo + inc, lw + (b,)))
-                old = nxt.setdefault((b, q2), new)
-                nxt[b, q2] = (min(old[0], new[0]), min(old[1], new[1]))
-        if not nxt:  # a finite group ran out of spheres
-            break
-        layer, tails = nxt, length.tails
-        dev, word = min((-abs(total - tau * r), w)
-                        for (_, q), ((hi, hw), (lo, lw)) in layer.items()
-                        for total, w in ((tails[q] - hi, hw),
-                                         (tails[q] + lo, lw)))
-        deviations.append(-dev)
-        witnesses.append(" ".join(S.letters[b] for b in word) if dev else "")
-    return deviations, witnesses

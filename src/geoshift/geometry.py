@@ -29,8 +29,8 @@ class BallTree:
 
     ``keys[i]`` was first reached from ``keys[parent[i]]`` by the letter with
     index ``letter[i]``; letters are tried in index order, so the tree word of
-    each element is its shortlex-least geodesic word.  ``index`` maps each
-    key to its position and ``depth[i]`` is the distance of ``keys[i]``.
+    each element is its shortlex-least geodesic word, and ``depth[i]`` is
+    the distance of ``keys[i]``.
     ``parent`` is a compact ``array('i')``: a list would hold one int object
     per distinct parent position.
 
@@ -45,7 +45,6 @@ class BallTree:
     depth: list[int]
     parent: array
     letter: list[int]
-    index: dict
     layer_bounds: list[int]  # keys[layer_bounds[n]:layer_bounds[n+1]] is sphere n
     nbr: list[int]
 
@@ -105,7 +104,7 @@ def ball_tree(T: ResolvedGenSet, radius: int,
         layer_bounds.append(hi)
         if lo == hi:
             break
-    return BallTree(keys, depths, parent, letter, index, layer_bounds, nbr)
+    return BallTree(keys, depths, parent, letter, layer_bounds, nbr)
 
 
 def _astar_length(T: ResolvedGenSet, x: GroupElement, budget: int) -> int:

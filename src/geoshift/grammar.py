@@ -85,17 +85,17 @@ def parse_group_text(text: str) -> GroupSpec:
     except yaml.YAMLError as exc:
         raise FormatError(f"not valid YAML: {exc}") from None
     doc = _require_mapping(doc, "presentation file")
-    _check_keys(
-        doc,
-        {"name", "family", "generators", "gensets", "rank", "table", "factors",
-         "relators"},
-        "presentation file",
-    )
+    # each family and the key of its payload, which a file gives for its
+    # own family and for no other
+    payload_keys = {"free": "rank", "finite_table": "table",
+                    "free_product": "factors", "dehn": "relators"}
+    _check_keys(doc, {"name", "family", "generators", "gensets",
+                      *payload_keys.values()}, "presentation file")
     family = doc.get("family")
     name = doc.get("name", "G")
     if not isinstance(name, str):
         raise FormatError("name must be a string")
-    if family not in ("free", "finite_table", "free_product", "dehn"):
+    if not isinstance(family, str) or family not in payload_keys:
         raise FormatError(f"unknown family {family!r}")
     if "generators" not in doc:
         raise FormatError("presentation file needs a generators block")
@@ -103,44 +103,26 @@ def parse_group_text(text: str) -> GroupSpec:
     letters = gens["letters"]
     inverses = gens["inverses"]
 
+    key = payload_keys[family]
+    if key not in doc:
+        raise FormatError(f"{family} family needs {key}")
+    for other in payload_keys.values():
+        if other != key and other in doc:
+            raise FormatError(f"{family} family does not take {other}")
+    payload = doc[key]
     if family == "free":
-        if "rank" not in doc:
-            raise FormatError("free family needs rank")
-        for key in ("table", "factors", "relators"):
-            if key in doc:
-                raise FormatError(f"free family does not take {key}")
-        spec = free_group(doc["rank"], letters, inverses, name=name)
-    elif family == "finite_table":
-        if "table" not in doc:
-            raise FormatError("finite_table family needs table")
-        for key in ("rank", "factors", "relators"):
-            if key in doc:
-                raise FormatError(f"finite_table family does not take {key}")
-        if "elements" not in gens:
-            raise FormatError("finite_table generators need elements")
-        spec = finite_table_group(doc["table"], letters, gens["elements"],
-                                  inverses, name=name)
-    elif family == "free_product":
-        if "factors" not in doc:
-            raise FormatError("free_product family needs factors")
-        for key in ("rank", "table", "relators"):
-            if key in doc:
-                raise FormatError(f"free_product family does not take {key}")
-        if "elements" not in gens:
-            raise FormatError("free_product generators need elements")
-        spec = free_product_group(doc["factors"], letters, gens["elements"],
-                                  inverses, name=name)
-    else:
-        if "relators" not in doc:
-            raise FormatError("dehn family needs relators")
-        for key in ("rank", "table", "factors"):
-            if key in doc:
-                raise FormatError(f"dehn family does not take {key}")
-        relators = doc["relators"]
-        if not isinstance(relators, list):
+        spec = free_group(payload, letters, inverses, name=name)
+    elif family == "dehn":
+        if not isinstance(payload, list):
             raise FormatError("relators must be a list of words")
-        relators = [_str_list(r, "relator") for r in relators]
+        relators = [_str_list(r, "relator") for r in payload]
         spec = dehn_group(relators, letters, inverses, name=name)
+    else:
+        if "elements" not in gens:
+            raise FormatError(f"{family} generators need elements")
+        build = (finite_table_group if family == "finite_table"
+                 else free_product_group)
+        spec = build(payload, letters, gens["elements"], inverses, name=name)
 
     gensets = doc.get("gensets")
     if gensets is not None:

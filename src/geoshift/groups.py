@@ -230,22 +230,12 @@ class _FreeProductEngine:
                                   for d in dist.values())
 
     def from_word(self, ids: Iterable[int]) -> tuple:
-        out: list[tuple[int, int]] = []
+        out = ()
         for li in ids:
             f, e = self.letter_syllables[li]
-            self._push(out, f, e)
-        return tuple(out)
-
-    def _push(self, out: list, f: int, e: int):
-        if e == 0:
-            return
-        if out and out[-1][0] == f:
-            prod = self.tables[f][out[-1][1]][e]
-            out.pop()
-            if prod != 0:
-                out.append((f, prod))
-        else:
-            out.append((f, e))
+            if e:  # a letter may name a factor's identity
+                out = self.mult(out, ((f, e),))
+        return out
 
     def mult(self, a: tuple, b: tuple) -> tuple:
         # Cancel syllable pairs across the junction a[i-1] | b[j] while they

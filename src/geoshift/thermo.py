@@ -27,6 +27,7 @@ __all__ = [
     "word_length_potential",
     "pressure",
     "parry_gibbs_measure",
+    "parry_measure",
     "MarkovMeasure",
     "entropy",
     "check_variational",
@@ -406,3 +407,17 @@ def growth_rate(aut, dec: Optional[ComponentDecomposition] = None) -> float:
                       "elementary and exponential-scale statistics are "
                       "degenerate", stacklevel=2)
     return mp.max_pressure
+
+
+def parry_measure(aut) -> tuple[float, MarkovMeasure]:
+    """The growth rate v of the automaton and the Parry measure on its
+    first component of maximal pressure: the equilibrium state of the
+    constant potential -v.  Raises EmptySphere when there is no recurrent
+    component, since the spheres run out."""
+    dec = components(sft_from_automaton(aut))
+    mp = maximal_components(dec)
+    if not mp.maximal:
+        raise EmptySphere("no recurrent component; nothing to measure")
+    v = mp.max_pressure
+    return v, parry_gibbs_measure(dec.components[mp.maximal[0]],
+                                  word_length_potential(v))

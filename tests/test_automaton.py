@@ -190,7 +190,8 @@ def reference_candidate(spec, T, tree, level, tail_len):
     if vote_horizon < 1:
         raise ResourceLimit("validation horizon too small for this level")
     top = tree.layer_bounds[vote_horizon + 1]
-    depth, index = tree.depth, tree.index
+    depth = tree.depth
+    index = {k: i for i, k in enumerate(tree.keys)}
     state_of = np.empty(top, dtype=np.int64)
     sig_state = {}
     tails = [()] * top
@@ -275,7 +276,8 @@ def reference_validate(aut, tree, seed=0):
     geodesic_failures = 0
     injectivity_failures = 0
     if first_mismatch is None:
-        index, depth = tree.index, tree.depth
+        index = {k: i for i, k in enumerate(tree.keys)}
+        depth = tree.depth
         seen = bytearray(len(tree.keys))
         stack = [(aut.initial, eng.identity, 0)]
         while stack:

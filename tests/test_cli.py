@@ -246,6 +246,15 @@ def test_battery_stdout_is_byte_identical():
     ("automaton", "--group", BAD_NAME),
     ("distortion", "--group", F2, "--to", "Sstar_ab", "--exact-n", "-3"),
     ("distortion", "--group", F2, "--to", "Sstar_ab", "--scan", "-2"),
+    # a negative seed stops at argument parsing, before any build
+    ("automaton", "--group", F2, "--seed", "-1"),
+    ("growth", "--group", F2, "--seed", "-1"),
+    ("components", "--group", F2, "--seed", "-1"),
+    ("gibbs", "--group", F2, "--seed", "-1"),
+    ("distortion", "--group", F2, "--to", "Sstar_ab", "--seed", "-1"),
+    ("dimension", "--group", F2, "--to", "Sstar_ab", "--seed", "-1"),
+    ("validate", "--group", F2, "--seed", "-1"),
+    ("battery", "--seed", "-1", "--only", "11"),
 ])
 def test_input_errors_exit_2(args, tmp_path):
     bad = tmp_path / "bad.grp"
@@ -255,6 +264,9 @@ def test_input_errors_exit_2(args, tmp_path):
     r = run(*(str(bad) if a in BAD_FILES else a for a in args))
     assert r.returncode == 2
     assert r.stdout == ""
+    if "--seed" in args:
+        assert "argument --seed" in r.stderr
+        assert "wall-clock" not in r.stderr  # no handler ran
 
 
 def test_malformed_group_file_exits_2(tmp_path):

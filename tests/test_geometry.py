@@ -18,11 +18,13 @@ def test_ball_layers_match_sphere_sizes(f2):
 def test_tree_words_spell_their_elements(f2):
     S = f2.resolve(None)
     t = ball_tree(S, 3)
+    index = {k: i for i, k in enumerate(t.keys)}
+    assert len(index) == len(t.keys)
     for i in range(len(t.keys)):
         word = [S.letters[li] for li in t.tree_word(i)]
         x = f2.element(word)
         assert x.key == t.keys[i]
-        assert t.depth[t.index[x.key]] == len(word) == x.length()
+        assert t.depth[index[x.key]] == len(word) == x.length()
 
 
 @pytest.mark.parametrize("group,genset,radius", [
@@ -42,10 +44,10 @@ def test_neighbour_table_holds_every_product(group, genset, radius):
     expanded = tree.layer_bounds[tree.radius()]
     assert len(tree.nbr) == nt * expanded
     mult = spec.engine.mult
+    index = {k: i for i, k in enumerate(tree.keys)}
     for i in range(expanded):
         for li, x in enumerate(T.elements):
-            assert tree.nbr[i * nt + li] == tree.index[mult(tree.keys[i],
-                                                            x.key)]
+            assert tree.nbr[i * nt + li] == index[mult(tree.keys[i], x.key)]
     for c in range(1, len(tree.keys)):
         assert tree.nbr[tree.parent[c] * nt + tree.letter[c]] == c
 
