@@ -14,6 +14,7 @@ neighbourhood depth L is raised, up to a fixed maximum.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -344,47 +345,70 @@ def enumerate_sphere(aut: GeodesicAutomaton, n: int,
     yield from rec(aut.initial, eng.identity, 0)
 
 
+class _StepTable(dict):
+    """One radius's step table of :func:`sample_uniform_sphere`, keyed by
+    state.  A state's step is built on its first visit, so a walk on a
+    large automaton (genus 2 has 3,193 states) pays only for the states it
+    reaches."""
+
+    def __init__(self, aut: GeodesicAutomaton, bounds: list[int],
+                 below: list[int], spelled: list[tuple[int, ...]]):
+        super().__init__()
+        self.aut, self.bounds, self.below = aut, bounds, below
+        self.spelled = spelled
+
+    def __missing__(self, s: int) -> tuple:
+        ends, moves, total = [], [], 0
+        for li, t in self.aut.successors(s):
+            if self.below[t]:
+                total += self.below[t]
+                ends.append(total)
+                moves.append((self.spelled[li], t))
+        step = self[s] = (self.bounds[s], ends, moves)
+        return step
+
+
 def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
                           rng: np.random.Generator, count: int = 1
                           ) -> list[GroupElement]:
     """Exactly uniform samples from the sphere of radius n.
 
     Walks the automaton with steps weighted by exact backward path counts,
-    so every element of the sphere has identical probability.  Raises
-    EmptySphere when the sphere has no elements.
+    so every element of the sphere has identical probability.  The walk
+    reads one step table per radius k: for each state s the bound
+    ``counts[k][s]``, the running totals of ``counts[k - 1]`` over the
+    successors of s, and their (letter, target) pairs, each letter spelled
+    in base letters.  A step draws one integer below the bound, bisects the
+    totals and appends the letter to the sample's word.
+
+    Each sample's key is then one ``engine.from_word`` of its spelled
+    letters.  That equals the per-step fold of ``engine.mult`` on every
+    engine, because each engine's key is the normal form of the element a
+    word spells, whatever order it was put together in: the freely reduced
+    word, the table element, the reduced syllable sequence, or the Dehn
+    normal form.  Raises EmptySphere when the sphere has no elements.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     spec = aut.group
     eng = spec.engine
-    mult = eng.mult
-    tkeys = [e.key for e in aut.genset.elements]
-    succ = [tuple((tkeys[li], t) for li, t in aut.successors(s))
-            for s in range(aut.n_states)]
     counts = aut.path_counts(n)
-    total = counts[n][aut.initial]
-    if total == 0:
+    if counts[n][aut.initial] == 0:
         raise EmptySphere(f"no elements at distance {n}")
+    spelled = [eng.to_word(e.key) for e in aut.genset.elements]
+    walk = [_StepTable(aut, counts[k], counts[k - 1], spelled)
+            for k in range(n, 0, -1)]
     out = []
     with ExactSampler(rng) as sampler:
         randbelow = sampler.randbelow
         for _ in range(count):
             s = aut.initial
-            gk = eng.identity
-            for k in range(n, 0, -1):
-                r = randbelow(counts[k][s])
-                below = counts[k - 1]
-                for key, t in succ[s]:
-                    w = below[t]
-                    if r < w:
-                        s = t
-                        gk = mult(gk, key)
-                        break
-                    r -= w
-                else:  # pragma: no cover - counts guarantee a branch is taken
-                    raise AssertionError("path count bookkeeping is "
-                                         "inconsistent")
-            out.append(GroupElement(spec, gk))
+            word: list[int] = []
+            for table in walk:
+                bound, ends, moves = table[s]
+                letter, s = moves[bisect_right(ends, randbelow(bound))]
+                word += letter
+            out.append(GroupElement(spec, eng.from_word(word)))
     return out
 
 

@@ -87,6 +87,20 @@ def _emit(args, command: str, config: dict, report: dict,
             write_artifact(os.path.join(args.out, fname), text)
 
 
+# Parsed options that the config echo leaves out, and the report names of
+# those it renames.
+_NOT_ECHOED = ("command", "handler", "out")
+_ECHO_NAMES = {"group": "group_file", "frm": "from"}
+
+
+def _config(args, sets: Optional[dict] = None) -> dict:
+    """The config echo: every parsed option under its report name.  `sets`
+    maps generating-set options to the names of the sets they resolved to."""
+    options = {**vars(args), **(sets or {})}
+    return {_ECHO_NAMES.get(dest, dest): value
+            for dest, value in options.items() if dest not in _NOT_ECHOED}
+
+
 def _load(args, *names):
     """Every handler's first step: parse --group, resolve each named
     generating set, and build its automaton to --n-check with --seed."""
@@ -115,9 +129,7 @@ def _cmd_automaton(args) -> int:
         "conflicts": aut.conflicts,
         "sphere_counts": counts,
     }
-    config = {"group_file": args.group, "gens": T.name,
-              "n_check": args.n_check, "seed": args.seed}
-    _emit(args, "automaton", config, report,
+    _emit(args, "automaton", _config(args, {"gens": T.name}), report,
           {"automaton.aut": serialize_automaton(aut)})
     return 0
 
@@ -137,10 +149,7 @@ def _cmd_growth(args) -> int:
         "envelope": {"n_min": rg.n_min, "n_max": rg.n_max,
                      "c1": rg.c1, "c2": rg.c2},
     }
-    config = {"group_file": args.group, "gens": T.name,
-              "n_check": args.n_check, "n_max": args.n_max,
-              "seed": args.seed}
-    _emit(args, "growth", config, report)
+    _emit(args, "growth", _config(args, {"gens": T.name}), report)
     return 0
 
 
@@ -169,9 +178,7 @@ def _cmd_components(args) -> int:
         "semisimple": mp.semisimple,
         "growth_rate": growth_rate(aut, dec),
     }
-    config = {"group_file": args.group, "gens": T.name,
-              "n_check": args.n_check, "seed": args.seed}
-    _emit(args, "components", config, report)
+    _emit(args, "components", _config(args, {"gens": T.name}), report)
     return 0
 
 
@@ -205,10 +212,7 @@ def _cmd_gibbs(args) -> int:
             "truncated": gs.truncated,
         },
     }
-    config = {"group_file": args.group, "gens": T.name,
-              "n_check": args.n_check, "n_max": args.n_max,
-              "trials": args.trials, "seed": args.seed}
-    _emit(args, "gibbs", config, report)
+    _emit(args, "gibbs", _config(args, {"gens": T.name}), report)
     return 0 if vr.ok else 1
 
 
@@ -278,12 +282,7 @@ def _cmd_distortion(args) -> int:
                          r.samples if r else ""])
     csv = csv_text(["n", "exact", "mc_mean", "mc_stderr", "samples"], csv_rows)
 
-    config = {"group_file": args.group, "from": S.name, "to": Sstar.name,
-              "n_check": args.n_check, "exact_n": args.exact_n,
-              "n": list(args.n), "samples": args.samples,
-              "lln_n": list(args.lln_n) if args.lln_n else None,
-              "lln_samples": args.lln_samples, "scan": args.scan,
-              "seed": args.seed}
+    config = _config(args, {"frm": S.name, "to": Sstar.name})
     _emit(args, "distortion", config, report, {"distortion.csv": csv})
     return 0 if verdict.passed else 1
 
@@ -313,10 +312,7 @@ def _cmd_dimension(args) -> int:
     }
     csv = csv_text(["ray", "k", "length_sstar", "local_dim"],
                    [list(row) for row in est.diagnostics])
-    config = {"group_file": args.group, "from": S.name, "to": Sstar.name,
-              "n_check": args.n_check, "n": args.n, "samples": args.samples,
-              "rays": args.rays, "mc_samples": args.mc_samples,
-              "seed": args.seed}
+    config = _config(args, {"frm": S.name, "to": Sstar.name})
     _emit(args, "dimension", config, report,
           {"dimension_diagnostics.csv": csv})
     return 0
@@ -339,9 +335,7 @@ def _cmd_validate(args) -> int:
         "checked_to": vr.checked_to,
         "ok": vr.ok,
     }
-    config = {"group_file": args.group, "gens": T.name, "n": args.n,
-              "seed": args.seed}
-    _emit(args, "validate", config, report)
+    _emit(args, "validate", _config(args, {"gens": T.name}), report)
     return 0 if vr.ok else 1
 
 
@@ -350,9 +344,7 @@ def _cmd_battery(args) -> int:
                       indices=args.only)
     for line in battery_lines(rep):
         print(line)
-    config = {"profile": args.profile, "seed": args.seed,
-              "only": list(args.only) if args.only else None}
-    _emit(args, "battery", config, battery_report_dict(rep))
+    _emit(args, "battery", _config(args), battery_report_dict(rep))
     return 0 if rep.passed else 1
 
 

@@ -38,8 +38,7 @@ __all__ = [
     "dehn_group",
 ]
 
-# Rewriting-search states per Dehn normalisation, and cached normal forms of
-# words (products of normal forms bypass the cache).
+# Rewriting-search states per Dehn normalisation.
 DEHN_BUDGET = 200_000
 
 
@@ -108,9 +107,15 @@ class _FreeEngine:
     def __init__(self, inv: tuple[int, ...]):
         self.inv = inv
         self.identity = b""
+        # Matches wherever a letter meets its inverse: a word it misses is
+        # freely reduced already.
+        self._cancels = _any_of(bytes((a, b)) for a, b in enumerate(inv))
 
     def from_word(self, ids: Iterable[int]) -> bytes:
-        return _free_reduce_bytes(bytes(ids), self.inv)
+        w = bytes(ids)
+        if self._cancels.search(w):
+            return _free_reduce_bytes(w, self.inv)
+        return w
 
     def mult(self, a: bytes, b: bytes) -> bytes:
         ia = len(a)
@@ -230,12 +235,17 @@ class _FreeProductEngine:
                                   for d in dist.values())
 
     def from_word(self, ids: Iterable[int]) -> tuple:
-        out = ()
+        # One pass over a stack of syllables, not a product per letter: a
+        # letter of the top syllable's factor merges with it or cancels it.
+        out: list[tuple[int, int]] = []
+        tables, syllables = self.tables, self.letter_syllables
         for li in ids:
-            f, e = self.letter_syllables[li]
+            f, e = syllables[li]
+            if out and out[-1][0] == f:
+                e = tables[f][out.pop()[1]][e]
             if e:  # a letter may name a factor's identity
-                out = self.mult(out, ((f, e),))
-        return out
+                out.append((f, e))
+        return tuple(out)
 
     def mult(self, a: tuple, b: tuple) -> tuple:
         # Cancel syllable pairs across the junction a[i-1] | b[j] while they
@@ -291,9 +301,11 @@ class _DehnEngine:
     where greedy replacement is complete (small-cancellation presentations);
     a warning is emitted when the metric C'(1/6) condition fails.
 
-    Normal forms of words are cached.  A product of two normal forms is not:
-    both are freely reduced, so it cancels only at the junction, and most
-    products match no relator prefix and are returned after one search.
+    Normal forms of single letters are cached; longer words, such as
+    sampled ones, would fill the cache with elements seen once.  A product
+    of two normal forms needs no cache: both are freely reduced, so it
+    cancels only at the junction, and most products match no relator
+    prefix and are returned after one search.
     """
 
     family = "dehn"
@@ -436,11 +448,11 @@ class _DehnEngine:
 
     def from_word(self, ids: Iterable[int]) -> bytes:
         w = bytes(ids)
+        if len(w) != 1:
+            return self._normalize(w)
         cached = self._nf_cache.get(w)
         if cached is None:
-            cached = self._normalize(w)
-            if len(self._nf_cache) < DEHN_BUDGET:
-                self._nf_cache[w] = cached
+            cached = self._nf_cache[w] = self._normalize(w)
         return cached
 
     def mult(self, a: bytes, b: bytes) -> bytes:

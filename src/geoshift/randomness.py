@@ -33,11 +33,11 @@ class ExactSampler:
 
     Bounds below 2^62 give what ``rng.integers(bound)`` gives: Lemire's
     multiply-and-reject rule on one 32-bit half for bounds below 2^32, a
-    raw half at 2^32, and the same rule on one 64-bit word above.  Philox hands out 32-bit halves low half first
-    and holds the high half back for the next 32-bit draw; 64-bit draws
-    take whole words and leave a held half where it is.  Larger bounds are
-    assembled from 32-bit halves with rejection, so the result is exactly
-    uniform regardless of size.
+    raw half at 2^32, and the same rule on one 64-bit word above.  Philox
+    hands out 32-bit halves low half first and holds the high half back
+    for the next 32-bit draw; 64-bit draws take whole words and leave a
+    held half where it is.  Larger bounds are assembled from 32-bit halves
+    with rejection, so the result is exactly uniform regardless of size.
 
     Raw words are fetched in blocks, so the generator runs ahead of the
     draws; use the sampler as a context manager, whose exit puts the

@@ -1,6 +1,7 @@
 import pytest
 
 from geoshift import build_geodesic_automaton, parse_group_file
+from geoshift.groups import free_product_group
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,26 @@ def psl_aut(psl2z):
 @pytest.fixture(scope="session")
 def s3():
     return parse_group_file("groups/s3.grp")
+
+
+@pytest.fixture(scope="session")
+def genus2():
+    return parse_group_file("groups/genus2.grp")
+
+
+@pytest.fixture(scope="session")
+def genus2_aut(genus2):
+    # the relator has length 8, so the training ball must see past radius 4
+    return build_geodesic_automaton(genus2, n_check=6)
+
+
+@pytest.fixture(scope="session")
+def z2_z4():
+    # every nontrivial factor element is a letter: a tree of complete pieces
+    z2 = ((0, 1), (1, 0))
+    z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
+    return free_product_group(
+        (z2, z4), letters=("s", "u", "u^-1", "v"),
+        letter_syllables={"s": (0, 1), "u": (1, 1), "u^-1": (1, 3),
+                          "v": (1, 2)},
+        inverses={"s": "s", "u": "u^-1", "v": "v"})

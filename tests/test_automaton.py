@@ -9,7 +9,6 @@ from geoshift import (
     build_geodesic_automaton,
     enumerate_sphere,
     make_rng,
-    parse_group_file,
     sample_uniform_sphere,
     serialize_automaton,
     sphere_count,
@@ -21,17 +20,6 @@ from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
 from geoshift.groups import GroupElement
-
-
-@pytest.fixture(scope="module")
-def genus2():
-    return parse_group_file("groups/genus2.grp")
-
-
-@pytest.fixture(scope="module")
-def genus2_aut(genus2):
-    # the relator has length 8, so the training ball must see past radius 4
-    return build_geodesic_automaton(genus2, n_check=6)
 
 
 def test_free_group_machine_shape(f2_aut):

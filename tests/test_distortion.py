@@ -274,7 +274,6 @@ def test_band_length_is_the_word_length_on_long_modular_words(psl2z, psl_aut):
 
 
 Z2 = ((0, 1), (1, 0))
-Z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
 Z5 = tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
 
 
@@ -285,16 +284,6 @@ def _with_word(G, x, y):
     return G.resolve(GeneratingSet(
         S.letters + ("w", "w^-1"), {**inv, "w": "w^-1"},
         {"w": (x, y), "w^-1": (inv[y], inv[x])}, name="T"))
-
-
-@pytest.fixture(scope="module")
-def z2_z4():
-    # every nontrivial factor element is a letter: a tree of complete pieces
-    return free_product_group(
-        (Z2, Z4), letters=("s", "u", "u^-1", "v"),
-        letter_syllables={"s": (0, 1), "u": (1, 1), "u^-1": (1, 3),
-                          "v": (1, 2)},
-        inverses={"s": "s", "u": "u^-1", "v": "v"})
 
 
 @pytest.mark.parametrize("x, y", [("s", "u"), ("u", "s"), ("s", "v"),

@@ -11,7 +11,9 @@ from geoshift import (
     UnknownLetter,
     free_group,
     free_product_group,
+    make_rng,
     parse_group_file,
+    sample_uniform_sphere,
 )
 from geoshift.geometry import ball_tree
 from geoshift.groups import _free_reduce_bytes, dehn_group, finite_table_group
@@ -234,9 +236,20 @@ def test_surface_group_relator_is_trivial():
     assert (x * x.inverse()).is_identity()
 
 
-@pytest.fixture(scope="module")
-def genus2():
-    return parse_group_file("groups/genus2.grp")
+# F's letter ids 0-3; cancelling pairs at the start, in the middle, at the
+# end, or all through the word
+@given(st.lists(st.integers(0, 3), max_size=10),
+       st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       st.sampled_from(("start", "middle", "end", "everywhere")))
+@settings(max_examples=200, deadline=None)
+def test_free_from_word_is_free_reduction(body, pairs, where):
+    eng = F.engine
+    cancel = [c for a in pairs for c in (a, eng.inv[a])]
+    half = len(body) // 2
+    word = {"start": cancel + body,
+            "middle": body[:half] + cancel + body[half:],
+            "end": body + cancel, "everywhere": cancel}[where]
+    assert eng.from_word(word) == _free_reduce_bytes(bytes(word), eng.inv)
 
 
 # genus 2: letter ids 0-7, and 16 symmetrized relators of length 8
@@ -393,6 +406,27 @@ def test_ball_products_bypass_the_normal_form_cache(monkeypatch):
     tree = ball_tree(T, 5)
     assert len(tree.keys) == 22_289
     assert calls == []
+    assert eng._nf_cache == cached
+
+
+def test_sphere_samples_bypass_the_normal_form_cache(genus2, genus2_aut,
+                                                     monkeypatch):
+    eng = genus2.engine
+    cached = dict(eng._nf_cache)
+    assert sorted(cached) == [bytes([i]) for i in range(8)]  # the letters
+    words = []
+    from_word = eng.from_word
+
+    def counted(ids):
+        words.append(ids)
+        return from_word(ids)
+
+    monkeypatch.setattr(eng, "from_word", counted)
+    for n in range(7):
+        xs = sample_uniform_sphere(genus2_aut, n, make_rng(4, stream=n),
+                                   count=40)
+        assert [x.length() for x in xs] == [n] * 40
+    assert len(words) == 7 * 40  # one normal form per sample
     assert eng._nf_cache == cached
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from geoshift import (EmptySphere, build_geodesic_automaton, make_rng,
                       sample_uniform_sphere)
+from geoshift.groups import free_product_group
 from geoshift.randomness import ExactSampler
 
 
@@ -135,11 +136,16 @@ def test_a_sampler_that_skips_the_held_half_is_caught():
 @pytest.mark.parametrize("group,n,count", [
     ("f2", 0, 5), ("f2", 1, 50), ("f2", 8, 200), ("f2", 40, 300),
     ("psl2z", 24, 300), ("s3", 2, 50), ("s3", 3, 50),
+    ("genus2", 3, 100), ("genus2", 6, 100), ("f2_star_ab", 8, 300),
+    ("z2_z4", 12, 300), ("z5_z2", 12, 300),
 ])
 def test_sphere_samples_and_final_state_match_the_reference(
         request, group, n, count):
     aut = request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut",
-                                   "s3": "s3_aut"}[group])
+                                   "s3": "s3_aut", "genus2": "genus2_aut",
+                                   "f2_star_ab": "f2_star_ab_aut",
+                                   "z2_z4": "z2_z4_aut",
+                                   "z5_z2": "z5_z2_aut"}[group])
     a, b = make_rng(5, stream=n), make_rng(5, stream=n)
     a.integers(3)  # start from a held-back half
     b.integers(3)
@@ -157,6 +163,47 @@ def test_sphere_samples_and_final_state_match_the_reference(
 @pytest.fixture(scope="module")
 def s3_aut(s3):
     return build_geodesic_automaton(s3, n_check=8)
+
+
+@pytest.fixture(scope="module")
+def f2_star_ab_aut(f2, f2_star_ab):
+    # its letters are elements of length 1 and 2: the sampler spells them
+    return build_geodesic_automaton(f2, f2_star_ab, n_check=6)
+
+
+@pytest.fixture(scope="module")
+def z2_z4_aut(z2_z4):
+    return build_geodesic_automaton(z2_z4, n_check=8)
+
+
+@pytest.fixture(scope="module")
+def z5_z2_aut():
+    # t^2 and t^3 are no letters: walks merge letters into longer syllables
+    z5 = tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+    G = free_product_group(
+        (z5, ((0, 1), (1, 0))), letters=("t", "t^-1", "s"),
+        letter_syllables={"t": (0, 1), "t^-1": (0, 4), "s": (1, 1)},
+        inverses={"t": "t^-1", "t^-1": "t", "s": "s"})
+    return build_geodesic_automaton(G, n_check=8)
+
+
+@pytest.mark.parametrize("group,n", [("f2", 40), ("s3", 2)])
+def test_each_sphere_sample_draws_once_per_letter(request, monkeypatch,
+                                                  group, n):
+    # the traced draw count wraps randbelow, so no draw may go around it,
+    # not even one below the bound 1 that s3's last steps have
+    aut = request.getfixturevalue({"f2": "f2_aut", "s3": "s3_aut"}[group])
+    bounds = []
+    randbelow = ExactSampler.randbelow
+
+    def counted(self, bound):
+        bounds.append(bound)
+        return randbelow(self, bound)
+
+    monkeypatch.setattr(ExactSampler, "randbelow", counted)
+    sample_uniform_sphere(aut, n, make_rng(9), count=100)
+    assert len(bounds) == n * 100
+    assert (1 in bounds) == (group == "s3")
 
 
 def test_other_bit_generators_are_refused(f2_aut):
