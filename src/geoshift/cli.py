@@ -93,10 +93,10 @@ _NOT_ECHOED = ("command", "handler", "out")
 _ECHO_NAMES = {"group": "group_file", "frm": "from"}
 
 
-def _config(args, sets: Optional[dict] = None) -> dict:
-    """The config echo: every parsed option under its report name.  `sets`
-    maps generating-set options to the names of the sets they resolved to."""
-    options = {**vars(args), **(sets or {})}
+def _config(args, **sets: str) -> dict:
+    """The config echo: every parsed option under its report name, with each
+    generating-set option in `sets` replaced by the name it resolved to."""
+    options = {**vars(args), **sets}
     return {_ECHO_NAMES.get(dest, dest): value
             for dest, value in options.items() if dest not in _NOT_ECHOED}
 
@@ -129,7 +129,7 @@ def _cmd_automaton(args) -> int:
         "conflicts": aut.conflicts,
         "sphere_counts": counts,
     }
-    _emit(args, "automaton", _config(args, {"gens": T.name}), report,
+    _emit(args, "automaton", _config(args, gens=T.name), report,
           {"automaton.aut": serialize_automaton(aut)})
     return 0
 
@@ -149,7 +149,7 @@ def _cmd_growth(args) -> int:
         "envelope": {"n_min": rg.n_min, "n_max": rg.n_max,
                      "c1": rg.c1, "c2": rg.c2},
     }
-    _emit(args, "growth", _config(args, {"gens": T.name}), report)
+    _emit(args, "growth", _config(args, gens=T.name), report)
     return 0
 
 
@@ -178,7 +178,7 @@ def _cmd_components(args) -> int:
         "semisimple": mp.semisimple,
         "growth_rate": growth_rate(aut, dec),
     }
-    _emit(args, "components", _config(args, {"gens": T.name}), report)
+    _emit(args, "components", _config(args, gens=T.name), report)
     return 0
 
 
@@ -212,7 +212,7 @@ def _cmd_gibbs(args) -> int:
             "truncated": gs.truncated,
         },
     }
-    _emit(args, "gibbs", _config(args, {"gens": T.name}), report)
+    _emit(args, "gibbs", _config(args, gens=T.name), report)
     return 0 if vr.ok else 1
 
 
@@ -282,7 +282,7 @@ def _cmd_distortion(args) -> int:
                          r.samples if r else ""])
     csv = csv_text(["n", "exact", "mc_mean", "mc_stderr", "samples"], csv_rows)
 
-    config = _config(args, {"frm": S.name, "to": Sstar.name})
+    config = _config(args, frm=S.name, to=Sstar.name)
     _emit(args, "distortion", config, report, {"distortion.csv": csv})
     return 0 if verdict.passed else 1
 
@@ -312,7 +312,7 @@ def _cmd_dimension(args) -> int:
     }
     csv = csv_text(["ray", "k", "length_sstar", "local_dim"],
                    [list(row) for row in est.diagnostics])
-    config = _config(args, {"frm": S.name, "to": Sstar.name})
+    config = _config(args, frm=S.name, to=Sstar.name)
     _emit(args, "dimension", config, report,
           {"dimension_diagnostics.csv": csv})
     return 0
@@ -335,7 +335,7 @@ def _cmd_validate(args) -> int:
         "checked_to": vr.checked_to,
         "ok": vr.ok,
     }
-    _emit(args, "validate", _config(args, {"gens": T.name}), report)
+    _emit(args, "validate", _config(args, gens=T.name), report)
     return 0 if vr.ok else 1
 
 

@@ -243,7 +243,7 @@ class _FreeProductEngine:
             f, e = syllables[li]
             if out and out[-1][0] == f:
                 e = tables[f][out.pop()[1]][e]
-            if e:  # a letter may name a factor's identity
+            if e:  # 0: the letter names the identity, or cancelled the top
                 out.append((f, e))
         return tuple(out)
 
