@@ -196,6 +196,33 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _successor_table(aut: GeodesicAutomaton
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transitions in compressed rows, last letter first: the edges of
+    state s are ``start[s]:start[s + 1]``, with their letters and targets."""
+    start = np.zeros(aut.n_states + 1, dtype=np.intp)
+    letters, targets = [], []
+    for s in range(aut.n_states):
+        for li, t in reversed(aut.successors(s)):
+            letters.append(li)
+            targets.append(t)
+        start[s + 1] = len(letters)
+    return (start, np.array(letters, dtype=np.intp),
+            np.array(targets, dtype=np.intc))
+
+
+def _expand_rows(start: np.ndarray, rows: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of every row, rows in order: the edge indices and, for
+    each, the position of its row in `rows`."""
+    deg = start[rows + 1] - start[rows]
+    row = np.repeat(np.arange(len(rows)), deg)
+    ends = np.cumsum(deg)
+    edge = np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
+        start[rows] - (ends - deg), deg)
+    return edge, row
+
+
 def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
                            seed: int = 0) -> ValidationReport:
     spec = aut.group
@@ -216,27 +243,38 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
     geodesic_failures = 0
     injectivity_failures = 0
     if first_mismatch is None:
-        # Depth-first sweep: every accepted word must spell a fresh element
-        # at its exact distance.
-        # A word of d letters lands in the radius-d ball, and only words
-        # shorter than the horizon are extended, so every product is in the
-        # neighbour table.
-        depth, nbr, nt = tree.depth, tree.nbr, len(tkeys)
-        seen = bytearray(len(depth))
-        stack = [(aut.initial, 0, 0)]
-        while stack:
-            s, i, d = stack.pop()
-            if depth[i] != d:
-                geodesic_failures += 1
-                continue
-            if seen[i]:
-                injectivity_failures += 1
-                continue
-            seen[i] = 1
-            if d < horizon:
-                b = i * nt
-                for li, t in aut.successors(s):
-                    stack.append((t, nbr[b + li], d + 1))
+        # Level-synchronous sweep: every accepted word must spell a fresh
+        # element at its exact distance.  Each level holds the (state,
+        # position) pairs of the accepted words of one length in the order
+        # a depth-first sweep would visit them (parents in order, letters
+        # last-first), so the first copy of a repeated position, the one
+        # that is kept and extended, is the one that sweep would mark.  A
+        # word of d letters is geodesic when its position lies in sphere d;
+        # only words shorter than the horizon are extended, so every product
+        # is in the neighbour table.
+        nt = len(tkeys)
+        nbr = np.frombuffer(tree.nbr, dtype=np.intc)
+        start, letters, targets = _successor_table(aut)
+        states = np.array([aut.initial], dtype=np.intc)
+        pos = np.zeros(1, dtype=np.intc)
+        for d in range(horizon + 1):
+            lo, hi = tree.layer_bounds[d], tree.layer_bounds[d + 1]
+            geodesic = (pos >= lo) & (pos < hi)
+            geodesic_failures += len(pos) - int(np.count_nonzero(geodesic))
+            states, pos = states[geodesic], pos[geodesic]
+            # a copy is fresh when no earlier pair of the level holds its
+            # position
+            order = np.arange(len(pos), dtype=np.intc)
+            first = np.full(hi - lo, len(pos), dtype=np.intc)
+            np.minimum.at(first, pos - lo, order)
+            fresh = first[pos - lo] == order
+            injectivity_failures += len(pos) - int(np.count_nonzero(fresh))
+            if d == horizon:
+                break
+            states, pos = states[fresh], pos[fresh]
+            edge, row = _expand_rows(start, states)
+            states = targets[edge]
+            pos = nbr[pos[row].astype(np.intp) * nt + letters[edge]]
         # Spot checks from interior states: every path, wherever it starts,
         # must spell a geodesic word.
         rng = make_rng(seed, stream=977)
@@ -314,7 +352,12 @@ def _build_with_report(spec: GroupSpec, T: Optional[ResolvedGenSet],
 
 def validate_automaton(aut: GeodesicAutomaton, n: int,
                        seed: int = 0) -> ValidationReport:
-    """Re-validate an automaton against a freshly computed oracle ball."""
+    """Re-validate an automaton against a freshly computed oracle ball.
+
+    Raises ValueError when the radius n is below 1: the spot checks walk
+    between 1 and n letters."""
+    if n < 1:
+        raise ValueError(f"validation radius must be at least 1, got {n}")
     tree = ball_tree(aut.genset, n)
     return _validate_against_tree(aut, tree, seed=seed)
 

@@ -34,11 +34,13 @@ class BallTree:
     ``parent`` is a compact ``array('i')``: a list would hold one int object
     per distinct parent position.
 
-    ``nbr`` is the neighbour table the enumeration fills as it goes:
-    ``nbr[i * len(T) + li]`` is the position of ``keys[i] * T[li]``, for
-    every expanded position i, that is every i below
-    ``layer_bounds[radius()]`` (all but the last sphere).  Walks that stay
-    below the last sphere read products from it instead of multiplying.
+    ``nbr`` is the neighbour table the enumeration fills as it goes, a
+    compact ``array('i')`` that array passes can view without a copy
+    (``np.frombuffer``): ``nbr[i * len(T) + li]`` is the position of
+    ``keys[i] * T[li]``, for every expanded position i, that is every i
+    below ``layer_bounds[radius()]`` (all but the last sphere).  Walks that
+    stay below the last sphere read products from it instead of
+    multiplying.
     """
 
     keys: list
@@ -46,7 +48,7 @@ class BallTree:
     parent: array
     letter: list[int]
     layer_bounds: list[int]  # keys[layer_bounds[n]:layer_bounds[n+1]] is sphere n
-    nbr: list[int]
+    nbr: array
 
     def tree_word(self, i: int) -> tuple[int, ...]:
         out = []
@@ -66,27 +68,36 @@ def ball_tree(T: ResolvedGenSet, radius: int,
               budget: int = DEFAULT_BALL_BUDGET) -> BallTree:
     """Breadth-first tree of the ball of the given radius around the identity.
 
-    Raises ResourceLimit once more than `budget` elements are found, which
-    is checked after each element's products, so at most
-    budget + len(T) elements are built.
+    The back edge needs no product: ``keys[i] * T[inv(letter[i])]`` is
+    ``keys[parent[i]]``.  Raises ValueError for a negative radius, and
+    ResourceLimit once more than `budget` elements are found, which is
+    checked after each element's products, so at most budget + len(T)
+    elements are built.
     """
+    if radius < 0:
+        raise ValueError(f"ball radius must be nonnegative, got {radius}")
     eng = T.group.engine
     mult = eng.mult
     tkeys = list(enumerate(e.key for e in T.elements))
+    inv = T.inverse_index
     keys = [eng.identity]
     depths = [0]
     parent = array("i", [-1])
     letter = [-1]
     index = {eng.identity: 0}
     setdefault = index.setdefault
-    nbr: list[int] = []
+    nbr = array("i")
     layer_bounds = [0, 1]
     lo, hi = 0, 1
     size = 1  # len(keys)
     for depth in range(radius):
         for i in range(lo, hi):
             g = keys[i]
+            back = inv[letter[i]] if i else -1
             for li, tk in tkeys:
+                if li == back:
+                    nbr.append(parent[i])
+                    continue
                 h = mult(g, tk)
                 j = setdefault(h, size)
                 if j == size:  # h is new: it takes the next position

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .automaton import _expand_rows
 from .errors import EmptySphere, NonConvergence
 from .sft import Component, ComponentDecomposition, components, \
     sft_from_automaton
@@ -325,37 +326,69 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
     """Enumerate cylinders and compare their measure with the Gibbs
     weight exp(-n pressure + Birkhoff sum of the potential).
 
-    Each stack entry carries its cylinder's length, Birkhoff sum and
-    measure.  A child's sum is its parent's plus the value on the new edge,
-    which adds the same floats in the same order as summing the cylinder's
-    edges from 0 (up to Python 3.11; later versions compensate float sums).
-    The scan is truncated only when a cylinder of positive measure is left
-    unscanned once `budget` cylinders are counted.
+    Cylinders are scanned one length at a time, each length as parallel
+    arrays of last node, Birkhoff sum and measure, parents in order and
+    each parent's children in node order.  A child's sum is its parent's
+    plus the value on the new edge and its measure its parent's times the
+    transition probability: the same floats, added and multiplied in the
+    same order, as summing the cylinder's edges from 0 and multiplying its
+    transitions from the first.  Cylinders of measure 0.0 are dropped.  The
+    weights come from ``math.exp`` of each distinct exponent.
+
+    At most `budget` cylinders are counted, breadth first: every cylinder
+    of each length in turn, then the first ones of the last length that
+    fit, so the scan stores no more than a budget's worth of one length.
+    It is truncated only when a cylinder of positive measure is left
+    unscanned.  Raises ValueError when `n_max` or `budget` is below 1.
     """
+    if n_max < 1:
+        raise ValueError(f"cylinder length n_max must be at least 1, "
+                         f"got {n_max}")
+    if budget < 1:
+        raise ValueError(f"cylinder budget must be at least 1, got {budget}")
     lo, hi = math.inf, -math.inf
-    count = 0
-    truncated = False
     pr = m.pressure
-    value = [m.potential.value(e) for e in m.nodes]
-    successors = [[(int(j), float(m.P[i, j]))
-                   for j in np.flatnonzero(m.support[i])]
-                  for i in range(len(m.nodes))]
-    stack = [(i, 1, 0.0 + value[i], float(m.pi[i])) for i in
-             range(len(m.nodes) - 1, -1, -1)]
-    while stack:
-        i, n, s, prob = stack.pop()
-        if prob <= 0.0:
-            continue
-        if count >= budget:
+    value = np.array([m.potential.value(e) for e in m.nodes], dtype=float)
+    src, nxt = np.nonzero(m.support)  # each row's successors in node order
+    start = np.searchsorted(src, np.arange(len(m.nodes) + 1))
+    trans = m.P[src, nxt]
+    last = np.arange(len(m.nodes))
+    s = 0.0 + value
+    prob = np.asarray(m.pi, dtype=float)
+    count = 0
+    n = 1
+    while True:
+        keep = prob > 0.0
+        last, s, prob = last[keep], s[keep], prob[keep]
+        if count + len(prob) > budget:
+            last, s, prob = (a[:budget - count] for a in (last, s, prob))
             truncated = True
+        else:
+            truncated = False
+        exps, where = np.unique(-n * pr + s, return_inverse=True)
+        if len(exps):
+            weight = np.array([math.exp(x) for x in exps.tolist()])
+            r = prob / weight[where]
+            lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
+        count += len(prob)
+        if truncated or n >= n_max:
             break
-        r = prob / math.exp(-n * pr + s)
-        lo, hi = min(lo, r), max(hi, r)
-        count += 1
-        if n >= n_max:
-            continue
-        for j, p in successors[i]:
-            stack.append((j, n + 1, s + value[j], prob * p))
+        # children of the first parents only, until they outnumber what
+        # the budget has left (one more shows whether anything is left)
+        need = budget - count + 1
+        reach = np.cumsum(start[last + 1] - start[last])
+        parents = int(np.searchsorted(reach, need)) + 1
+        while True:
+            edge, row = _expand_rows(start, last[:parents])
+            child_prob = prob[row] * trans[edge]
+            if (parents >= len(last)
+                    or np.count_nonzero(child_prob > 0.0) >= need):
+                break
+            parents *= 2
+        last, s, prob = nxt[edge], s[row] + value[nxt[edge]], child_prob
+        n += 1
+        if not len(last):
+            break
     if count == 0:
         raise EmptySphere("no cylinder of positive measure")
     return GibbsReport(lo, hi, count, n_max, m.pressure, truncated)

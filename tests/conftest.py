@@ -60,3 +60,13 @@ def z2_z4():
         letter_syllables={"s": (0, 1), "u": (1, 1), "u^-1": (1, 3),
                           "v": (1, 2)},
         inverses={"s": "s", "u": "u^-1", "v": "v"})
+
+
+@pytest.fixture(scope="session")
+def z5_z2():
+    # t^2 and t^3 are no letters: walks merge letters into longer syllables
+    z5 = tuple(tuple((i + j) % 5 for j in range(5)) for i in range(5))
+    return free_product_group(
+        (z5, ((0, 1), (1, 0))), letters=("t", "t^-1", "s"),
+        letter_syllables={"t": (0, 1), "t^-1": (0, 4), "s": (1, 1)},
+        inverses={"t": "t^-1", "t^-1": "t", "s": "s"})

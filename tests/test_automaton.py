@@ -19,7 +19,7 @@ from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
                                 _validate_against_tree, deserialize_automaton)
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
-from geoshift.groups import GroupElement
+from geoshift.groups import GroupElement, finite_table_group
 
 
 def test_free_group_machine_shape(f2_aut):
@@ -48,6 +48,11 @@ def test_validation_report(f2_aut):
     assert rep.checked_to == 9
     assert rep.first_mismatch is None
     assert all(count == bfs for (_, count, bfs) in rep.rows)
+
+
+def test_validation_radius_must_be_positive(f2_aut):
+    with pytest.raises(ValueError, match="radius must be at least 1, got 0"):
+        validate_automaton(f2_aut, 0)
 
 
 def test_enumerate_sphere_lists_distinct_geodesics(f2, f2_aut):
@@ -391,6 +396,33 @@ def test_mutants_fail_validation_like_the_reference(f2_aut):
     redirected_report = _validate_against_tree(redirected, tree)
     assert redirected_report.first_mismatch is None
     assert redirected_report.geodesic_failures > 0
+
+
+def test_repeated_geodesics_fail_injectivity_like_the_reference():
+    # Z2^3 on its three involutions a, b, c has spheres of sizes 1, 3, 3, 1.
+    # The machine accepts a, b, c, ab, ba, ca and baa: the counts agree,
+    # but ab and ba spell one element, so sphere 2 is hit twice there and
+    # never at bc.  A depth-first sweep visits ba before ab and extends ba,
+    # whose successor baa is not geodesic; had it kept ab, which has no
+    # successor, its sweep would find no geodesic failure.
+    z2_cubed = finite_table_group(
+        [[i ^ j for j in range(8)] for i in range(8)], ("a", "b", "c"),
+        {"a": 1, "b": 2, "c": 4}, {"a": "a", "b": "b", "c": "c"})
+    T = z2_cubed.resolve(None)
+    mutant = GeodesicAutomaton(
+        group=z2_cubed, genset=T, n_states=8, initial=0,
+        transitions={(0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 1): 4, (2, 0): 5,
+                     (3, 0): 6, (5, 0): 7},
+        level_used=1, tail_used=1, validated_to=0)
+    tree = ball_tree(T, 3)
+    assert [sphere_count(mutant, n) for n in range(4)] == [1, 3, 3, 1]
+    for seed in (0, 5):
+        got = _validate_against_tree(mutant, tree, seed=seed)
+        assert got == reference_validate(mutant, tree, seed=seed)
+        assert got.first_mismatch is None
+        assert got.injectivity_failures == 1
+        assert got.geodesic_failures >= 1
+        assert not got.ok
 
 
 @pytest.mark.parametrize("group,radius", [("f2", 8), ("psl2z", 10),

@@ -52,6 +52,82 @@ def test_neighbour_table_holds_every_product(group, genset, radius):
         assert tree.nbr[tree.parent[c] * nt + tree.letter[c]] == c
 
 
+def reference_ball_tree(T, radius):
+    """Plain breadth-first ball: every product multiplied and looked up,
+    the back edge included."""
+    eng = T.group.engine
+    keys, parent, letter = [eng.identity], [-1], [-1]
+    index = {eng.identity: 0}
+    nbr, bounds = [], [0, 1]
+    for _ in range(radius):
+        for i in range(bounds[-2], bounds[-1]):
+            for li, x in enumerate(T.elements):
+                h = eng.mult(keys[i], x.key)
+                if h not in index:
+                    index[h] = len(keys)
+                    keys.append(h)
+                    parent.append(i)
+                    letter.append(li)
+                nbr.append(index[h])
+        bounds.append(len(keys))
+        if bounds[-1] == bounds[-2]:
+            break
+    return keys, parent, letter, nbr, bounds
+
+
+@pytest.mark.parametrize("group,genset,radius", [
+    ("f2", None, 6),
+    ("f2", "Sstar_ab", 4),
+    ("f2", "Sstar_a2", 4),
+    ("psl2z", None, 9),
+    ("psl2z", "Sstar_st", 6),
+    ("s3", None, 5),
+    ("genus2", None, 3),
+    ("z2_z4", None, 8),
+    ("z5_z2", None, 8),
+])
+def test_ball_tree_matches_a_plain_breadth_first_search(group, genset, radius,
+                                                        request):
+    T = request.getfixturevalue(group).resolve(genset)
+    tree = ball_tree(T, radius)
+    keys, parent, letter, nbr, bounds = reference_ball_tree(T, radius)
+    assert tree.keys == keys
+    assert tree.parent.tolist() == parent
+    assert tree.letter == letter
+    assert tree.nbr.tolist() == nbr
+    assert tree.layer_bounds == bounds
+    assert tree.depth == [d for d in range(len(bounds) - 1)
+                          for _ in range(bounds[d], bounds[d + 1])]
+
+
+@pytest.mark.parametrize("group,radius", [("f2", 6), ("psl2z", 9),
+                                          ("genus2", 3)])
+def test_ball_tree_skips_the_back_edge_product(group, radius, request,
+                                               monkeypatch):
+    # every expanded position but the identity reaches its parent by the
+    # inverse of its own letter, which takes no product
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(None)
+    calls = []
+    mult = spec.engine.mult
+
+    def counted(a, b):
+        calls.append(1)
+        return mult(a, b)
+
+    monkeypatch.setattr(spec.engine, "mult", counted)
+    tree = ball_tree(T, radius)
+    expanded = tree.layer_bounds[tree.radius()]
+    assert len(calls) == len(T) * expanded - (expanded - 1)
+
+
+def test_ball_radius_must_be_nonnegative(f2):
+    S = f2.resolve(None)
+    assert ball_tree(S, 0).keys == [f2.engine.identity]
+    with pytest.raises(ValueError, match="radius"):
+        ball_tree(S, -1)
+
+
 def test_ball_budget_enforced(f2):
     with pytest.raises(ResourceLimit):
         ball_tree(f2.resolve(None), 20, budget=1000)

@@ -175,13 +175,88 @@ def test_modular_cylinder_ratios(psl_measure):
     assert rep.c_upper / rep.c_lower < 100
 
 
-def test_scan_budget_truncates():
+def two_shift_measure():
     sft = Sft([(0, 0, 0), (0, 1, 0)], 1)
     C = components(sft).components[0]
-    m = parry_gibbs_measure(C, word_length_potential(math.log(2.0)))
+    return parry_gibbs_measure(C, word_length_potential(math.log(2.0)))
+
+
+def edge_varying(m, step=0.0):
+    C = m.component
+    return parry_gibbs_measure(C, Potential.on_edges(
+        {e: -0.3 - 0.17 * (i % 3) - step * i
+         for i, e in enumerate(C.edge_ids)}))
+
+
+def successor_lists(m):
+    value = [m.potential.value(e) for e in m.nodes]
+    successors = [[(int(j), float(m.P[i, j]))
+                   for j in np.flatnonzero(m.support[i])]
+                  for i in range(len(m.nodes))]
+    return value, successors
+
+
+def reference_depth_first_scan(m, n_max, budget=500_000):
+    """The scan as a depth-first walk off a stack, one cylinder at a time."""
+    lo, hi = math.inf, -math.inf
+    count = 0
+    truncated = False
+    pr = m.pressure
+    value, successors = successor_lists(m)
+    stack = [(i, 1, 0.0 + value[i], float(m.pi[i])) for i in
+             range(len(m.nodes) - 1, -1, -1)]
+    while stack:
+        i, n, s, prob = stack.pop()
+        if prob <= 0.0:
+            continue
+        if count >= budget:
+            truncated = True
+            break
+        r = prob / math.exp(-n * pr + s)
+        lo, hi = min(lo, r), max(hi, r)
+        count += 1
+        if n >= n_max:
+            continue
+        for j, p in successors[i]:
+            stack.append((j, n + 1, s + value[j], prob * p))
+    return (lo, hi, count, truncated)
+
+
+def reference_breadth_first_scan(m, n_max, budget):
+    """The first `budget` cylinders of positive measure, shortest first and
+    each length in the order of its parents, then of the last node."""
+    lo, hi = math.inf, -math.inf
+    count = 0
+    pr = m.pressure
+    value, successors = successor_lists(m)
+    level = [(i, 0.0 + value[i], float(m.pi[i]))
+             for i in range(len(m.nodes))]
+    for n in range(1, n_max + 1):
+        kept = []
+        for i, s, prob in level:
+            if prob <= 0.0:
+                continue
+            if count == budget:
+                return (lo, hi, count, True)
+            r = prob / math.exp(-n * pr + s)
+            lo, hi = min(lo, r), max(hi, r)
+            count += 1
+            kept.append((i, s, prob))
+        level = ((j, s + value[j], prob * p)
+                 for i, s, prob in kept for j, p in successors[i])
+    return (lo, hi, count, False)
+
+
+def scanned(rep):
+    return (rep.c_lower, rep.c_upper, rep.n_cylinders, rep.truncated)
+
+
+def test_scan_budget_truncates():
+    m = two_shift_measure()
     rep = gibbs_ratio_scan(m, n_max=20, budget=100)
     assert rep.truncated
     assert rep.n_cylinders <= 100
+    assert scanned(rep) == reference_breadth_first_scan(m, 20, 100)
 
 
 @pytest.mark.parametrize("budget, count, truncated",
@@ -189,12 +264,56 @@ def test_scan_budget_truncates():
 def test_scan_is_truncated_only_when_cylinders_are_left(budget, count,
                                                          truncated):
     # the full 2-shift has 2 + 4 + 8 = 14 cylinders up to length 3
-    sft = Sft([(0, 0, 0), (0, 1, 0)], 1)
-    C = components(sft).components[0]
-    m = parry_gibbs_measure(C, word_length_potential(math.log(2.0)))
+    m = two_shift_measure()
     rep = gibbs_ratio_scan(m, n_max=3, budget=budget)
     assert rep.n_cylinders == count
     assert rep.truncated is truncated
+    assert scanned(rep) == reference_breadth_first_scan(m, 3, budget)
+
+
+@pytest.mark.parametrize("measure", ["f2", "f2 edge-varying",
+                                     "psl2z edge-varying"])
+def test_scan_matches_the_depth_first_reference(measure, f2_measure,
+                                                psl_measure):
+    m = {"f2": f2_measure, "f2 edge-varying": edge_varying(f2_measure),
+         "psl2z edge-varying": edge_varying(psl_measure)}[measure]
+    for n_max in range(1, 9):
+        rep = gibbs_ratio_scan(m, n_max=n_max)
+        assert not rep.truncated
+        assert rep.n_max == n_max and rep.pressure == m.pressure
+        assert scanned(rep) == reference_depth_first_scan(m, n_max)
+
+
+@pytest.mark.parametrize("group, budget", [
+    ("psl2z", 1), ("psl2z", 5), ("psl2z", 11), ("psl2z", 20), ("psl2z", 37),
+    ("psl2z", 69), ("psl2z", 70), ("psl2z", 71),
+    ("f2", 7), ("f2", 19), ("f2", 30), ("f2", 100)])
+def test_truncated_scan_keeps_the_first_cylinders_of_a_length(
+        f2_measure, psl_measure, group, budget):
+    # A Markov measure's ratio depends only on a cylinder's first and last
+    # edge, so with a potential that differs on every edge the bounds show
+    # which cylinders were counted while those pairs are still turning up.
+    m = edge_varying({"f2": f2_measure, "psl2z": psl_measure}[group],
+                     step=0.05)
+    rep = gibbs_ratio_scan(m, n_max=6, budget=budget)
+    assert scanned(rep) == reference_breadth_first_scan(m, 6, budget)
+
+
+def test_long_free_group_scan_stops_at_its_budget(f2_measure):
+    # 12 (3^11 - 1) / 2 = 1,062,876 cylinders up to length 11 against the
+    # default budget of 500,000: length 10 ends at 354,288, so the scan
+    # stops 145,712 cylinders into length 11
+    m = edge_varying(f2_measure, step=0.02)
+    rep = gibbs_ratio_scan(m, n_max=11)
+    assert rep.truncated and rep.n_cylinders == 500_000
+    assert scanned(rep) == reference_breadth_first_scan(m, 11, 500_000)
+
+
+@pytest.mark.parametrize("n_max, budget", [(0, 10), (-2, 10), (3, 0),
+                                           (3, -1)])
+def test_scan_rejects_an_empty_range(f2_measure, n_max, budget):
+    with pytest.raises(ValueError, match="n_max" if n_max < 1 else "budget"):
+        gibbs_ratio_scan(f2_measure, n_max=n_max, budget=budget)
 
 
 def test_scan_matches_every_cylinder_ratio(psl_measure):
