@@ -85,81 +85,141 @@ class GeodesicAutomaton:
         return counts
 
 
+def _first_rows(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each distinct value of `code`, in increasing order, the first
+    row that holds it; and the rank of each row's value among them.
+
+    ``return_index`` makes numpy sort stably, as the ordering of first rows
+    below does: one sort routine is loaded instead of two, and its code
+    counts towards the peak resident memory."""
+    _, first, rank = np.unique(code, return_index=True, return_inverse=True)
+    return first, rank
+
+
 def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
                tail_len: int):
     """One construction attempt at a fixed neighbourhood depth.
 
-    Products are read from the ball's neighbour table: every element this
-    reads it for lies within distance radius - 1, so it was expanded.
+    The signature of an element within the voting horizon is the length
+    increments of all translates x*w with 1 <= |w| <= level, in
+    breadth-first order of w, and the last `tail_len` letters of its tree
+    word.  Signatures are read one sphere at a time: the products from the
+    ball's neighbour table (every element this reads it for lies within
+    distance radius - 1, so it was expanded), their distances from
+    ``layer_bounds``, and the tails from the previous sphere's tails and
+    the sphere's ``parent`` and ``letter``.
+
+    States are numbered by first occurrence in the ball, as a dictionary
+    from signature to state filled in position order would number them.
+    The rows of a sphere are ranked column by column into one int64 code,
+    ranked afresh whenever the next column could overflow it; one 1-D
+    ``np.unique`` with ``return_index`` then gives each distinct code its
+    first row, and only that row's signature is looked up among those of
+    earlier spheres.
+
+    Each element votes for the transitions out of its state, one vote per
+    letter, and the first vote of each (state, letter) in position order
+    wins; votes that differ from it count as conflicts.  In a sphere, a
+    state's first votes are all cast by its first row there.
     """
     nt = len(T)
     vote_horizon = tree.radius() - level
     if vote_horizon < 1:
         raise ResourceLimit("validation horizon too small for this level")
-    top = tree.layer_bounds[vote_horizon + 1]
-    depth, nbr = tree.depth, tree.nbr
-    parent, letter = tree.parent, tree.letter
+    bounds = tree.layer_bounds
+    edges = np.array(bounds, dtype=np.intc)
+    nbr = np.frombuffer(tree.nbr, dtype=np.intc).reshape(-1, nt)
+    parent = np.frombuffer(tree.parent, dtype=np.intc)
     # Words of length < level, whose one-letter extensions are the rest of
     # the prefix tree of words of length <= level.
     inner = sum(nt ** k for k in range(level))
+    width = 2 * level + 1        # increments lie in [-level, level]
+    # Tails are numbered as they are first seen; no packing of their
+    # letters could overflow, however long the tail.
+    tail_id = {(): 0}
+    tail_of = [()]
 
-    # Signature of each element within the voting horizon: length increments
-    # of all translates x*w with 1 <= |w| <= L, in breadth-first order of w,
-    # plus the trailing letters of the breadth-first tree word.
-    state_of = [0] * top
+    def number_tails(grown: np.ndarray) -> np.ndarray:
+        """Tail numbers of a sphere, from each parent's tail number times
+        nt plus the letter that leads on."""
+        first, rank = _first_rows(grown)
+        numbered = []
+        for g in grown[first].tolist():
+            tail = (tail_of[g // nt] + (g % nt,))[-tail_len:]
+            t = tail_id.setdefault(tail, len(tail_of))
+            if t == len(tail_of):
+                tail_of.append(tail)
+            numbered.append(t)
+        return np.array(numbered, dtype=np.int64)[rank]
+
     sig_state: dict = {}
-    tails: list[tuple] = [()] * top
-    for i in range(top):
-        d = depth[i]
-        if i > 0:
-            tails[i] = (tails[parent[i]] + (letter[i],))[-tail_len:]
-        prods = [i]
-        for p in range(inner):
-            b = prods[p] * nt
-            prods += nbr[b:b + nt]
-        sig = (tuple([depth[k] - d for k in prods[1:]]), tails[i])
-        sid = sig_state.get(sig)
-        if sid is None:
-            sid = len(sig_state)
-            sig_state[sig] = sid
-        state_of[i] = sid
-
-    # Transitions, voted by every element that can see its children's
-    # signatures; the first representative wins, disagreements are counted.
-    # Only tree edges are allowed: x*T[li] must have been found from x by li.
-    vote_top = tree.layer_bounds[vote_horizon]
-    trans_raw: dict = {}
+    # First vote of each state by each letter, and the number of votes that
+    # disagree with it.  Only tree edges carry a target: x*T[li] must have
+    # been found from x by li.
+    unset = -2
+    winner = np.empty((0, nt), dtype=np.intc)
     conflicts = 0
-    for i in range(vote_top):
-        s = state_of[i]
-        b = i * nt
-        for li in range(nt):
-            ci = nbr[b + li]
-            out = (state_of[ci] if parent[ci] == i and letter[ci] == li
-                   else -1)
-            prev = trans_raw.setdefault((s, li), out)
-            if prev != out:
-                conflicts += 1
+    for d in range(vote_horizon + 1):
+        lo, hi = bounds[d], bounds[d + 1]
+        if d == 0:
+            tails = np.zeros(1, dtype=np.int64)
+        else:
+            up = parent[lo:hi] - bounds[d - 1]
+            last = np.array(tree.letter[lo:hi], dtype=np.intc)
+            tails = number_tails(prev_tails[up] * nt + last)
+        code, codes = tails, len(tail_of)
+        deltas = np.empty((hi - lo, inner * nt), dtype=np.int8)
+        inner_prods = []  # of the words of length 1 to level - 1, in order
+        for p in range(inner):
+            block = nbr[lo:hi] if p == 0 else nbr[inner_prods[p - 1]]
+            for li in range(nt):
+                prod = block[:, li]
+                if len(inner_prods) < inner - 1:
+                    inner_prods.append(prod)
+                # the sphere of each product, less d
+                delta = np.searchsorted(edges, prod, side="right") - (d + 1)
+                deltas[:, p * nt + li] = delta
+                if codes * width > 1 << 63:
+                    first, code = _first_rows(code)
+                    codes = len(first)
+                code = code * width + (delta + level)
+                codes *= width
+        first, rank = _first_rows(code)
+        ids = np.empty(len(first), dtype=np.intc)
+        for r in np.argsort(first, kind="stable").tolist():
+            f = first[r]
+            ids[r] = sig_state.setdefault(
+                (int(tails[f]), deltas[f].tobytes()), len(sig_state))
+        states = ids[rank]
+        if d:
+            # votes of sphere d - 1: each child is the target of its tree
+            # edge (parent, letter)
+            out = np.full((len(prev_states), nt), -1, dtype=np.intc)
+            out[up, last] = states
+            if len(winner) < len(sig_state):
+                winner = np.concatenate([winner, np.full(
+                    (len(sig_state) - len(winner), nt), unset, dtype=np.intc)])
+            fresh = winner[prev_ids, 0] == unset
+            winner[prev_ids[fresh]] = out[prev_first[fresh]]
+            conflicts += int(np.count_nonzero(winner[prev_states] != out))
+        prev_states, prev_tails = states, tails
+        prev_first, prev_ids = first, ids
 
-    # Renumber states in breadth-first order from the start state and drop
-    # anything unreachable, so equal inputs give byte-identical automata.
-    initial_raw = state_of[0]
-    remap = {initial_raw: 0}
-    order = [initial_raw]
+    # Renumber states in breadth-first order from the start state, the
+    # identity's, and drop anything unreachable, so equal inputs give
+    # byte-identical automata.
+    targets = winner.tolist()
+    remap = {0: 0}
+    order = [0]
     qi = 0
     while qi < len(order):
-        s = order[qi]
-        qi += 1
-        for li in range(nt):
-            t = trans_raw.get((s, li), -1)
+        for t in targets[order[qi]]:
             if t >= 0 and t not in remap:
                 remap[t] = len(remap)
                 order.append(t)
-    transitions = {
-        (remap[s], li): remap[t]
-        for (s, li), t in trans_raw.items()
-        if t >= 0 and s in remap
-    }
+        qi += 1
+    transitions = {(remap[s], li): remap[t] for s in order
+                   for li, t in enumerate(targets[s]) if t >= 0}
     return GeodesicAutomaton(
         group=spec,
         genset=T,

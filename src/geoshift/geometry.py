@@ -10,6 +10,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heappush, heappop
+from itertools import chain, repeat
+
+import numpy as np
 
 from .errors import ResourceLimit
 from .groups import GroupElement, ResolvedGenSet
@@ -41,6 +44,12 @@ class BallTree:
     below ``layer_bounds[radius()]`` (all but the last sphere).  Walks that
     stay below the last sphere read products from it instead of
     multiplying.
+
+    A free group on its free basis has a tree for its Cayley graph, so
+    there every position but the identity has exactly one neighbour in the
+    previous sphere (its parent, by the back edge) and its other products
+    are new elements of the next sphere.  The layout of such a ball is
+    fixed by counting alone, which is how :func:`ball_tree` lays it out.
     """
 
     keys: list
@@ -73,9 +82,16 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     ResourceLimit once more than `budget` elements are found, which is
     checked after each element's products, so at most budget + len(T)
     elements are built.
+
+    Every other group and generating set needs a dictionary from key to
+    position, since a product may be an element found before.  On a free
+    basis none is: each product other than the back edge is new, so
+    :func:`_free_basis_ball` places the sphere by counting.
     """
     if radius < 0:
         raise ValueError(f"ball radius must be nonnegative, got {radius}")
+    if T.group.family == "free" and T.is_base:
+        return _free_basis_ball(T, radius, budget)
     eng = T.group.engine
     mult = eng.mult
     tkeys = list(enumerate(e.key for e in T.elements))
@@ -107,14 +123,68 @@ def ball_tree(T: ResolvedGenSet, radius: int,
                     letter.append(li)
                 nbr.append(j)
             if size > budget:
-                raise ResourceLimit(
-                    f"ball enumeration exceeded budget {budget} at radius "
-                    f"{depth + 1} of {radius}")
+                raise _budget_exceeded(budget, depth + 1, radius)
         lo, hi = hi, size
         depths.extend([depth + 1] * (hi - lo))
         layer_bounds.append(hi)
         if lo == hi:
             break
+    return BallTree(keys, depths, parent, letter, layer_bounds, nbr)
+
+
+def _budget_exceeded(budget: int, depth: int, radius: int) -> ResourceLimit:
+    return ResourceLimit(f"ball enumeration exceeded budget {budget} at "
+                         f"radius {depth} of {radius}")
+
+
+def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
+    """:func:`ball_tree` for a free group on its free basis, one sphere at a
+    time with no index of keys.
+
+    The Cayley graph is a tree, so the children of sphere n are the
+    products of its positions, in order, by every letter but the inverse of
+    their own, in letter order; they take the next positions in that order,
+    and the back edge leads to the parent.  Each child's key costs one
+    product.  A sphere that would take the ball past `budget` raises before
+    it is built: the element-by-element loop raises at the same radius,
+    since its count only grows within a sphere.
+    """
+    mult = T.group.engine.mult
+    nt = len(T)
+    tkeys = [e.key for e in T.elements]
+    inv = np.array(T.inverse_index, dtype=np.intc)
+    letters = np.arange(nt, dtype=np.intc)
+    keys = [T.group.engine.identity]
+    depths = [0]
+    parent = array("i", [-1])
+    letter = [-1]
+    nbr = array("i")
+    layer_bounds = [0, 1]
+    lo, hi = 0, 1
+    # parent and back-edge letter of each position of the sphere lo:hi
+    up = np.array([-1], dtype=np.intc)
+    back = np.array([-1], dtype=np.intc)
+    for depth in range(radius):
+        forward = letters != back[:, None]
+        children = np.count_nonzero(forward, axis=1)
+        new = int(children.sum())
+        if hi + new > budget:
+            raise _budget_exceeded(budget, depth + 1, radius)
+        block = np.repeat(up[:, None], nt, axis=1)
+        block[forward] = np.arange(hi, hi + new, dtype=np.intc)
+        nbr.frombytes(block.tobytes())
+        up = np.repeat(np.arange(lo, hi, dtype=np.intc), children)
+        parent.frombytes(up.tobytes())
+        lets = np.broadcast_to(letters, forward.shape)[forward]
+        back = inv[lets]
+        lets = lets.tolist()
+        letter += lets
+        keys += map(mult, chain.from_iterable(map(repeat, keys[lo:hi],
+                                                  children.tolist())),
+                    map(tkeys.__getitem__, lets))
+        depths += repeat(depth + 1, new)
+        lo, hi = hi, hi + new
+        layer_bounds.append(hi)
     return BallTree(keys, depths, parent, letter, layer_bounds, nbr)
 
 

@@ -316,7 +316,7 @@ class GibbsReport:
     c_lower: float
     c_upper: float
     n_cylinders: int
-    n_max: int
+    n_max: int  # longest length counted: below the one asked for if truncated
     pressure: float
     truncated: bool = False
 
@@ -339,7 +339,8 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
     of each length in turn, then the first ones of the last length that
     fit, so the scan stores no more than a budget's worth of one length.
     It is truncated only when a cylinder of positive measure is left
-    unscanned.  Raises ValueError when `n_max` or `budget` is below 1.
+    unscanned, and its ``n_max`` is then the length of the last cylinder
+    counted.  Raises ValueError when `n_max` or `budget` is below 1.
     """
     if n_max < 1:
         raise ValueError(f"cylinder length n_max must be at least 1, "
@@ -370,6 +371,7 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
             weight = np.array([math.exp(x) for x in exps.tolist()])
             r = prob / weight[where]
             lo, hi = min(lo, float(r.min())), max(hi, float(r.max()))
+            longest = n
         count += len(prob)
         if truncated or n >= n_max:
             break
@@ -391,7 +393,7 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8,
             break
     if count == 0:
         raise EmptySphere("no cylinder of positive measure")
-    return GibbsReport(lo, hi, count, n_max, m.pressure, truncated)
+    return GibbsReport(lo, hi, count, longest, m.pressure, truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
                                 _validate_against_tree, deserialize_automaton)
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
-from geoshift.groups import GroupElement, finite_table_group
+from geoshift.groups import GroupElement, dehn_group, finite_table_group
 
 
 def test_free_group_machine_shape(f2_aut):
@@ -333,19 +333,54 @@ def with_transitions(aut, transitions):
         validated_to=0, conflicts=aut.conflicts)
 
 
+def cyclic_group(n):
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return finite_table_group(table, letters=("t", "t^-1"),
+                              letter_elements={"t": 1, "t^-1": n - 1},
+                              inverses={"t": "t^-1"}, name=f"Z{n}")
+
+
+@pytest.fixture(scope="module")
+def z6():
+    return cyclic_group(6)
+
+
+@pytest.fixture(scope="module")
+def z7():
+    return cyclic_group(7)
+
+
+@pytest.fixture(scope="module")
+def long_relator():
+    # one small-cancellation relator of 56 letters: tails keep 28 letters,
+    # and 5^28 base-5 tail codes would not fit in int64
+    relator = "aaaBAbbbABBBBabAbbbbaBaBAbbbbaaabbbbAbAbbbbaabAbAbABaabb"
+    return dehn_group([list(relator)], letters=("a", "A", "b", "B"),
+                      inverses={"a": "A", "b": "B"})
+
+
 @pytest.mark.parametrize("group,radius,levels", [
     ("f2", 7, (1, 2, 3, 4)),
     ("psl2z", 10, (1, 2, 3, 4)),
     ("s3", 5, (1, 2, 3, 4)),    # levels 3 and 4 leave no voting horizon
-    ("genus2", 5, (1,)),
+    ("genus2", 5, (1, 3)),      # level 3: 8 + 64 + 512 = 584 columns
+    ("f2:Sstar_ab", 5, (1, 2)),
+    ("f2:Sstar_a2", 5, (1, 2)),
+    ("psl2z:Sstar_st", 8, (1, 2, 3)),
+    ("z6", 5, (1,)),
+    ("z7", 5, (1,)),
+    ("long_relator", 6, (1, 2)),
 ])
 def test_candidate_matches_the_key_based_reference(group, radius, levels,
                                                    request):
-    spec = request.getfixturevalue(group)
-    T = spec.resolve(None)
+    name, _, genset = group.partition(":")
+    spec = request.getfixturevalue(name)
+    T = spec.resolve(genset or None)
     tree = ball_tree(T, radius)
     for lv in levels:
-        tail = max(4 if spec.family == "dehn" else 1, lv)
+        tail = lv
+        if spec.family == "dehn":
+            tail = max(tail, max(map(len, spec.payload["relators"])) // 2)
         try:
             want = reference_candidate(spec, T, tree, lv, tail)
         except ResourceLimit:
@@ -356,6 +391,9 @@ def test_candidate_matches_the_key_based_reference(group, radius, levels,
         assert got.transitions == want.transitions
         assert got.conflicts == want.conflicts
         assert got.n_states == want.n_states
+        # a cycle closes up at half its length: on each side, the last two
+        # elements before it share a signature but not a successor
+        assert got.conflicts == (2 if name in ("z6", "z7") else 0)
 
 
 @pytest.mark.parametrize("group,aut_fixture,radius", [

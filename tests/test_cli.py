@@ -119,6 +119,15 @@ def test_gibbs_report():
     assert doc["report"]["variational"]["ok"] is True
 
 
+def test_truncated_gibbs_report_names_the_length_it_reached():
+    # the default budget of 500,000 cylinders ends inside length 11
+    r = run("gibbs", "--group", F2, "--n-max", "20", "--trials", "10")
+    assert r.returncode == 0
+    gibbs = json.loads(r.stdout)["report"]["gibbs"]
+    assert gibbs["truncated"] is True and gibbs["cylinders"] == 500_000
+    assert gibbs["block_length"] == 11
+
+
 @pytest.mark.parametrize("args, message", [
     (("gibbs",), "no recurrent component"),
     (("dimension", "--to", "S"), "no recurrent component"),

@@ -6,7 +6,7 @@ from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
-from geoshift.groups import GroupElement
+from geoshift.groups import GroupElement, free_group
 
 
 def test_ball_layers_match_sphere_sizes(f2):
@@ -52,14 +52,25 @@ def test_neighbour_table_holds_every_product(group, genset, radius):
         assert tree.nbr[tree.parent[c] * nt + tree.letter[c]] == c
 
 
-def reference_ball_tree(T, radius):
+@pytest.fixture(scope="module")
+def f1():
+    return free_group(1)
+
+
+@pytest.fixture(scope="module")
+def f3():
+    return free_group(3)
+
+
+def reference_ball_tree(T, radius, budget=None):
     """Plain breadth-first ball: every product multiplied and looked up,
-    the back edge included."""
+    the back edge included.  Raises ResourceLimit once more than `budget`
+    elements are found, checked after each element's products."""
     eng = T.group.engine
     keys, parent, letter = [eng.identity], [-1], [-1]
     index = {eng.identity: 0}
     nbr, bounds = [], [0, 1]
-    for _ in range(radius):
+    for depth in range(radius):
         for i in range(bounds[-2], bounds[-1]):
             for li, x in enumerate(T.elements):
                 h = eng.mult(keys[i], x.key)
@@ -69,14 +80,35 @@ def reference_ball_tree(T, radius):
                     parent.append(i)
                     letter.append(li)
                 nbr.append(index[h])
+            if budget is not None and len(keys) > budget:
+                raise ResourceLimit(
+                    f"ball enumeration exceeded budget {budget} at radius "
+                    f"{depth + 1} of {radius}")
         bounds.append(len(keys))
         if bounds[-1] == bounds[-2]:
             break
     return keys, parent, letter, nbr, bounds
 
 
+def assert_same_tree(tree, reference):
+    keys, parent, letter, nbr, bounds = reference
+    assert tree.keys == keys
+    assert tree.parent.tolist() == parent
+    assert tree.letter == letter
+    assert tree.nbr.tolist() == nbr
+    assert tree.layer_bounds == bounds
+    assert tree.depth == [d for d in range(len(bounds) - 1)
+                          for _ in range(bounds[d], bounds[d + 1])]
+
+
 @pytest.mark.parametrize("group,genset,radius", [
+    ("f2", None, 0),
+    ("f2", None, 1),
     ("f2", None, 6),
+    ("f1", None, 1),
+    ("f1", None, 8),
+    ("f3", None, 2),
+    ("f3", None, 5),
     ("f2", "Sstar_ab", 4),
     ("f2", "Sstar_a2", 4),
     ("psl2z", None, 9),
@@ -89,15 +121,29 @@ def reference_ball_tree(T, radius):
 def test_ball_tree_matches_a_plain_breadth_first_search(group, genset, radius,
                                                         request):
     T = request.getfixturevalue(group).resolve(genset)
-    tree = ball_tree(T, radius)
-    keys, parent, letter, nbr, bounds = reference_ball_tree(T, radius)
-    assert tree.keys == keys
-    assert tree.parent.tolist() == parent
-    assert tree.letter == letter
-    assert tree.nbr.tolist() == nbr
-    assert tree.layer_bounds == bounds
-    assert tree.depth == [d for d in range(len(bounds) - 1)
-                          for _ in range(bounds[d], bounds[d + 1])]
+    assert_same_tree(ball_tree(T, radius), reference_ball_tree(T, radius))
+
+
+@pytest.mark.parametrize("group,radius,budget", [
+    ("f2", 6, 100),     # spheres end at 1, 5, 17, 53 and 161 elements
+    ("f2", 4, 160),
+    ("f2", 4, 161),     # exactly the ball: no limit is hit
+    ("f2", 1, 4),
+    ("f3", 5, 500),     # spheres end at 1, 7, 37, 187 and 937 elements
+    ("f3", 3, 187),
+    ("genus2", 4, 300),
+])
+def test_ball_budget_matches_a_plain_breadth_first_search(group, radius,
+                                                          budget, request):
+    T = request.getfixturevalue(group).resolve(None)
+    try:
+        want = reference_ball_tree(T, radius, budget)
+    except ResourceLimit as err:
+        with pytest.raises(ResourceLimit) as got:
+            ball_tree(T, radius, budget=budget)
+        assert str(got.value) == str(err)
+        return
+    assert_same_tree(ball_tree(T, radius, budget=budget), want)
 
 
 @pytest.mark.parametrize("group,radius", [("f2", 6), ("psl2z", 9),

@@ -309,6 +309,25 @@ def test_long_free_group_scan_stops_at_its_budget(f2_measure):
     assert scanned(rep) == reference_breadth_first_scan(m, 11, 500_000)
 
 
+@pytest.mark.parametrize("n_max", [11, 12, 20])
+def test_truncated_scan_reports_the_longest_length_it_counted(f2_measure,
+                                                              n_max):
+    # the budget runs out inside length 11, whatever length was asked for
+    rep = gibbs_ratio_scan(f2_measure, n_max=n_max)
+    assert rep.truncated and rep.n_cylinders == 500_000
+    assert rep.n_max == 11
+
+
+@pytest.mark.parametrize("budget, longest", [(13, 3), (14, 3), (15, 4),
+                                             (2, 1), (3, 2)])
+def test_block_length_of_a_truncated_two_shift_scan(budget, longest):
+    # 2 + 4 + 8 = 14 cylinders up to length 3; a budget that ends exactly
+    # at a length counts nothing of the next one
+    rep = gibbs_ratio_scan(two_shift_measure(), n_max=6, budget=budget)
+    assert rep.truncated
+    assert rep.n_max == longest
+
+
 @pytest.mark.parametrize("n_max, budget", [(0, 10), (-2, 10), (3, 0),
                                            (3, -1)])
 def test_scan_rejects_an_empty_range(f2_measure, n_max, budget):
