@@ -9,9 +9,9 @@ sampler correctness, and byte-level determinism.  Each criterion returns a
 pass flag plus a detail dictionary that renders deterministically, so two
 runs with one seed produce identical reports.
 
-`run_battery` drives all of it; `BatteryContext` caches the automata,
-measures, and Monte Carlo estimates the criteria share so the battery does
-not rebuild them twelve times.
+`run_battery` drives all of it; `BatteryContext` caches the automata and
+measures the criteria share, and each pair's band product its exact mean
+distortion, so the battery does not rebuild them twelve times.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 from .automaton import (build_geodesic_automaton, enumerate_sphere,
                         sample_uniform_sphere, sphere_count)
 from .dimension import drift, ps_dimension_estimate, regular_growth_check
-from .distortion import (_ForeignLength, check_growth_inequality, lln_check,
+from .distortion import (_BandProduct, _ForeignLength, TauEstimate,
+                         check_growth_inequality, lln_check,
                          mean_distortion_exact, mean_distortion_mc,
                          rough_similarity_scan)
 from .groups import GeneratingSet, free_group, free_product_group
@@ -67,9 +68,6 @@ class Profile:
     gibbs_n_max: int
     exact_n_max: int
     c6_samples: int
-    mc_samples: int
-    mc_n_f2: tuple
-    mc_n_psl: tuple
     lln_n: tuple
     lln_samples: int
     scan_radius: int
@@ -79,10 +77,10 @@ class Profile:
 
 
 PROFILES = {
-    "full": Profile("full", 500, 10, 8, 100_000, 5000, (8, 16, 28, 40),
-                    (8, 16, 24), (10, 20, 40), 10_000, 12, 40, 800, 40_000),
-    "quick": Profile("quick", 100, 6, 6, 2000, 500, (4, 8),
-                     (4, 8), (10, 20, 40), 1000, 8, 12, 150, 8000),
+    "full": Profile("full", 500, 10, 8, 100_000, (10, 20, 40), 10_000, 12,
+                    40, 800, 40_000),
+    "quick": Profile("quick", 100, 6, 6, 2000, (10, 20, 40), 1000, 8, 12,
+                     150, 8000),
 }
 
 
@@ -134,7 +132,6 @@ class BatteryContext:
         self._groups: dict = {}
         self._automata: dict = {}
         self._thermo: dict = {}
-        self._tau: dict = {}
 
     def group(self, gname: str):
         if gname not in self._groups:
@@ -159,16 +156,11 @@ class BatteryContext:
             self._thermo[gname] = parry_measure(self.automaton(gname, "S"))
         return self._thermo[gname]
 
-    def tau(self, gname: str, sname: str):
-        key = (gname, sname)
-        if key not in self._tau:
-            aut = self.automaton(gname, "S")
-            star = self.genset(gname, sname)
-            grid = (self.profile.mc_n_f2 if gname == "f2"
-                    else self.profile.mc_n_psl)
-            self._tau[key] = mean_distortion_mc(
-                aut, star, grid, self.profile.mc_samples, seed=self.seed)
-        return self._tau[key]
+
+def _exact_tau(ctx: BatteryContext, gname: str, sname: str) -> float:
+    """The exact mean distortion tau(S*/S) of a battery pair."""
+    return _BandProduct.of(ctx.genset(gname, "S"),
+                           ctx.genset(gname, sname)).tau
 
 
 # ---------------------------------------------------------------------------
@@ -316,30 +308,35 @@ _PAIRS = (("f2", "S"), ("f2", "Sstar_ab"), ("f2", "Sstar_a2"),
           ("psl2z", "Sstar_st"))
 
 
+def _exact_verdict(ctx: BatteryContext, gname: str, sname: str):
+    """The growth inequality for the exact tau of a pair: half-width 0."""
+    gr_s = ctx.thermo(gname)[0]
+    gr_star = (gr_s if sname == "S"
+               else growth_rate(ctx.automaton(gname, sname)))
+    exact = TauEstimate([], _exact_tau(ctx, gname, sname), 0.0, ctx.seed)
+    return check_growth_inequality(exact, gr_s, gr_star)
+
+
 def _c7(ctx: BatteryContext):
-    """tau_hat + half-width clears gr(S)/gr(S*) on every battery pair, and
-    the identity pair S -> S is flat: tau 1, deviations 0."""
+    """The exact tau clears gr(S)/gr(S*) on every battery pair, and the
+    identity pair S -> S is flat: tau 1, deviations 0."""
     rows = []
     ok = True
     for gname, sname in _PAIRS:
-        mc = ctx.tau(gname, sname)
-        gr_s = ctx.thermo(gname)[0]
-        gr_star = (gr_s if sname == "S"
-                   else growth_rate(ctx.automaton(gname, sname)))
-        verdict = check_growth_inequality(mc, gr_s, gr_star)
+        verdict = _exact_verdict(ctx, gname, sname)
         rows.append({"group": gname, "to_genset": sname,
-                     "tau_hat": verdict.tau_hat,
-                     "half_width": verdict.half_width,
+                     "tau": verdict.tau_hat,
                      "gr_ratio": verdict.ratio,
                      "margin": verdict.margin,
                      "passed": verdict.passed})
         ok = ok and verdict.passed
-    mc_same = ctx.tau("f2", "S")
-    same_gap = abs(mc_same.tau_hat - 1.0)
+    tau_same = _exact_tau(ctx, "f2", "S")
+    same_gap = abs(tau_same - 1.0)
+    # the Parry float is 1 + 2e-16, which would put r * 2e-16 in the scan
     scan = rough_similarity_scan(ctx.genset("f2", "S"), ctx.genset("f2", "S"),
-                                 mc_same.tau_hat, ctx.profile.scan_radius)
+                                 round(tau_same, 12), ctx.profile.scan_radius)
     max_dev = max(scan.deviations)
-    same_ok = (same_gap < 0.01 and scan.verdict == "BOUNDED-LOOKING"
+    same_ok = (same_gap <= 1e-12 and scan.verdict == "BOUNDED-LOOKING"
                and max_dev == 0.0)
     ok = ok and same_ok
     return ok, {
@@ -349,27 +346,17 @@ def _c7(ctx: BatteryContext):
     }
 
 
-def _lsq_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
-
-
 def _c8(ctx: BatteryContext):
     """Doubling one letter gives a strict inequality gap and a linearly
     growing deviation along the powers of that letter."""
-    mc = ctx.tau("f2", "Sstar_a2")
-    gr_s = ctx.thermo("f2")[0]
-    gr_star = growth_rate(ctx.automaton("f2", "Sstar_a2"))
-    verdict = check_growth_inequality(mc, gr_s, gr_star)
+    verdict = _exact_verdict(ctx, "f2", "Sstar_a2")
+    tau = verdict.tau_hat
     strict = verdict.margin > verdict.half_width
 
     S = ctx.genset("f2", "S")
     star = ctx.genset("f2", "Sstar_a2")
     R = ctx.profile.scan_radius
-    scan = rough_similarity_scan(S, star, mc.tau_hat, R)
+    scan = rough_similarity_scan(S, star, tau, R)
     growing = scan.verdict == "GROWING"
 
     # Along a, a^2, a^3, ... the second metric only needs about half the
@@ -377,15 +364,14 @@ def _c8(ctx: BatteryContext):
     spec = ctx.group("f2")
     length = _ForeignLength(S, star)
     radii = list(range(1, R + 1))
-    devs = [abs(length(spec.element(("a",) * r).key) - mc.tau_hat * r)
+    devs = [abs(length(spec.element(("a",) * r).key) - tau * r)
             for r in radii]
-    slope = _lsq_slope(radii, devs)
-    expected = abs(mc.tau_hat - 0.5)
+    slope = float(np.polyfit(radii, devs, 1)[0])
+    expected = abs(tau - 0.5)
     rel_gap = abs(slope - expected) / expected
     ok = strict and growing and rel_gap <= 0.10
     return ok, {
-        "tau_hat": verdict.tau_hat,
-        "half_width": verdict.half_width,
+        "tau": tau,
         "gr_ratio": verdict.ratio,
         "margin": verdict.margin,
         "strict": strict,
@@ -400,9 +386,9 @@ def _c8(ctx: BatteryContext):
 def _c9(ctx: BatteryContext):
     """Outlier fractions for | |x|_Sstar - n tau | > 0.05 n shrink (within
     binomial noise) as the sphere radius grows."""
-    mc = ctx.tau("f2", "Sstar_ab")
     rep = lln_check(ctx.automaton("f2", "S"), ctx.genset("f2", "Sstar_ab"),
-                    mc.tau_hat, n_list=ctx.profile.lln_n,
+                    _exact_tau(ctx, "f2", "Sstar_ab"),
+                    n_list=ctx.profile.lln_n,
                     samples=ctx.profile.lln_samples, seed=ctx.seed)
     ok = rep.monotone[0.05]
     table = {}
@@ -420,8 +406,8 @@ def _c9(ctx: BatteryContext):
 
 def _c10(ctx: BatteryContext):
     """Growth rate over ray drift reproduces the boundary dimension: equal
-    to gr(S) in the group's own gauge, and consistent with the distortion
-    estimate in a foreign gauge."""
+    to gr(S) in the group's own gauge, and consistent with the exact mean
+    distortion in a foreign gauge."""
     rate, m = ctx.thermo("f2")
     prof = ctx.profile
     same = drift(m, ctx.genset("f2", "S"),
@@ -433,10 +419,10 @@ def _c10(ctx: BatteryContext):
     est = ps_dimension_estimate(ctx.automaton("f2", "S"), star, m,
                                 n=prof.drift_n, samples=prof.drift_samples,
                                 seed=ctx.seed, diag_rays=4)
-    mc = ctx.tau("f2", "Sstar_ab")
-    combined = math.hypot(est.drift.stderr, mc.rows[-1].stderr)
-    drift_gap = abs(est.drift.mean - mc.tau_hat)
-    tau_ok = drift_gap <= 4.0 * combined
+    tau = _exact_tau(ctx, "f2", "Sstar_ab")
+    allowance = 4.0 * est.drift.stderr
+    drift_gap = abs(est.drift.mean - tau)
+    tau_ok = drift_gap <= allowance
     gr_star = growth_rate(ctx.automaton("f2", "Sstar_ab"))
     frostman = est.dim_hat <= gr_star + est.width + 1e-9
     ok = same_ok and tau_ok
@@ -446,11 +432,11 @@ def _c10(ctx: BatteryContext):
                       "ok": same_ok},
         "foreign_gauge": {"drift_mean": est.drift.mean,
                           "drift_stderr": est.drift.stderr,
-                          "tau_hat": mc.tau_hat,
+                          "tau": tau,
                           "gap": drift_gap,
-                          "gap_allowance": 4.0 * combined,
+                          "gap_allowance": allowance,
                           "dim_hat": est.dim_hat,
-                          "dim_via_tau": rate / mc.tau_hat,
+                          "dim_via_tau": rate / tau,
                           "width": est.width,
                           "ok": tau_ok},
         "upper_bound_vs_target_growth": {"gr_sstar": gr_star,
@@ -550,7 +536,7 @@ _NAMES = {
     6: ("distortion-consistency",
         "Monte Carlo distortion matches exhaustive sphere averages"),
     7: ("growth-inequality",
-        "tau_hat clears the growth-rate ratio on every pair"),
+        "exact tau clears the growth-rate ratio on every pair"),
     8: ("strict-distortion",
         "a doubled letter gives a strict gap and a growing deviation"),
     9: ("lln-outliers", "outlier fractions shrink as spheres grow"),

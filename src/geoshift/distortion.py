@@ -3,10 +3,11 @@
 Given a validated automaton for the metric d_S and a second generating set
 S*, the average of |x|_{S*}/n over the uniform sphere of radius n settles,
 as n grows, to the mean distortion tau(S*/S).  This module computes exact
-small-sphere expectations, Monte Carlo estimates with a finite-size bias
-guard, the growth-ratio inequality tau >= gr(S)/gr(S*), an empirical law
-of large numbers, and a heuristic scan for rough similarity between the
-two metrics.
+small-sphere expectations, tau itself from the band product where a band
+of radius 1 gives exact lengths, Monte Carlo estimates with a finite-size
+bias guard, the growth-ratio inequality tau >= gr(S)/gr(S*), an empirical
+law of large numbers, and a heuristic scan for rough similarity between
+the two metrics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .automaton import (GeodesicAutomaton, enumerate_sphere,
@@ -23,6 +24,9 @@ from .errors import EmptySphere, ResourceLimit
 from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
+from .sft import Sft, components
+from .thermo import (maximal_components, parry_gibbs_measure,
+                     word_length_potential)
 
 __all__ = [
     "cross_lipschitz",
@@ -56,23 +60,18 @@ def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet) -> int:
 class _ForeignLength:
     """Length in S*, in one of two exact modes chosen from the input.
 
-    ``band``: a transducer reads the key of x, an S-geodesic word, one
-    letter at a time.  After a prefix p its row holds, for each d in the
-    radius-1 S-ball, the shortest S*-path to p.d within S-distance 1 of the
-    prefixes, less the row's minimum, whose rise is the step's increment.
-    The length is the sum of the increments plus the last row's value at e.
-
-    Radius 1 is exact when S is the base set of a free group, or of a free
-    product of finite groups whose nontrivial factor elements are all
-    letters; every base letter is an S*-letter; and every S*-letter has
-    base length at most 2.  Then Cay(G, S) is a tree of complete pieces,
-    and each interior vertex c of the S-geodesic [e, x] separates e from x.
-    An S*-step spans at most two S-edges, so an S*-path passes c: it visits
-    c or steps between two neighbours of c.  Between its first and last
-    passage of c an S*-geodesic runs from u to w, both within distance 1 of
-    c; if it leaves the band there, it takes at least two steps, and at
-    most two base letters through c replace them.  So some S*-geodesic
-    passes the vertices of [e, x] in order and stays in the band.
+    ``band``: the pair's :class:`_BandProduct`.  Its band of radius 1 is
+    exact when S is the base set of a free group, or of a free product of
+    finite groups whose nontrivial factor elements are all letters; every
+    base letter is an S*-letter; and every S*-letter has base length at
+    most 2.  Then Cay(G, S) is a tree of complete pieces, and each interior
+    vertex c of the S-geodesic [e, x] separates e from x.  An S*-step spans
+    at most two S-edges, so an S*-path passes c: it visits c or steps
+    between two neighbours of c.  Between its first and last passage of c
+    an S*-geodesic runs from u to w, both within distance 1 of c; if it
+    leaves the band there, it takes at least two steps, and at most two
+    base letters through c replace them.  So some S*-geodesic passes the
+    vertices of [e, x] in order and stays in the band.
 
     ``search``: every other pair goes to :func:`word_length`, an exact A*
     search.
@@ -89,66 +88,140 @@ class _ForeignLength:
         if (S.is_base and pieces and {x.key for x in S.elements} <= star_keys
                 and all(x.length() <= 2 for x in Sstar.elements)):
             self.mode = "band"
-            self.steps, self.tails, self.follow, self.index = _band_table(
+            self.band = _band_product(
                 spec, *(tuple(x.key for x in T.elements) for T in (S, Sstar)))
         else:
             self.mode = "search"
+            self.band = None
 
     def __call__(self, key) -> int:
         """Length in S* of the element with this engine key."""
-        if self.mode == "band":
-            steps, index = self.steps, self.index
-            q = total = 0
-            for c in key if index is None else map(index.__getitem__, key):
-                q, inc = steps[q][c]
-                total += inc
-            return total + self.tails[q]
+        if self.band is not None:
+            return self.band.length(key)
         return word_length(GroupElement(self.Sstar.group, key), self.Sstar,
                            self.budget)
 
 
-@lru_cache(maxsize=16)  # by letter keys: callers resolve the sets afresh
-def _band_table(group, keys: tuple, stars: tuple):
-    """The band product of a pair.  Its rows, breadth-first from the start
-    row: per row its step (next row, increment) on each letter index, and
-    its value at e.  The key acceptor: per letter a the letters b that
-    follow a in keys (|ab|_S = 2), then all letters, for the start.  And
-    the letter index of each syllable a free product's key spells, or None
-    where keys are bytes of letter indices, as a free group's are."""
-    eng = group.engine
-    mult = eng.mult
-    ball = [eng.identity, *keys]
+class _BandProduct:
+    """The band transducer of a pair in step with the acceptor of its keys.
 
-    def relax(g: dict) -> dict:  # shortest S*-paths among g's elements
-        changed = True
-        while changed:
-            changed = False
-            for x in g:
-                for y in (mult(x, s) for s in stars):
-                    if g[x] + 1 < g.get(y, -1):
-                        g[y] = g[x] + 1
-                        changed = True
-        return g
+    The transducer reads the key of x, an S-geodesic word, one letter at a
+    time.  After a prefix p its row holds, for each d in the radius-1
+    S-ball, the shortest S*-path to p.d within S-distance 1 of the
+    prefixes, less the row's minimum, whose rise is the step's increment.
+    ``steps[q][b]`` is the next row and the increment of row q on letter
+    index b, rows numbered breadth-first from the start row 0.  The length
+    is the sum of the increments plus ``tails[q]``, the last row's value at
+    e.  The acceptor ``follow`` lists per letter a the letters b with
+    |ab|_S = 2, then all letters, for the start, and the keys are the paths
+    of the product from (start, 0); its nodes are (last letter, row) pairs.
+    ``index`` maps the syllables a free product's keys spell to letter
+    indices; it is None where keys are bytes of letter indices.
+    """
 
-    far = 1 << 30  # not reached yet
-    # each row and its number; every base letter is an S*-letter
-    rows = {(0,) + (1,) * len(keys): 0}
-    steps = []
-    while len(steps) < len(rows):  # the next row in the order found
-        r = list(rows)[len(steps)]
-        steps.append([])
-        for a in ball[1:]:
-            shifted = [mult(a, d) for d in ball]
-            g = relax(dict.fromkeys(shifted, far) | dict(zip(ball, r)))
-            low = min(g[y] for y in shifted)
-            row = tuple(g[y] - low for y in shifted)
-            steps[-1].append((rows.setdefault(row, len(rows)), low))
-    letters = range(len(keys))
-    follow = [[b for b in letters if eng.length(mult(a, keys[b])) == 2]
-              for a in keys] + [letters]
-    spelled = [k[0] for k in keys]
-    index = None if spelled == list(letters) else dict(zip(spelled, letters))
-    return steps, [r[0] for r in rows], follow, index
+    def __init__(self, group, keys: tuple, stars: tuple):
+        eng = group.engine
+        mult = eng.mult
+        ball = [eng.identity, *keys]
+
+        def relax(g: dict) -> dict:  # shortest S*-paths among g's elements
+            changed = True
+            while changed:
+                changed = False
+                for x in g:
+                    for y in (mult(x, s) for s in stars):
+                        if g[x] + 1 < g.get(y, -1):
+                            g[y] = g[x] + 1
+                            changed = True
+            return g
+
+        far = 1 << 30  # not reached yet
+        # each row and its number; every base letter is an S*-letter
+        rows = {(0,) + (1,) * len(keys): 0}
+        self.steps = []
+        while len(self.steps) < len(rows):  # the next row in the order found
+            r = list(rows)[len(self.steps)]
+            self.steps.append([])
+            for a in ball[1:]:
+                shifted = [mult(a, d) for d in ball]
+                g = relax(dict.fromkeys(shifted, far) | dict(zip(ball, r)))
+                low = min(g[y] for y in shifted)
+                row = tuple(g[y] - low for y in shifted)
+                self.steps[-1].append((rows.setdefault(row, len(rows)), low))
+        self.tails = [r[0] for r in rows]
+        letters = range(len(keys))
+        self.follow = [[b for b in letters
+                        if eng.length(mult(a, keys[b])) == 2]
+                       for a in keys] + [letters]
+        spelled = [k[0] for k in keys]
+        self.index = (None if spelled == list(letters)
+                      else dict(zip(spelled, letters)))
+
+    @classmethod
+    def of(cls, S: ResolvedGenSet, Sstar: ResolvedGenSet) -> _BandProduct:
+        """The pair's band product; raises ValueError on a search pair."""
+        band = _ForeignLength(S, Sstar).band
+        if band is None:
+            raise ValueError(f"no band product from {S.name} to {Sstar.name}")
+        return band
+
+    def length(self, key) -> int:
+        """Length in S* of the element with this engine key."""
+        steps, index = self.steps, self.index
+        q = total = 0
+        for c in key if index is None else map(index.__getitem__, key):
+            q, inc = steps[q][c]
+            total += inc
+        return total + self.tails[q]
+
+    def layers(self):
+        """The spheres of radius 1, 2, ... until a finite group runs out.
+        Each is the nodes (last letter, row) its keys reach, with the number
+        of those keys, the sum of their lengths, and (-length, word) and
+        (length, word) for the longest and the shortest, each with its
+        lex-first word: |L - tau r| peaks at an extreme of L."""
+        steps, follow, tails = self.steps, self.follow, self.tails
+        empty = (math.inf,)  # the extremes of a node no key reached yet
+        layer = {(len(follow) - 1, 0): (1, 0, (0, ()), (0, ()))}
+        while True:
+            nxt: dict = {}
+            for (a, q), (count, total, (hi, hw), (lo, lw)) in layer.items():
+                for b in follow[a]:
+                    r, inc = steps[q][b]
+                    inc += tails[r] - tails[q]  # the rise of the length
+                    old = nxt.get((b, r), (0, 0, empty, empty))
+                    nxt[b, r] = (old[0] + count, old[1] + total + count * inc,
+                                 min(old[2], (hi - inc, hw + (b,))),
+                                 min(old[3], (lo + inc, lw + (b,))))
+            if not nxt:
+                return
+            layer = nxt
+            yield layer.values()
+
+    @cached_property
+    def tau(self) -> float:
+        """tau(S*/S), the limit of the sphere means of |x|_{S*}/n: the mean
+        increment of the product's Parry chain (Calegari-Fujiwara 2010).
+        Raises ValueError unless it has exactly one maximal component."""
+        nodes = [(len(self.follow) - 1, 0)]  # grows as nodes are found
+        edges, incs = [], []
+        for i, (a, q) in enumerate(nodes):
+            for b in self.follow[a]:
+                r, inc = self.steps[q][b]
+                if (b, r) not in nodes:
+                    nodes.append((b, r))
+                edges.append((i, b, nodes.index((b, r))))
+                incs.append(inc)
+        dec = components(Sft(edges, len(nodes)))
+        top = maximal_components(dec)
+        if len(top.maximal) != 1:
+            raise ValueError(f"{len(top.maximal)} maximal components")
+        m = parry_gibbs_measure(dec.components[top.maximal[0]],
+                                word_length_potential(top.max_pressure))
+        return float(sum(p * incs[e] for p, e in zip(m.pi, m.nodes)))
+
+
+_band_product = lru_cache(maxsize=16)(_BandProduct)  # callers resolve afresh
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +237,10 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     automaton against EXACT_BUDGET, then enumerate them."""
     length = _ForeignLength(aut.genset, Sstar, EXACT_BUDGET)
     if length.mode == "band":
-        out, tails = [Fraction(0)], length.tails
-        for _, layer in zip(range(n_max), _band_walk(length)):
-            out.append(Fraction(sum(tot + c * tails[q] for (_, q), (c, tot, *_)
-                                    in layer.items()),
-                                sum(c for c, *_ in layer.values())))
+        out = [Fraction(0)]
+        for _, layer in zip(range(n_max), length.band.layers()):
+            out.append(Fraction(sum(total for _, total, *_ in layer),
+                                sum(count for count, *_ in layer)))
         if len(out) <= n_max:
             raise EmptySphere(f"no elements at distance {len(out)}")
         return out
@@ -187,32 +259,6 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
             raise EmptySphere(f"no elements at distance {n}")
         out.append(Fraction(total, count))
     return out
-
-
-def _band_walk(length: _ForeignLength):
-    """The spheres of radius 1, 2, ... as layers of the band product, until
-    a finite group runs out of them.  A layer maps each node (last letter,
-    band row) to the number of keys that reach it, the sum of their
-    increments, and (-total, word) and (total, word) for the largest and
-    smallest running total with the lex-first word to each: |L - tau r|
-    peaks at an extreme of L, and the ball orders words so."""
-    steps, follow = length.steps, length.follow
-    layer = {(len(follow) - 1, 0): (1, 0, (0, ()), (0, ()))}
-    while True:
-        nxt: dict = {}
-        for (a, q), (count, total, (hi, hw), (lo, lw)) in layer.items():
-            for b in follow[a]:
-                r, inc = steps[q][b]
-                new = (count, total + count * inc, (hi - inc, hw + (b,)),
-                       (lo + inc, lw + (b,)))
-                old = nxt.get((b, r))
-                nxt[b, r] = new if old is None else (
-                    old[0] + count, old[1] + new[1], min(old[2], new[2]),
-                    min(old[3], new[3]))
-        if not nxt:
-            return
-        layer = nxt
-        yield layer
 
 
 @dataclass
@@ -378,34 +424,25 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
     if R < 1:
         raise ValueError("scan radius must be at least 1")
     length = _ForeignLength(S, Sstar)
+    worst = []  # per radius, the deviation and the letters of a first word
     if length.mode == "band":
-        deviations, witnesses, tails = [], [], length.tails
-        for r, layer in zip(range(1, R + 1), _band_walk(length)):
-            dev, word = min((-abs(total - tau * r), w)
-                            for (_, q), (*_, (hi, hw), (lo, lw))
-                            in layer.items()
-                            for total, w in ((tails[q] - hi, hw),
-                                             (tails[q] + lo, lw)))
-            deviations.append(-dev)
-            witnesses.append(" ".join(S.letters[b] for b in word)
-                             if dev else "")
+        for r, layer in zip(range(1, R + 1), length.band.layers()):
+            dev, word = min((-abs(L - tau * r), w)
+                            for *_, (hi, hw), (lo, lw) in layer
+                            for L, w in ((-hi, hw), (lo, lw)))
+            worst.append((-dev, word))
     else:
         tree = ball_tree(S, R)
-        last = tree.radius()
-        if tree.sphere_size(last) == 0:  # a finite group ran out of spheres
-            last -= 1
-        R = min(R, last)
-        keys = tree.keys
-        deviations = [0.0] * (R + 1)
-        witnesses = [""] * (R + 1)
         for r in range(1, R + 1):
-            for i in range(tree.layer_bounds[r], tree.layer_bounds[r + 1]):
-                dev = abs(length(keys[i]) - tau * r)
-                if dev > deviations[r]:
-                    deviations[r] = dev
-                    witnesses[r] = " ".join(S.letters[li]
-                                            for li in tree.tree_word(i))
-        deviations, witnesses = deviations[1:], witnesses[1:]
+            sphere = range(tree.layer_bounds[r], tree.layer_bounds[r + 1])
+            if not sphere:  # a finite group ran out of spheres
+                break
+            dev, i = max((abs(length(tree.keys[i]) - tau * r), -i)
+                         for i in sphere)
+            worst.append((dev, tree.tree_word(-i)))
+    deviations = [dev for dev, _ in worst]
+    witnesses = [" ".join(S.letters[b] for b in word) if dev else ""
+                 for dev, word in worst]
     R = len(deviations)
     start = max(1, (2 * R) // 3)
     worst_step = 0.0

@@ -32,8 +32,7 @@ class BallTree:
 
     ``keys[i]`` was first reached from ``keys[parent[i]]`` by the letter with
     index ``letter[i]``; letters are tried in index order, so the tree word of
-    each element is its shortlex-least geodesic word, and ``depth[i]`` is
-    the distance of ``keys[i]``.
+    each element is its shortlex-least geodesic word.
     ``parent`` is a compact ``array('i')``: a list would hold one int object
     per distinct parent position.
 
@@ -53,7 +52,6 @@ class BallTree:
     """
 
     keys: list
-    depth: list[int]
     parent: array
     letter: list[int]
     layer_bounds: list[int]  # keys[layer_bounds[n]:layer_bounds[n+1]] is sphere n
@@ -97,7 +95,6 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     tkeys = list(enumerate(e.key for e in T.elements))
     inv = T.inverse_index
     keys = [eng.identity]
-    depths = [0]
     parent = array("i", [-1])
     letter = [-1]
     index = {eng.identity: 0}
@@ -125,11 +122,10 @@ def ball_tree(T: ResolvedGenSet, radius: int,
             if size > budget:
                 raise _budget_exceeded(budget, depth + 1, radius)
         lo, hi = hi, size
-        depths.extend([depth + 1] * (hi - lo))
         layer_bounds.append(hi)
         if lo == hi:
             break
-    return BallTree(keys, depths, parent, letter, layer_bounds, nbr)
+    return BallTree(keys, parent, letter, layer_bounds, nbr)
 
 
 def _budget_exceeded(budget: int, depth: int, radius: int) -> ResourceLimit:
@@ -155,7 +151,6 @@ def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
     inv = np.array(T.inverse_index, dtype=np.intc)
     letters = np.arange(nt, dtype=np.intc)
     keys = [T.group.engine.identity]
-    depths = [0]
     parent = array("i", [-1])
     letter = [-1]
     nbr = array("i")
@@ -182,10 +177,9 @@ def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
         keys += map(mult, chain.from_iterable(map(repeat, keys[lo:hi],
                                                   children.tolist())),
                     map(tkeys.__getitem__, lets))
-        depths += repeat(depth + 1, new)
         lo, hi = hi, hi + new
         layer_bounds.append(hi)
-    return BallTree(keys, depths, parent, letter, layer_bounds, nbr)
+    return BallTree(keys, parent, letter, layer_bounds, nbr)
 
 
 def _astar_length(T: ResolvedGenSet, x: GroupElement, budget: int) -> int:

@@ -70,3 +70,10 @@ def z5_z2():
         (z5, ((0, 1), (1, 0))), letters=("t", "t^-1", "s"),
         letter_syllables={"t": (0, 1), "t^-1": (0, 4), "s": (1, 1)},
         inverses={"t": "t^-1", "t^-1": "t", "s": "s"})
+
+
+def ball_depths(tree):
+    """The distance of each position of a ball tree, from its layer bounds."""
+    bounds = tree.layer_bounds
+    return [d for d in range(len(bounds) - 1)
+            for _ in range(bounds[d], bounds[d + 1])]

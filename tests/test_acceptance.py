@@ -32,3 +32,20 @@ def test_criterion(index, ctx):
     status = "PASS" if res.passed else "FAIL"
     print(f"[{index:2d}] {status}  {res.name}: {res.check}")
     assert res.passed, res.details
+
+
+@pytest.mark.parametrize("index", (7, 8))
+def test_growth_criteria_draw_no_sample(index, monkeypatch):
+    import geoshift
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sphere sample was drawn")
+
+    for mod in (geoshift, *(getattr(geoshift, name) for name in
+                            ("automaton", "battery", "dimension",
+                             "distortion"))):
+        monkeypatch.setattr(mod, "sample_uniform_sphere", refuse,
+                            raising=False)
+    res = run_criterion(index, BatteryContext(seed=0,
+                                              profile=PROFILES["full"]))
+    assert res.passed, res.details

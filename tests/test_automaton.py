@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import ball_depths
 from geoshift import (
     EmptySphere,
     FormatError,
@@ -183,7 +184,7 @@ def reference_candidate(spec, T, tree, level, tail_len):
     if vote_horizon < 1:
         raise ResourceLimit("validation horizon too small for this level")
     top = tree.layer_bounds[vote_horizon + 1]
-    depth = tree.depth
+    depth = ball_depths(tree)
     index = {k: i for i, k in enumerate(tree.keys)}
     state_of = np.empty(top, dtype=np.int64)
     sig_state = {}
@@ -270,7 +271,7 @@ def reference_validate(aut, tree, seed=0):
     injectivity_failures = 0
     if first_mismatch is None:
         index = {k: i for i, k in enumerate(tree.keys)}
-        depth = tree.depth
+        depth = ball_depths(tree)
         seen = bytearray(len(tree.keys))
         stack = [(aut.initial, eng.identity, 0)]
         while stack:

@@ -17,11 +17,12 @@ from geoshift import (
     sphere_count,
 )
 from geoshift.automaton import GeodesicAutomaton
-from geoshift.distortion import _ForeignLength
+from geoshift.distortion import _BandProduct, _ForeignLength
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
 from geoshift.grammar import parse_group_text
-from geoshift.groups import GeneratingSet, GroupElement, free_product_group
+from geoshift.groups import (GeneratingSet, GroupElement, free_group,
+                             free_product_group)
 
 # per-sphere averages of the composite-letter length, small enough to check
 # against a full enumeration by hand
@@ -402,7 +403,8 @@ def test_band_scan_is_the_ball_scan(request, group, star, radius, taus):
     tree = ball_tree(S, radius)
     lengths = [length(key) for key in tree.keys]
     if group == "z2_z4":  # keys spell syllables, which the map indexes
-        assert length.index == {(0, 1): 0, (1, 1): 1, (1, 3): 2, (1, 2): 3}
+        assert length.band.index == {(0, 1): 0, (1, 1): 1, (1, 3): 2,
+                                     (1, 2): 3}
     for tau in taus:
         want = reference_scan(S, tree, lengths, tau)
         assert len(want[0]) == radius
@@ -507,7 +509,49 @@ def test_band_table_is_built_once_per_pair(f2):
 
     a = _ForeignLength(f2.resolve(None), f2.resolve("Sstar_a2"))
     b = _ForeignLength(f2.resolve(None), f2.resolve("Sstar_a2"))
-    assert a.steps is b.steps and a.tails is b.tails
+    assert isinstance(a.band, _BandProduct)
+    assert a.band is b.band
+    assert _BandProduct.of(f2.resolve(None), f2.resolve("Sstar_a2")) is a.band
     c = _ForeignLength(f2.resolve(None), f2.resolve("Sstar_ab"))
-    assert c.steps is not a.steps
-    assert distortion._band_table.cache_info().hits >= 1
+    assert c.band is not a.band
+    assert distortion._band_product.cache_info().hits >= 2
+
+
+# --- the exact mean distortion of a band product ---
+
+@pytest.mark.parametrize("group, star, tau", [
+    ("f2", None, Fraction(1)), ("f2", "Sstar_ab", Fraction(5, 6)),
+    ("f2", "Sstar_a2", Fraction(7, 8)), ("psl2z", "Sstar_st", Fraction(5, 8))])
+def test_band_product_tau_is_exact(request, group, star, tau):
+    G = request.getfixturevalue(group)
+    band = _BandProduct.of(G.resolve(None), G.resolve(star))
+    assert abs(band.tau - tau) <= 1e-12
+
+
+@pytest.mark.parametrize("group, star", [
+    ("f2", "Sstar_ab"), ("f2", "Sstar_a2"), ("psl2z", "Sstar_st")])
+def test_band_product_tau_is_the_slope_of_the_exact_means(request, group,
+                                                          star):
+    # the sphere means settle to E_n = tau n + c (PSL2Z alternates with
+    # period 2), so their difference over two radii is tau
+    G = request.getfixturevalue(group)
+    aut = request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut"}[group])
+    Sstar = G.resolve(star)
+    means = mean_distortion_exact(aut, Sstar, 40)
+    tau = _BandProduct.of(G.resolve(None), Sstar).tau
+    assert abs(float(means[40] - means[38]) / 2 - tau) <= 1e-9
+
+
+def test_band_product_tau_refuses_two_maximal_components():
+    # in Z the a-ray and the A-ray are two components of pressure 0
+    Z = free_group(1)
+    band = _BandProduct.of(Z.resolve(None), Z.resolve(None))
+    with pytest.raises(ValueError, match="2 maximal components"):
+        band.tau
+
+
+def test_band_product_refuses_a_search_pair(f2):
+    S, Sstar = f2.resolve("Sstar_ab"), f2.resolve("Sstar_a2")
+    assert _ForeignLength(S, Sstar).mode == "search"
+    with pytest.raises(ValueError, match="no band product"):
+        _BandProduct.of(S, Sstar)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import ball_depths
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import ResourceLimit
@@ -18,13 +19,14 @@ def test_ball_layers_match_sphere_sizes(f2):
 def test_tree_words_spell_their_elements(f2):
     S = f2.resolve(None)
     t = ball_tree(S, 3)
+    depths = ball_depths(t)
     index = {k: i for i, k in enumerate(t.keys)}
     assert len(index) == len(t.keys)
     for i in range(len(t.keys)):
         word = [S.letters[li] for li in t.tree_word(i)]
         x = f2.element(word)
         assert x.key == t.keys[i]
-        assert t.depth[index[x.key]] == len(word) == x.length()
+        assert depths[index[x.key]] == len(word) == x.length()
 
 
 @pytest.mark.parametrize("group,genset,radius", [
@@ -97,8 +99,6 @@ def assert_same_tree(tree, reference):
     assert tree.letter == letter
     assert tree.nbr.tolist() == nbr
     assert tree.layer_bounds == bounds
-    assert tree.depth == [d for d in range(len(bounds) - 1)
-                          for _ in range(bounds[d], bounds[d + 1])]
 
 
 @pytest.mark.parametrize("group,genset,radius", [
@@ -231,7 +231,7 @@ def test_length_search_matches_the_ball(group, genset, radius, request):
     spec = request.getfixturevalue(group)
     star = spec.resolve(genset)
     tree = ball_tree(star, radius)
-    mismatches = [k for k, d in zip(tree.keys, tree.depth)
+    mismatches = [k for k, d in zip(tree.keys, ball_depths(tree))
                   if word_length(GroupElement(spec, k), star) != d]
     assert mismatches == []
 
