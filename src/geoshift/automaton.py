@@ -429,14 +429,14 @@ def sphere_count(aut: GeodesicAutomaton, n: int) -> int:
     return aut.path_counts(n)[n][aut.initial]
 
 
-def enumerate_sphere(aut: GeodesicAutomaton, n: int,
-                     budget: int = DEFAULT_BALL_BUDGET) -> Iterator[GroupElement]:
+def enumerate_sphere(aut: GeodesicAutomaton, n: int) -> Iterator[GroupElement]:
     """Stream the sphere of radius n in shortlex order of accepted words."""
     spec = aut.group
     eng = spec.engine
     tkeys = [e.key for e in aut.genset.elements]
-    if sphere_count(aut, n) > budget:
-        raise ResourceLimit(f"sphere of radius {n} exceeds budget {budget}")
+    if sphere_count(aut, n) > DEFAULT_BALL_BUDGET:
+        raise ResourceLimit(f"sphere of radius {n} exceeds budget "
+                            f"{DEFAULT_BALL_BUDGET}")
 
     def rec(state: int, gk, depth: int):
         if depth == n:

@@ -406,8 +406,9 @@ def _c9(ctx: BatteryContext):
 
 def _c10(ctx: BatteryContext):
     """Growth rate over ray drift reproduces the boundary dimension: equal
-    to gr(S) in the group's own gauge, and consistent with the exact mean
-    distortion in a foreign gauge."""
+    to gr(S) in the group's own gauge, and in a foreign gauge a drift
+    consistent with its expectation E_n/n: on F2 the ray chain's x_n is
+    uniform on the n-sphere, so E_n is the exact sphere mean."""
     rate, m = ctx.thermo("f2")
     prof = ctx.profile
     same = drift(m, ctx.genset("f2", "S"),
@@ -416,12 +417,14 @@ def _c10(ctx: BatteryContext):
     same_ok = abs(dim_same - rate) <= 1e-12
 
     star = ctx.genset("f2", "Sstar_ab")
-    est = ps_dimension_estimate(ctx.automaton("f2", "S"), star, m,
-                                n=prof.drift_n, samples=prof.drift_samples,
+    aut = ctx.automaton("f2", "S")
+    n = prof.drift_n
+    est = ps_dimension_estimate(aut, star, m, n=n, samples=prof.drift_samples,
                                 seed=ctx.seed, diag_rays=4)
     tau = _exact_tau(ctx, "f2", "Sstar_ab")
+    expected = float(mean_distortion_exact(aut, star, n)[n] / n)
     allowance = 4.0 * est.drift.stderr
-    drift_gap = abs(est.drift.mean - tau)
+    drift_gap = abs(est.drift.mean - expected)
     tau_ok = drift_gap <= allowance
     gr_star = growth_rate(ctx.automaton("f2", "Sstar_ab"))
     frostman = est.dim_hat <= gr_star + est.width + 1e-9
@@ -433,6 +436,7 @@ def _c10(ctx: BatteryContext):
         "foreign_gauge": {"drift_mean": est.drift.mean,
                           "drift_stderr": est.drift.stderr,
                           "tau": tau,
+                          "exact_mean_over_n": expected,
                           "gap": drift_gap,
                           "gap_allowance": allowance,
                           "dim_hat": est.dim_hat,

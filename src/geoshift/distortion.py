@@ -2,12 +2,14 @@
 
 Given a validated automaton for the metric d_S and a second generating set
 S*, the average of |x|_{S*}/n over the uniform sphere of radius n settles,
-as n grows, to the mean distortion tau(S*/S).  This module computes exact
-small-sphere expectations, tau itself from the band product where a band
-of radius 1 gives exact lengths, Monte Carlo estimates with a finite-size
-bias guard, the growth-ratio inequality tau >= gr(S)/gr(S*), an empirical
-law of large numbers, and a heuristic scan for rough similarity between
-the two metrics.
+as n grows, to the mean distortion tau(S*/S).  This module computes tau
+itself from the band product where a band of radius 1 gives exact lengths,
+Monte Carlo estimates with a finite-size bias guard, the growth-ratio
+inequality tau >= gr(S)/gr(S*), and an empirical law of large numbers.
+The exact small-sphere expectations and a heuristic scan for rough
+similarity between the two metrics reduce one stream of spheres: the band
+product's layers, or the spheres of the breadth-first ball.  Neither reads
+the words of an automaton.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .automaton import (GeodesicAutomaton, enumerate_sphere,
-                        sample_uniform_sphere, sphere_count)
+from .automaton import (GeodesicAutomaton, sample_uniform_sphere,
+                        sphere_count)
 from .errors import EmptySphere, ResourceLimit
-from .geometry import DEFAULT_BALL_BUDGET, ball_tree, word_length
+from .geometry import ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
 from .randomness import make_rng
 from .sft import Sft, components
@@ -42,7 +44,7 @@ __all__ = [
     "SimilarityScan",
 ]
 
-EXACT_BUDGET = 2_000_000  # sphere size and length-search states, exact means
+EXACT_BUDGET = 2_000_000  # sphere size, exact means of a search pair
 SCAN_TOLERANCE = 0.5      # deviation gain per step still read as bounded
 
 
@@ -77,10 +79,8 @@ class _ForeignLength:
     search.
     """
 
-    def __init__(self, S: ResolvedGenSet, Sstar: ResolvedGenSet,
-                 budget: int = DEFAULT_BALL_BUDGET):
+    def __init__(self, S: ResolvedGenSet, Sstar: ResolvedGenSet):
         self.Sstar = Sstar
-        self.budget = budget
         spec = Sstar.group
         star_keys = {x.key for x in Sstar.elements}
         pieces = spec.family == "free" or (spec.family == "free_product"
@@ -98,8 +98,37 @@ class _ForeignLength:
         """Length in S* of the element with this engine key."""
         if self.band is not None:
             return self.band.length(key)
-        return word_length(GroupElement(self.Sstar.group, key), self.Sstar,
-                           self.budget)
+        return word_length(GroupElement(self.Sstar.group, key), self.Sstar)
+
+    def layers(self, S: ResolvedGenSet, R: int,
+               aut: GeodesicAutomaton | None = None):
+        """The spheres of S of radius 1, 2, ... until a finite group runs
+        out, as lists of nodes (count, sum of lengths, (-max, word), (min,
+        word)) like those of :meth:`_BandProduct.layers`, which a band pair
+        returns.  A search pair reads the breadth-first ball of radius R,
+        one node per sphere, after checking those spheres against
+        EXACT_BUDGET if `aut`, an automaton of S, is given."""
+        if self.band is not None:
+            return self.band.layers()
+        if aut is not None:
+            for n in range(1, R + 1):
+                if sphere_count(aut, n) > EXACT_BUDGET:
+                    raise ResourceLimit(f"sphere of radius {n} exceeds "
+                                        f"budget {EXACT_BUDGET}")
+        return self._spheres(ball_tree(S, R))
+
+    def _spheres(self, tree):
+        # A sphere lists its keys in shortlex order of their tree words, so
+        # the first key of an extreme length has the lex-first word.
+        for r in range(1, tree.radius() + 1):
+            lo, hi = tree.layer_bounds[r:r + 2]
+            if lo == hi:  # a finite group ran out of spheres
+                return
+            lengths = [self(key) for key in tree.keys[lo:hi]]
+            top, low = max(lengths), min(lengths)
+            yield [(hi - lo, sum(lengths),
+                    (-top, tree.tree_word(lo + lengths.index(top))),
+                    (low, tree.tree_word(lo + lengths.index(low))))]
 
 
 class _BandProduct:
@@ -232,32 +261,17 @@ def mean_distortion_exact(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
                           n_max: int) -> list[Fraction]:
     """Exact expectation of |x|_{S*} over the uniform sphere of each radius
     n <= n_max, as exact rationals; entry 0 is 0.  Raises EmptySphere when
-    one of those spheres has no elements.  A band pair walks the band
-    product over the group's keys; other pairs check all spheres of the
-    automaton against EXACT_BUDGET, then enumerate them."""
-    length = _ForeignLength(aut.genset, Sstar, EXACT_BUDGET)
-    if length.mode == "band":
-        out = [Fraction(0)]
-        for _, layer in zip(range(n_max), length.band.layers()):
-            out.append(Fraction(sum(total for _, total, *_ in layer),
-                                sum(count for count, *_ in layer)))
-        if len(out) <= n_max:
-            raise EmptySphere(f"no elements at distance {len(out)}")
-        return out
-    for n in range(1, n_max + 1):
-        if sphere_count(aut, n) > EXACT_BUDGET:
-            raise ResourceLimit(f"sphere of radius {n} exceeds budget "
-                                f"{EXACT_BUDGET}")
+    one of those spheres has no elements.  The spheres come from
+    :meth:`_ForeignLength.layers`: the band product's walk over the group's
+    keys, or the breadth-first ball, whose spheres are first checked
+    against EXACT_BUDGET.  The automaton's words are never read."""
+    length = _ForeignLength(aut.genset, Sstar)
     out = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        total = 0
-        count = 0
-        for x in enumerate_sphere(aut, n, budget=EXACT_BUDGET):
-            total += length(x.key)
-            count += 1
-        if count == 0:
-            raise EmptySphere(f"no elements at distance {n}")
-        out.append(Fraction(total, count))
+    for _, layer in zip(range(n_max), length.layers(aut.genset, n_max, aut)):
+        out.append(Fraction(sum(total for _, total, *_ in layer),
+                            sum(count for count, *_ in layer)))
+    if len(out) <= n_max:
+        raise EmptySphere(f"no elements at distance {len(out)}")
     return out
 
 
@@ -425,21 +439,11 @@ def rough_similarity_scan(S: ResolvedGenSet, Sstar: ResolvedGenSet,
         raise ValueError("scan radius must be at least 1")
     length = _ForeignLength(S, Sstar)
     worst = []  # per radius, the deviation and the letters of a first word
-    if length.mode == "band":
-        for r, layer in zip(range(1, R + 1), length.band.layers()):
-            dev, word = min((-abs(L - tau * r), w)
-                            for *_, (hi, hw), (lo, lw) in layer
-                            for L, w in ((-hi, hw), (lo, lw)))
-            worst.append((-dev, word))
-    else:
-        tree = ball_tree(S, R)
-        for r in range(1, R + 1):
-            sphere = range(tree.layer_bounds[r], tree.layer_bounds[r + 1])
-            if not sphere:  # a finite group ran out of spheres
-                break
-            dev, i = max((abs(length(tree.keys[i]) - tau * r), -i)
-                         for i in sphere)
-            worst.append((dev, tree.tree_word(-i)))
+    for r, layer in zip(range(1, R + 1), length.layers(S, R)):
+        dev, word = min((-abs(L - tau * r), w)
+                        for *_, (hi, hw), (lo, lw) in layer
+                        for L, w in ((-hi, hw), (lo, lw)))
+        worst.append((-dev, word))
     deviations = [dev for dev, _ in worst]
     witnesses = [" ".join(S.letters[b] for b in word) if dev else ""
                  for dev, word in worst]

@@ -334,6 +334,11 @@ class _DehnEngine:
         # replacement.
         long_prefixes = [r[:len(r) // 2 + 1] for r in self.symmetrized
                          if len(r) > 2]
+        # each prefix r[:k] and the inverse of its complement, in the order
+        # greedy shortening tries them: by relator, then longest first
+        self._shortenings = [(r[:k], _invert_bytes(r[k:], inv))
+                             for r in self.symmetrized
+                             for k in range(len(r) - 1, len(r) // 2, -1)]
         halves = [r[:len(r) // 2] for r in self.symmetrized if len(r) % 2 == 0]
         self._long_prefixes = _any_of(long_prefixes)
         self._halves = _any_of(halves)
@@ -360,30 +365,17 @@ class _DehnEngine:
 
     def _greedy_shorten(self, w: bytes) -> bytes:
         # Replace any subword longer than half a relator by the inverse of
-        # the relator's complement, until none remains.
-        changed = True
-        while changed:
-            if not self._long_prefixes.search(w):
-                return w
-            changed = False
-            n = len(w)
-            for r in self.symmetrized:
-                m = len(r)
-                half = m // 2
-                for k in range(m - 1, half, -1):
-                    if k > n:
-                        continue
-                    prefix = r[:k]
-                    i = w.find(prefix)
-                    while i >= 0:
-                        repl = _invert_bytes(r[k:], self.inv)
-                        w = _free_reduce_bytes(w[:i] + repl + w[i + k:], self.inv)
-                        changed = True
-                        break
-                    if changed:
-                        break
-                if changed:
+        # the relator's complement, the first of _shortenings found each
+        # time, until none remains.
+        while self._long_prefixes.search(w):
+            for prefix, repl in self._shortenings:
+                i = w.find(prefix)
+                if i >= 0:
+                    w = _free_reduce_bytes(w[:i] + repl + w[i + len(prefix):],
+                                           self.inv)
                     break
+            else:
+                return w
         return w
 
     def _half_swaps(self, w: bytes):

@@ -75,6 +75,33 @@ def test_walk_replays_the_per_step_walk(request, which):
                 assert state(rng) == state(ref_rng)
 
 
+def test_ray_chain_is_uniform_on_the_first_spheres(f2, f2_measure):
+    # so the drift at n has the exact sphere mean E_n / n as expectation,
+    # which battery criterion 10 measures it against
+    m = f2_measure
+    aut, entry = _ray_chain(m)
+    eng = f2.engine
+    steps = [aut.genset.elements[m.component.sft.edges[e][1]].key
+             for e in m.nodes]
+    # the law of (chain node j_k, x_k), from the first edge on
+    law = {(j, steps[j]): p for j, p in enumerate(entry.tolist()) if p > 0}
+    for k in range(1, 6):
+        if k > 1:
+            nxt = {}
+            for (j, key), p in law.items():
+                for i, q in enumerate(m.P[j].tolist()):
+                    if q > 0:
+                        y = (i, eng.mult(key, steps[i]))
+                        nxt[y] = nxt.get(y, 0.0) + p * q
+            law = nxt
+        masses = {}
+        for (_, key), p in law.items():
+            masses[key] = masses.get(key, 0.0) + p
+        assert len(masses) == 4 * 3 ** (k - 1)
+        assert {eng.length(key) for key in masses} == {k}
+        assert max(abs(p * len(masses) - 1) for p in masses.values()) < 1e-12
+
+
 def test_drift_of_the_native_metric_is_one(f2, f2_measure):
     est = drift(f2_measure, f2.resolve(None), 20, samples=50, seed=0)
     assert est.mean == 1.0

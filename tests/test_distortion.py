@@ -452,8 +452,8 @@ def test_band_means_are_the_enumerated_means(request, walk_automata,
     aut = (request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut"}[group])
            if group in ("f2", "psl2z") else walk_automata[group])
     want = reference_exact_means(aut, Sstar, n_max)
-    # the product walk enumerates nothing
-    monkeypatch.setattr(distortion, "enumerate_sphere", None)
+    # the product walk builds no ball
+    monkeypatch.setattr(distortion, "ball_tree", None)
     assert mean_distortion_exact(aut, Sstar, n_max) == want
 
 
@@ -487,7 +487,8 @@ def test_mc_row_agrees_with_the_exact_mean_at_forty(f2_aut, f2_star_ab):
 
 
 def test_exact_means_check_the_budget_before_enumerating(f2, monkeypatch):
-    # from S* to S the lengths come from the search mode, which enumerates
+    # from S* to S the lengths come from the search mode, which reads the
+    # breadth-first ball
     from geoshift import distortion
 
     star = f2.resolve("Sstar_ab")
@@ -497,11 +498,77 @@ def test_exact_means_check_the_budget_before_enumerating(f2, monkeypatch):
     first = next(n for n in range(1, 17)
                  if sphere_count(aut, n) > distortion.EXACT_BUDGET)
     assert first < 16
-    monkeypatch.setattr(distortion, "enumerate_sphere", None)
+    monkeypatch.setattr(distortion, "ball_tree", None)
     with pytest.raises(ResourceLimit,
                        match=f"sphere of radius {first} exceeds budget "
                              f"{distortion.EXACT_BUDGET}$"):
         mean_distortion_exact(aut, S, 16)
+
+
+def test_band_pairs_build_no_ball(f2, f2_aut, f2_star_a2, monkeypatch):
+    from geoshift import distortion
+
+    monkeypatch.setattr(distortion, "ball_tree", None)
+    scan = rough_similarity_scan(f2.resolve(None), f2_star_a2, 0.75, 10)
+    assert scan.deviations[1] == 0.5  # at r = 2: a^2 and b^2
+    assert mean_distortion_exact(f2_aut, f2_star_a2, 10)[1] == 1
+
+
+# --- search pairs read the breadth-first ball ---
+
+def _foreign_copy(G):
+    """G's base letters resolved as a foreign set: it is not the base set,
+    so every pair from it takes the search path."""
+    return G.resolve(GeneratingSet(G.base.letters, G.base.inverses,
+                                   name="T"))
+
+
+def _over(aut, T, transitions=None):
+    """`aut` read over T, whose letters it spells in the same order, with
+    its own transitions or these."""
+    return GeodesicAutomaton(
+        group=aut.group, genset=T, n_states=aut.n_states, initial=aut.initial,
+        transitions=transitions or aut.transitions,
+        level_used=aut.level_used, tail_used=aut.tail_used, validated_to=0)
+
+
+@pytest.mark.parametrize("group, star", [
+    ("f2", "Sstar_ab"), ("f2", "Sstar_a2"), ("psl2z", "Sstar_st")])
+def test_search_stream_is_the_band_stream(request, group, star):
+    G = request.getfixturevalue(group)
+    aut = request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut"}[group])
+    S, T, Sstar = G.resolve(None), _foreign_copy(G), G.resolve(star)
+    assert _ForeignLength(S, Sstar).mode == "band"
+    assert _ForeignLength(T, Sstar).mode == "search"
+    assert (mean_distortion_exact(_over(aut, T), Sstar, 6)
+            == mean_distortion_exact(aut, Sstar, 6))
+    # the band's tau, and round values where extremes tie (a^r and b^r at
+    # 3/4 against Sstar_a2)
+    for tau in (_BandProduct.of(S, Sstar).tau, 0.5, 0.75, 1.0):
+        band, search = (rough_similarity_scan(U, Sstar, tau, 6)
+                        for U in (S, T))
+        assert search.deviations == band.deviations
+        assert search.witnesses == band.witnesses
+        assert search.verdict == band.verdict
+
+
+def test_search_means_ignore_the_machine_words(f2, f2_aut):
+    # the redirected-transition mutant of the validation tests: its sphere
+    # counts are right, but some of its words are no geodesics
+    T, star = _foreign_copy(f2), f2.resolve("Sstar_ab")
+    edges = dict(f2_aut.transitions)
+    (s, li), t = next((k, v) for k, v in sorted(edges.items()) if k[0] > 0)
+    other = next(u for u in range(1, f2_aut.n_states) if u != t)
+    good = _over(f2_aut, T)
+    mutant = _over(f2_aut, T, {**edges, (s, li): other})
+    assert ([sphere_count(mutant, n) for n in range(7)]
+            == [sphere_count(good, n) for n in range(7)])
+    assert [x.key for x in enumerate_sphere(mutant, 6)] != [
+        x.key for x in enumerate_sphere(good, 6)]
+    # enumerating the mutant's words would give other means
+    assert reference_exact_means(mutant, star, 6) != EXACT_AB
+    assert mean_distortion_exact(mutant, star, 6) == EXACT_AB
+    assert mean_distortion_exact(good, star, 6) == EXACT_AB
 
 
 def test_band_table_is_built_once_per_pair(f2):

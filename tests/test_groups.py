@@ -1,10 +1,11 @@
 """Word-problem engines: free groups, free products, finite tables, Dehn."""
 
+import hashlib
 import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import ball_depths
 from geoshift import (
@@ -17,7 +18,8 @@ from geoshift import (
     sample_uniform_sphere,
 )
 from geoshift.geometry import ball_tree
-from geoshift.groups import _free_reduce_bytes, dehn_group, finite_table_group
+from geoshift.groups import (_free_reduce_bytes, _invert_bytes, dehn_group,
+                             finite_table_group)
 
 F = free_group(2)
 A, AI, B, BI = "a", "a^-1", "b", "b^-1"
@@ -284,13 +286,43 @@ def test_commutator_relator_warns():
         dehn_group([("a", "b", "a^-1", "b^-1")], letters, inv)
 
 
-def reference_product(eng, a, b):
+def reference_greedy_shorten(eng, w):
+    """Greedy shortening as a flag-and-break ladder over the relators and
+    their prefixes, longest first, restarting after each replacement."""
+    changed = True
+    while changed:
+        if not eng._long_prefixes.search(w):
+            return w
+        changed = False
+        n = len(w)
+        for r in eng.symmetrized:
+            m = len(r)
+            half = m // 2
+            for k in range(m - 1, half, -1):
+                if k > n:
+                    continue
+                prefix = r[:k]
+                i = w.find(prefix)
+                while i >= 0:
+                    repl = _invert_bytes(r[k:], eng.inv)
+                    w = _free_reduce_bytes(w[:i] + repl + w[i + k:], eng.inv)
+                    changed = True
+                    break
+                if changed:
+                    break
+            if changed:
+                break
+    return w
+
+
+def reference_product(eng, a, b, shorten=None):
     """The product as a full normalisation of a + b: free reduction of the
-    whole word, then the greedy-shortening and half-swap search with no
-    pre-check."""
+    whole word, then the greedy-shortening (the engine's, or `shorten`) and
+    half-swap search with no pre-check."""
+    shorten = shorten or eng._greedy_shorten
     w = _free_reduce_bytes(a + b, eng.inv)
     while True:
-        w = eng._greedy_shorten(w)
+        w = shorten(w)
         if not w:
             return w
         seen, queue, best, shorter = {w}, deque([w]), w, None
@@ -300,7 +332,7 @@ def reference_product(eng, a, b):
                 if len(v) < len(u):
                     shorter = v
                     break
-                v2 = eng._greedy_shorten(v)
+                v2 = shorten(v)
                 if len(v2) < len(u):
                     shorter = v2
                     break
@@ -347,6 +379,60 @@ def test_junction_product_on_random_normal_forms(genus2, u, v):
     eng = genus2.engine
     a, b = eng.from_word(u), eng.from_word(v)
     assert eng.mult(a, b) == reference_product(eng, a, b)
+
+
+# up to three pieces of relators, each up to a whole relator, with a few
+# letters before each; the examples shorten differently if the relators,
+# or one relator's prefixes, are tried in another order
+relator_pieces = st.lists(st.tuples(st.lists(st.integers(0, 7), max_size=3),
+                                    st.integers(0, 15), st.integers(0, 8)),
+                          min_size=1, max_size=3)
+
+
+@given(relator_pieces)
+@example([([6, 0, 2, 1, 3, 4, 6, 4, 7, 5, 2], 0, 0)])
+@example([([5, 3, 1, 6, 4, 7, 5, 1, 6, 4, 7, 5, 2, 0, 0, 3, 1, 6, 4], 0, 0)])
+@settings(max_examples=300, deadline=None)
+def test_greedy_shortening_is_the_flag_and_break_ladder(genus2, pieces):
+    eng = genus2.engine
+    ids = b"".join(bytes(head) + eng.symmetrized[which][:k]
+                   for head, which, k in pieces)
+    w = _free_reduce_bytes(ids, eng.inv)
+    assert eng._greedy_shorten(w) == reference_greedy_shorten(eng, w)
+    old = reference_product(
+        eng, ids, b"", lambda v: reference_greedy_shorten(eng, v))
+    assert eng.from_word(ids) == old
+
+
+# sha256 of the genus-2 radius-6 ball (each key with its length, then the
+# neighbour table) as the flag-and-break greedy shortening built it
+GENUS2_BALL_6 = ("03046b3ca3617966dec2074fa20fb602"
+                 "f1a9e15287c244c95da90989a8730b43")
+
+
+def test_greedy_shortening_keeps_the_genus2_ball(genus2, monkeypatch):
+    def digest():
+        tree = ball_tree(genus2.resolve(None), 6)
+        assert len(tree.keys) == 155_577
+        h = hashlib.sha256()
+        for key in tree.keys:
+            h.update(bytes([len(key)]) + key)
+        h.update(tree.nbr.tobytes())
+        return h.hexdigest()
+
+    eng = genus2.engine
+    assert digest() == GENUS2_BALL_6
+    calls = []
+
+    def oracle(w):
+        calls.append(w)
+        return reference_greedy_shorten(eng, w)
+
+    monkeypatch.setattr(eng, "_greedy_shorten", oracle)
+    assert digest() == GENUS2_BALL_6
+    # the ball's products reach the shortening, and some are shortened
+    assert len(calls) > 1000
+    assert any(reference_greedy_shorten(eng, w) != w for w in calls)
 
 
 def test_junction_product_with_an_odd_relator():
