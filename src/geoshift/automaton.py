@@ -130,6 +130,7 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     edges = np.array(bounds, dtype=np.intc)
     nbr = np.frombuffer(tree.nbr, dtype=np.intc).reshape(-1, nt)
     parent = np.frombuffer(tree.parent, dtype=np.intc)
+    letter = np.frombuffer(tree.letter, dtype=np.intc)
     # Words of length < level, whose one-letter extensions are the rest of
     # the prefix tree of words of length <= level.
     inner = sum(nt ** k for k in range(level))
@@ -165,7 +166,7 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
             tails = np.zeros(1, dtype=np.int64)
         else:
             up = parent[lo:hi] - bounds[d - 1]
-            last = np.array(tree.letter[lo:hi], dtype=np.intc)
+            last = letter[lo:hi]
             tails = number_tails(prev_tails[up] * nt + last)
         code, codes = tails, len(tail_of)
         deltas = np.empty((hi - lo, inner * nt), dtype=np.int8)

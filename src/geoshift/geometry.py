@@ -8,9 +8,9 @@ generating set.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class BallTree:
     ``keys[i]`` was first reached from ``keys[parent[i]]`` by the letter with
     index ``letter[i]``; letters are tried in index order, so the tree word of
     each element is its shortlex-least geodesic word.
-    ``parent`` is a compact ``array('i')``: a list would hold one int object
-    per distinct parent position.
+    ``parent`` and ``letter`` are compact ``array('i')``s: a list would hold
+    one int object per distinct position.
 
     ``nbr`` is the neighbour table the enumeration fills as it goes, a
     compact ``array('i')`` that array passes can view without a copy
@@ -49,11 +49,13 @@ class BallTree:
     previous sphere (its parent, by the back edge) and its other products
     are new elements of the next sphere.  The layout of such a ball is
     fixed by counting alone, which is how :func:`ball_tree` lays it out.
+    Its ``keys`` are then a read-only sequence that spells them, one
+    product per position, only when they are first read.
     """
 
-    keys: list
+    keys: Sequence
     parent: array
-    letter: list[int]
+    letter: array
     layer_bounds: list[int]  # keys[layer_bounds[n]:layer_bounds[n+1]] is sphere n
     nbr: array
 
@@ -84,7 +86,8 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     Every other group and generating set needs a dictionary from key to
     position, since a product may be an element found before.  On a free
     basis none is: each product other than the back edge is new, so
-    :func:`_free_basis_ball` places the sphere by counting.
+    :func:`_free_basis_ball` places the sphere by counting and spells the
+    keys only when they are read.
     """
     if radius < 0:
         raise ValueError(f"ball radius must be nonnegative, got {radius}")
@@ -96,7 +99,7 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     inv = T.inverse_index
     keys = [eng.identity]
     parent = array("i", [-1])
-    letter = [-1]
+    letter = array("i", [-1])
     index = {eng.identity: 0}
     setdefault = index.setdefault
     nbr = array("i")
@@ -135,24 +138,23 @@ def _budget_exceeded(budget: int, depth: int, radius: int) -> ResourceLimit:
 
 def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
     """:func:`ball_tree` for a free group on its free basis, one sphere at a
-    time with no index of keys.
+    time with no index of keys and no product.
 
     The Cayley graph is a tree, so the children of sphere n are the
     products of its positions, in order, by every letter but the inverse of
     their own, in letter order; they take the next positions in that order,
-    and the back edge leads to the parent.  Each child's key costs one
-    product.  A sphere that would take the ball past `budget` raises before
-    it is built: the element-by-element loop raises at the same radius,
-    since its count only grows within a sphere.
+    and the back edge leads to the parent.  The layout takes no product:
+    the keys are a :class:`_SpelledKeys` that multiplies each position's
+    parent key by its letter's key when they are first read.  A sphere that
+    would take the ball past `budget` raises before it is built: the
+    element-by-element loop raises at the same radius, since its count only
+    grows within a sphere.
     """
-    mult = T.group.engine.mult
     nt = len(T)
-    tkeys = [e.key for e in T.elements]
     inv = np.array(T.inverse_index, dtype=np.intc)
     letters = np.arange(nt, dtype=np.intc)
-    keys = [T.group.engine.identity]
     parent = array("i", [-1])
-    letter = [-1]
+    letter = array("i", [-1])
     nbr = array("i")
     layer_bounds = [0, 1]
     lo, hi = 0, 1
@@ -172,14 +174,53 @@ def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
         parent.frombytes(up.tobytes())
         lets = np.broadcast_to(letters, forward.shape)[forward]
         back = inv[lets]
-        lets = lets.tolist()
-        letter += lets
-        keys += map(mult, chain.from_iterable(map(repeat, keys[lo:hi],
-                                                  children.tolist())),
-                    map(tkeys.__getitem__, lets))
+        letter.frombytes(lets.tobytes())
         lo, hi = hi, hi + new
         layer_bounds.append(hi)
+    keys = _SpelledKeys(T, parent, letter, layer_bounds)
     return BallTree(keys, parent, letter, layer_bounds, nbr)
+
+
+class _SpelledKeys(Sequence):
+    """The keys of a free-basis ball, spelled on first read.
+
+    ``len`` answers from the layout.  The first item access, iteration,
+    slice or comparison multiplies, in position order, each position's
+    parent key by its letter's key, and keeps the list; later reads take no
+    product.
+    """
+
+    def __init__(self, T: ResolvedGenSet, parent: array, letter: array,
+                 layer_bounds: list[int]):
+        self._T = T
+        self._parent = parent
+        self._letter = letter
+        self._bounds = layer_bounds
+        self._keys: list | None = None
+
+    def _spelled(self) -> list:
+        if self._keys is None:
+            T = self._T
+            mult = T.group.engine.mult
+            tkeys = [e.key for e in T.elements]
+            keys = [T.group.engine.identity]
+            for lo, hi in zip(self._bounds[1:], self._bounds[2:]):
+                keys += map(mult, map(keys.__getitem__, self._parent[lo:hi]),
+                            map(tkeys.__getitem__, self._letter[lo:hi]))
+            self._keys = keys
+        return self._keys
+
+    def __len__(self) -> int:
+        return self._bounds[-1]
+
+    def __getitem__(self, i):
+        return self._spelled()[i]
+
+    def __iter__(self):
+        return iter(self._spelled())
+
+    def __eq__(self, other) -> bool:
+        return self._spelled() == other
 
 
 def _astar_length(T: ResolvedGenSet, x: GroupElement, budget: int) -> int:

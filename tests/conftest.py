@@ -1,6 +1,7 @@
 import pytest
 
 from geoshift import build_geodesic_automaton, parse_group_file
+from geoshift.errors import ResourceLimit
 from geoshift.groups import free_product_group
 
 
@@ -77,3 +78,31 @@ def ball_depths(tree):
     bounds = tree.layer_bounds
     return [d for d in range(len(bounds) - 1)
             for _ in range(bounds[d], bounds[d + 1])]
+
+
+def reference_ball_tree(T, radius, budget=None):
+    """Plain breadth-first ball: every product multiplied and looked up,
+    the back edge included.  Raises ResourceLimit once more than `budget`
+    elements are found, checked after each element's products."""
+    eng = T.group.engine
+    keys, parent, letter = [eng.identity], [-1], [-1]
+    index = {eng.identity: 0}
+    nbr, bounds = [], [0, 1]
+    for depth in range(radius):
+        for i in range(bounds[-2], bounds[-1]):
+            for li, x in enumerate(T.elements):
+                h = eng.mult(keys[i], x.key)
+                if h not in index:
+                    index[h] = len(keys)
+                    keys.append(h)
+                    parent.append(i)
+                    letter.append(li)
+                nbr.append(index[h])
+            if budget is not None and len(keys) > budget:
+                raise ResourceLimit(
+                    f"ball enumeration exceeded budget {budget} at radius "
+                    f"{depth + 1} of {radius}")
+        bounds.append(len(keys))
+        if bounds[-1] == bounds[-2]:
+            break
+    return keys, parent, letter, nbr, bounds

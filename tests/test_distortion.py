@@ -1,11 +1,13 @@
 """Comparing word metrics: exact sphere averages, sampling, LLN, scans."""
 
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_ball_tree
 from geoshift import (
     build_geodesic_automaton,
     check_growth_inequality,
@@ -19,7 +21,7 @@ from geoshift import (
 from geoshift.automaton import GeodesicAutomaton
 from geoshift.distortion import _BandProduct, _ForeignLength
 from geoshift.errors import ResourceLimit
-from geoshift.geometry import ball_tree, word_length
+from geoshift.geometry import BallTree, ball_tree, word_length
 from geoshift.grammar import parse_group_text
 from geoshift.groups import (GeneratingSet, GroupElement, free_group,
                              free_product_group)
@@ -569,6 +571,30 @@ def test_search_means_ignore_the_machine_words(f2, f2_aut):
     assert reference_exact_means(mutant, star, 6) != EXACT_AB
     assert mean_distortion_exact(mutant, star, 6) == EXACT_AB
     assert mean_distortion_exact(good, star, 6) == EXACT_AB
+
+
+def test_search_pair_from_a_free_basis_reads_the_spelled_keys(f2, f2_aut):
+    # aab has base length 3, so S -> S + {aab} is no band pair, and the ball
+    # of S is laid out on its free basis, whose keys are spelled when read.
+    # aab is no palindrome, so keys spelled in reverse (letter times parent)
+    # would move the scan's witnesses.
+    S, base = f2.resolve(None), f2.base
+    T = f2.resolve(GeneratingSet(
+        base.letters + ("w", "w^-1"), {**base.inverses, "w": "w^-1"},
+        {"w": ("a", "a", "b"), "w^-1": ("b^-1", "a^-1", "a^-1")}, name="T"))
+    assert _ForeignLength(S, T).mode == "search"
+    keys, parent, letter, nbr, bounds = reference_ball_tree(S, 5)
+    tree = BallTree(keys, array("i", parent), array("i", letter), bounds,
+                    array("i", nbr))
+    lengths = [word_length(GroupElement(f2, key), T) for key in keys]
+    means = [Fraction(sum(lengths[lo:hi]), hi - lo)
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert mean_distortion_exact(f2_aut, T, 5) == means
+    assert means[3] != 3  # aab and its inverse have length 1
+    for tau in (0.5, 0.75, 1.0):
+        scan = rough_similarity_scan(S, T, tau, 5)
+        assert (scan.deviations, scan.witnesses) == reference_scan(
+            S, tree, lengths, tau)
 
 
 def test_band_table_is_built_once_per_pair(f2):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import ball_depths
+from conftest import ball_depths, reference_ball_tree
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import ResourceLimit
@@ -64,39 +64,11 @@ def f3():
     return free_group(3)
 
 
-def reference_ball_tree(T, radius, budget=None):
-    """Plain breadth-first ball: every product multiplied and looked up,
-    the back edge included.  Raises ResourceLimit once more than `budget`
-    elements are found, checked after each element's products."""
-    eng = T.group.engine
-    keys, parent, letter = [eng.identity], [-1], [-1]
-    index = {eng.identity: 0}
-    nbr, bounds = [], [0, 1]
-    for depth in range(radius):
-        for i in range(bounds[-2], bounds[-1]):
-            for li, x in enumerate(T.elements):
-                h = eng.mult(keys[i], x.key)
-                if h not in index:
-                    index[h] = len(keys)
-                    keys.append(h)
-                    parent.append(i)
-                    letter.append(li)
-                nbr.append(index[h])
-            if budget is not None and len(keys) > budget:
-                raise ResourceLimit(
-                    f"ball enumeration exceeded budget {budget} at radius "
-                    f"{depth + 1} of {radius}")
-        bounds.append(len(keys))
-        if bounds[-1] == bounds[-2]:
-            break
-    return keys, parent, letter, nbr, bounds
-
-
 def assert_same_tree(tree, reference):
     keys, parent, letter, nbr, bounds = reference
     assert tree.keys == keys
     assert tree.parent.tolist() == parent
-    assert tree.letter == letter
+    assert tree.letter.tolist() == letter
     assert tree.nbr.tolist() == nbr
     assert tree.layer_bounds == bounds
 
@@ -163,8 +135,37 @@ def test_ball_tree_skips_the_back_edge_product(group, radius, request,
 
     monkeypatch.setattr(spec.engine, "mult", counted)
     tree = ball_tree(T, radius)
+    tree.keys[0]  # a free basis spells its keys on first read
     expanded = tree.layer_bounds[tree.radius()]
     assert len(calls) == len(T) * expanded - (expanded - 1)
+
+
+@pytest.mark.parametrize("group,radius", [("f1", 8), ("f2", 0), ("f2", 1),
+                                          ("f2", 6), ("f3", 5)])
+def test_free_basis_keys_are_spelled_on_first_read(group, radius, request,
+                                                   monkeypatch):
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(None)
+    keys = reference_ball_tree(T, radius)[0]
+    calls = []
+    mult = spec.engine.mult
+
+    def counted(a, b):
+        calls.append(1)
+        return mult(a, b)
+
+    monkeypatch.setattr(spec.engine, "mult", counted)
+    tree = ball_tree(T, radius)
+    assert len(tree.keys) == tree.layer_bounds[-1]
+    assert calls == []
+    expanded = tree.layer_bounds[tree.radius()]
+    # every position but the identity costs one product: the identity, when
+    # it is expanded, has no back edge
+    spelled = len(T) * expanded - (expanded - 1) if expanded else 0
+    assert tree.keys == keys
+    assert len(calls) == spelled == len(keys) - 1
+    assert list(tree.keys) == keys and tree.keys[1:] == keys[1:]
+    assert len(calls) == spelled
 
 
 def test_ball_radius_must_be_nonnegative(f2):
@@ -205,6 +206,30 @@ def test_ball_budget_stops_within_a_layer(f2, monkeypatch):
     with pytest.raises(ResourceLimit, match="exceeded budget 1000"):
         ball_tree(S, 12, budget=1000)
     assert len(products) <= 1000 + len(S)
+
+
+@pytest.mark.parametrize("group,genset,radius", [("genus2", None, 4),
+                                                 ("f2", "Sstar_ab", 5)])
+def test_ball_budget_stops_within_a_layer_of_the_dictionary_loop(
+        group, genset, radius, request, monkeypatch):
+    # these balls take a product per element and pass 1,000 elements inside
+    # a sphere: genus 2 has 457 elements within radius 3 and 3,193 within 4,
+    # F2 over Sstar_ab 511 within radius 4 and 2,047 within 5
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(genset)
+    products = set()
+    mult = spec.engine.mult
+
+    def counted(a, b):
+        h = mult(a, b)
+        products.add(h)
+        return h
+
+    monkeypatch.setattr(spec.engine, "mult", counted)
+    with pytest.raises(ResourceLimit, match=f"exceeded budget 1000 at radius "
+                                            f"{radius} of 12"):
+        ball_tree(T, 12, budget=1000)
+    assert 1000 <= len(products) <= 1000 + len(T)
 
 
 @pytest.mark.parametrize("word,expected", [
