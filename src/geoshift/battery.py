@@ -239,7 +239,7 @@ def _c4(ctx: BatteryContext):
         spread = gs.c_upper / gs.c_lower if gs.c_lower > 0 else math.inf
         good = (vr.max_violation <= 1e-9 and vr.parry_gap <= 1e-9
                 and gs.c_lower > 0.0 and math.isfinite(gs.c_upper)
-                and spread < 100.0 and not gs.truncated)
+                and spread < 100.0)
         ok = ok and good
         details[gname] = {
             "pressure": vr.pressure,

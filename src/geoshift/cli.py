@@ -344,6 +344,9 @@ def _cmd_battery(args) -> int:
                       indices=args.only)
     for line in battery_lines(rep):
         print(line)
+    for r in rep.results:
+        print(f"criterion {r.index} {r.name}: {r.elapsed_s:.3f} s",
+              file=sys.stderr)
     _emit(args, "battery", _config(args), battery_report_dict(rep))
     return 0 if rep.passed else 1
 
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gibbs", parents=[built, one],
                         help="Parry measure, variational and Gibbs checks")
     sp.add_argument("--n-max", type=_positive, default=8,
-                    help="cylinder scan block length (default 8)")
+                    help="longest cylinder length (default 8)")
     sp.add_argument("--trials", type=_positive, default=200,
                     help="random measures for the variational check")
     sp.set_defaults(handler=_cmd_gibbs)

@@ -119,13 +119,16 @@ def test_gibbs_report():
     assert doc["report"]["variational"]["ok"] is True
 
 
-def test_truncated_gibbs_report_names_the_length_it_reached():
-    # the default budget of 500,000 cylinders ends inside length 11
+def test_long_gibbs_report_counts_every_cylinder():
+    # 12 (3^20 - 1) / 2 cylinders, each with the ratio 1/4
     r = run("gibbs", "--group", F2, "--n-max", "20", "--trials", "10")
     assert r.returncode == 0
     gibbs = json.loads(r.stdout)["report"]["gibbs"]
-    assert gibbs["truncated"] is True and gibbs["cylinders"] == 500_000
-    assert gibbs["block_length"] == 11
+    assert gibbs["block_length"] == 20
+    assert gibbs["cylinders"] == 20_920_706_400
+    assert gibbs["truncated"] is False
+    assert gibbs["c1"] == pytest.approx(0.25, abs=1e-12)
+    assert gibbs["c2"] == pytest.approx(0.25, abs=1e-12)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -234,6 +237,11 @@ def test_battery_quick_subset():
     lines = r.stdout.splitlines()
     assert lines[0].startswith("[ 1] PASS")
     assert any(l.startswith("battery PASS (3/3 criteria") for l in lines)
+    # one timing line per criterion that ran, on stderr only
+    timings = [l for l in r.stderr.splitlines() if l.startswith("criterion ")]
+    assert [l.split()[1] for l in timings] == ["1", "2", "5"]
+    assert all(l.endswith(" s") for l in timings)
+    assert "criterion " not in r.stdout
 
 
 def test_battery_stdout_is_byte_identical():

@@ -196,11 +196,21 @@ def successor_lists(m):
     return value, successors
 
 
-def reference_depth_first_scan(m, n_max, budget=500_000):
-    """The scan as a depth-first walk off a stack, one cylinder at a time."""
+def period_two_measure():
+    # states 0 and 1 alternate: two parallel edges 0 -> 1, one edge back
+    sft = Sft([(0, 0, 1), (0, 1, 1), (1, 2, 0)], 2)
+    C = components(sft).components[0]
+    assert C.period == 2
+    return parry_gibbs_measure(C, Potential.on_edges(
+        {0: -0.3, 1: -0.5, 2: -0.1}))
+
+
+def reference_depth_first_scan(m, n_max):
+    """Every cylinder of positive measure up to length n_max, walked depth
+    first off a stack: the least and greatest ratio of its measure to its
+    Gibbs weight, and the number of cylinders."""
     lo, hi = math.inf, -math.inf
     count = 0
-    truncated = False
     pr = m.pressure
     value, successors = successor_lists(m)
     stack = [(i, 1, 0.0 + value[i], float(m.pi[i])) for i in
@@ -209,9 +219,6 @@ def reference_depth_first_scan(m, n_max, budget=500_000):
         i, n, s, prob = stack.pop()
         if prob <= 0.0:
             continue
-        if count >= budget:
-            truncated = True
-            break
         r = prob / math.exp(-n * pr + s)
         lo, hi = min(lo, r), max(hi, r)
         count += 1
@@ -219,120 +226,48 @@ def reference_depth_first_scan(m, n_max, budget=500_000):
             continue
         for j, p in successors[i]:
             stack.append((j, n + 1, s + value[j], prob * p))
-    return (lo, hi, count, truncated)
+    return lo, hi, count
 
 
-def reference_breadth_first_scan(m, n_max, budget):
-    """The first `budget` cylinders of positive measure, shortest first and
-    each length in the order of its parents, then of the last node."""
-    lo, hi = math.inf, -math.inf
-    count = 0
-    pr = m.pressure
-    value, successors = successor_lists(m)
-    level = [(i, 0.0 + value[i], float(m.pi[i]))
-             for i in range(len(m.nodes))]
-    for n in range(1, n_max + 1):
-        kept = []
-        for i, s, prob in level:
-            if prob <= 0.0:
-                continue
-            if count == budget:
-                return (lo, hi, count, True)
-            r = prob / math.exp(-n * pr + s)
-            lo, hi = min(lo, r), max(hi, r)
-            count += 1
-            kept.append((i, s, prob))
-        level = ((j, s + value[j], prob * p)
-                 for i, s, prob in kept for j, p in successors[i])
-    return (lo, hi, count, False)
-
-
-def scanned(rep):
-    return (rep.c_lower, rep.c_upper, rep.n_cylinders, rep.truncated)
-
-
-def test_scan_budget_truncates():
-    m = two_shift_measure()
-    rep = gibbs_ratio_scan(m, n_max=20, budget=100)
-    assert rep.truncated
-    assert rep.n_cylinders <= 100
-    assert scanned(rep) == reference_breadth_first_scan(m, 20, 100)
-
-
-@pytest.mark.parametrize("budget, count, truncated",
-                         [(13, 13, True), (14, 14, False), (15, 14, False)])
-def test_scan_is_truncated_only_when_cylinders_are_left(budget, count,
-                                                         truncated):
-    # the full 2-shift has 2 + 4 + 8 = 14 cylinders up to length 3
-    m = two_shift_measure()
-    rep = gibbs_ratio_scan(m, n_max=3, budget=budget)
+def assert_matches_reference(rep, m, n_max):
+    # the reference multiplies transitions where the closed form reads the
+    # Perron vectors, so the bounds agree in all but the last digits
+    lo, hi, count = reference_depth_first_scan(m, n_max)
     assert rep.n_cylinders == count
-    assert rep.truncated is truncated
-    assert scanned(rep) == reference_breadth_first_scan(m, 3, budget)
+    assert rep.c_lower == pytest.approx(lo, rel=1e-12)
+    assert rep.c_upper == pytest.approx(hi, rel=1e-12)
 
 
-@pytest.mark.parametrize("measure", ["f2", "f2 edge-varying",
-                                     "psl2z edge-varying"])
+@pytest.mark.parametrize("measure", [
+    "f2", "f2 edge-varying", "f2 edge-varying 0.05", "psl2z edge-varying",
+    "psl2z edge-varying 0.05", "two-shift", "period 2"])
 def test_scan_matches_the_depth_first_reference(measure, f2_measure,
                                                 psl_measure):
     m = {"f2": f2_measure, "f2 edge-varying": edge_varying(f2_measure),
-         "psl2z edge-varying": edge_varying(psl_measure)}[measure]
+         "f2 edge-varying 0.05": edge_varying(f2_measure, 0.05),
+         "psl2z edge-varying": edge_varying(psl_measure),
+         "psl2z edge-varying 0.05": edge_varying(psl_measure, 0.05),
+         "two-shift": two_shift_measure(),
+         "period 2": period_two_measure()}[measure]
     for n_max in range(1, 9):
         rep = gibbs_ratio_scan(m, n_max=n_max)
         assert not rep.truncated
         assert rep.n_max == n_max and rep.pressure == m.pressure
-        assert scanned(rep) == reference_depth_first_scan(m, n_max)
+        assert_matches_reference(rep, m, n_max)
 
 
-@pytest.mark.parametrize("group, budget", [
-    ("psl2z", 1), ("psl2z", 5), ("psl2z", 11), ("psl2z", 20), ("psl2z", 37),
-    ("psl2z", 69), ("psl2z", 70), ("psl2z", 71),
-    ("f2", 7), ("f2", 19), ("f2", 30), ("f2", 100)])
-def test_truncated_scan_keeps_the_first_cylinders_of_a_length(
-        f2_measure, psl_measure, group, budget):
-    # A Markov measure's ratio depends only on a cylinder's first and last
-    # edge, so with a potential that differs on every edge the bounds show
-    # which cylinders were counted while those pairs are still turning up.
-    m = edge_varying({"f2": f2_measure, "psl2z": psl_measure}[group],
-                     step=0.05)
-    rep = gibbs_ratio_scan(m, n_max=6, budget=budget)
-    assert scanned(rep) == reference_breadth_first_scan(m, 6, budget)
-
-
-def test_long_free_group_scan_stops_at_its_budget(f2_measure):
-    # 12 (3^11 - 1) / 2 = 1,062,876 cylinders up to length 11 against the
-    # default budget of 500,000: length 10 ends at 354,288, so the scan
-    # stops 145,712 cylinders into length 11
+def test_scan_matches_the_reference_at_a_million_cylinders(f2_measure):
+    # 12 (3^11 - 1) / 2 = 1,062,876 cylinders up to length 11
     m = edge_varying(f2_measure, step=0.02)
     rep = gibbs_ratio_scan(m, n_max=11)
-    assert rep.truncated and rep.n_cylinders == 500_000
-    assert scanned(rep) == reference_breadth_first_scan(m, 11, 500_000)
+    assert rep.n_cylinders == 1_062_876
+    assert_matches_reference(rep, m, 11)
 
 
-@pytest.mark.parametrize("n_max", [11, 12, 20])
-def test_truncated_scan_reports_the_longest_length_it_counted(f2_measure,
-                                                              n_max):
-    # the budget runs out inside length 11, whatever length was asked for
-    rep = gibbs_ratio_scan(f2_measure, n_max=n_max)
-    assert rep.truncated and rep.n_cylinders == 500_000
-    assert rep.n_max == 11
-
-
-@pytest.mark.parametrize("budget, longest", [(13, 3), (14, 3), (15, 4),
-                                             (2, 1), (3, 2)])
-def test_block_length_of_a_truncated_two_shift_scan(budget, longest):
-    # 2 + 4 + 8 = 14 cylinders up to length 3; a budget that ends exactly
-    # at a length counts nothing of the next one
-    rep = gibbs_ratio_scan(two_shift_measure(), n_max=6, budget=budget)
-    assert rep.truncated
-    assert rep.n_max == longest
-
-
-@pytest.mark.parametrize("n_max, budget", [(0, 10), (-2, 10), (3, 0),
-                                           (3, -1)])
-def test_scan_rejects_an_empty_range(f2_measure, n_max, budget):
-    with pytest.raises(ValueError, match="n_max" if n_max < 1 else "budget"):
-        gibbs_ratio_scan(f2_measure, n_max=n_max, budget=budget)
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_scan_rejects_an_empty_range(f2_measure, n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        gibbs_ratio_scan(f2_measure, n_max=n_max)
 
 
 def test_scan_matches_every_cylinder_ratio(psl_measure):
@@ -355,8 +290,8 @@ def test_scan_matches_every_cylinder_ratio(psl_measure):
     rep = gibbs_ratio_scan(m, n_max=6)
     assert not rep.truncated
     assert rep.n_cylinders == len(ratios) == 70
-    assert rep.c_lower == min(ratios)
-    assert rep.c_upper == max(ratios)
+    assert rep.c_lower == pytest.approx(min(ratios), rel=1e-12)
+    assert rep.c_upper == pytest.approx(max(ratios), rel=1e-12)
     assert (rep.c_lower, rep.c_upper) == pytest.approx((0.193031378685, 0.5),
                                                        abs=1e-11)
 
