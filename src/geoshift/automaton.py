@@ -451,24 +451,26 @@ def enumerate_sphere(aut: GeodesicAutomaton, n: int) -> Iterator[GroupElement]:
 
 class _StepTable(dict):
     """One radius's step table of :func:`sample_uniform_sphere`, keyed by
-    state.  A state's step is built on its first visit, so a walk on a
-    large automaton (genus 2 has 3,193 states) pays only for the states it
+    state: the running totals of the path counts below over the
+    successors with a path left, and for each such successor the start of
+    its block, its letter spelled in base letters and its target.  A
+    state's step is built on its first visit, so a walk on a large
+    automaton (genus 2 has 3,193 states) pays only for the states it
     reaches."""
 
-    def __init__(self, aut: GeodesicAutomaton, bounds: list[int],
-                 below: list[int], spelled: list[tuple[int, ...]]):
+    def __init__(self, aut: GeodesicAutomaton, below: list[int],
+                 spelled: list[tuple[int, ...]]):
         super().__init__()
-        self.aut, self.bounds, self.below = aut, bounds, below
-        self.spelled = spelled
+        self.aut, self.below, self.spelled = aut, below, spelled
 
     def __missing__(self, s: int) -> tuple:
         ends, moves, total = [], [], 0
         for li, t in self.aut.successors(s):
             if self.below[t]:
+                moves.append((total, self.spelled[li], t))
                 total += self.below[t]
                 ends.append(total)
-                moves.append((self.spelled[li], t))
-        step = self[s] = (self.bounds[s], ends, moves)
+        step = self[s] = (ends, moves)
         return step
 
 
@@ -477,13 +479,16 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
                           ) -> list[GroupElement]:
     """Exactly uniform samples from the sphere of radius n.
 
-    Walks the automaton with steps weighted by exact backward path counts,
-    so every element of the sphere has identical probability.  The walk
-    reads one step table per radius k: for each state s the bound
-    ``counts[k][s]``, the running totals of ``counts[k - 1]`` over the
-    successors of s, and their (letter, target) pairs, each letter spelled
-    in base letters.  A step draws one integer below the bound, bisects the
-    totals and appends the letter to the sample's word.
+    Each sample is one exact draw r below the size of the sphere,
+    ``counts[n][initial]``, unranked into the r-th accepted word in
+    shortlex order, the order of :func:`enumerate_sphere`.  The walk reads
+    one step table per radius k.  Its running totals of ``counts[k - 1]``
+    over the successors of a state s split ``[0, counts[k][s])`` into one
+    block per successor, as large as the number of words that go on
+    through it.  A step bisects the totals for the block that holds r,
+    keeps r's offset within that block and appends the block's letter to
+    the sample's word.  So r goes to a word one to one, and every element
+    of the sphere has identical probability.
 
     Each sample's key is then one ``engine.from_word`` of its spelled
     letters.  That equals the per-step fold of ``engine.mult`` on every
@@ -497,20 +502,22 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
     spec = aut.group
     eng = spec.engine
     counts = aut.path_counts(n)
-    if counts[n][aut.initial] == 0:
+    size = counts[n][aut.initial]
+    if size == 0:
         raise EmptySphere(f"no elements at distance {n}")
     spelled = [eng.to_word(e.key) for e in aut.genset.elements]
-    walk = [_StepTable(aut, counts[k], counts[k - 1], spelled)
-            for k in range(n, 0, -1)]
+    walk = [_StepTable(aut, counts[k - 1], spelled) for k in range(n, 0, -1)]
     out = []
     with ExactSampler(rng) as sampler:
         randbelow = sampler.randbelow
         for _ in range(count):
+            r = randbelow(size)
             s = aut.initial
             word: list[int] = []
             for table in walk:
-                bound, ends, moves = table[s]
-                letter, s = moves[bisect_right(ends, randbelow(bound))]
+                ends, moves = table[s]
+                start, letter, s = moves[bisect_right(ends, r)]
+                r -= start
                 word += letter
             out.append(GroupElement(spec, eng.from_word(word)))
     return out

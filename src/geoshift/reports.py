@@ -10,6 +10,7 @@ enter a rendered body.
 from __future__ import annotations
 
 import numbers
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,18 @@ def _fmt_float(x: float) -> str:
     if x == float("-inf"):
         return '"-inf"'
     return format(float(x), ".17g")
+
+
+def _int_text(n: int) -> str:
+    """Decimal digits of an exact integer of any size.
+
+    ``str`` refuses integers past the interpreter's conversion limit
+    (4,300 digits by default); ``Decimal`` holds an integer exactly and
+    prints it without that limit and without touching the limit itself."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def render_value(value, indent: int = 0) -> str:
@@ -52,9 +65,10 @@ def render_value(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     if isinstance(value, Fraction):
-        return f'"{value.numerator}/{value.denominator}"'
+        return (f'"{_int_text(value.numerator)}/'
+                f'{_int_text(value.denominator)}"')
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return _int_text(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     if isinstance(value, np.ndarray):
@@ -72,7 +86,9 @@ def _csv_cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return f"{_int_text(v.numerator)}/{_int_text(v.denominator)}"
+    if isinstance(v, int):
+        return _int_text(v)
     s = str(v)
     if "," in s or '"' in s or "\n" in s:
         s = '"' + s.replace('"', '""') + '"'

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoshift import (EmptySphere, build_geodesic_automaton, make_rng,
-                      sample_uniform_sphere)
+from geoshift import (EmptySphere, build_geodesic_automaton,
+                      enumerate_sphere, make_rng, sample_uniform_sphere,
+                      sphere_count)
 from geoshift.randomness import ExactSampler
 
 
@@ -47,7 +48,9 @@ class ReferenceSampler:
 
 
 def reference_sphere_sample(aut, n, rng, count):
-    """The sphere sampler's walk, drawing from the reference sampler."""
+    """The sphere sampler's unranking, drawing from the reference sampler:
+    one draw below the sphere's size per sample, walked down the
+    successors by subtracting the path counts it passes."""
     eng = aut.group.engine
     tkeys = [e.key for e in aut.genset.elements]
     counts = aut.path_counts(n)
@@ -57,8 +60,8 @@ def reference_sphere_sample(aut, n, rng, count):
     out = []
     for _ in range(count):
         s, gk = aut.initial, eng.identity
+        r = sampler.randbelow(counts[n][s])
         for k in range(n, 0, -1):
-            r = sampler.randbelow(counts[k][s])
             for li, t in aut.successors(s):
                 w = counts[k - 1][t]
                 if r < w:
@@ -132,6 +135,11 @@ def test_a_sampler_that_skips_the_held_half_is_caught():
     assert replayed(bounds, make_rng(2), SkipsHeldHalf) != want
 
 
+SPHERE_AUTOMATA = {"f2": "f2_aut", "psl2z": "psl_aut", "s3": "s3_aut",
+                   "genus2": "genus2_aut", "f2_star_ab": "f2_star_ab_aut",
+                   "z2_z4": "z2_z4_aut", "z5_z2": "z5_z2_aut"}
+
+
 @pytest.mark.parametrize("group,n,count", [
     ("f2", 0, 5), ("f2", 1, 50), ("f2", 8, 200), ("f2", 40, 300),
     ("psl2z", 24, 300), ("s3", 2, 50), ("s3", 3, 50),
@@ -140,11 +148,7 @@ def test_a_sampler_that_skips_the_held_half_is_caught():
 ])
 def test_sphere_samples_and_final_state_match_the_reference(
         request, group, n, count):
-    aut = request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut",
-                                   "s3": "s3_aut", "genus2": "genus2_aut",
-                                   "f2_star_ab": "f2_star_ab_aut",
-                                   "z2_z4": "z2_z4_aut",
-                                   "z5_z2": "z5_z2_aut"}[group])
+    aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
     a, b = make_rng(5, stream=n), make_rng(5, stream=n)
     a.integers(3)  # start from a held-back half
     b.integers(3)
@@ -180,12 +184,11 @@ def z5_z2_aut(z5_z2):
     return build_geodesic_automaton(z5_z2, n_check=8)
 
 
-@pytest.mark.parametrize("group,n", [("f2", 40), ("s3", 2)])
-def test_each_sphere_sample_draws_once_per_letter(request, monkeypatch,
-                                                  group, n):
+@pytest.mark.parametrize("group,n", [("f2", 40), ("s3", 0)])
+def test_each_sphere_sample_draws_once(request, monkeypatch, group, n):
     # the traced draw count wraps randbelow, so no draw may go around it,
-    # not even one below the bound 1 that s3's last steps have
-    aut = request.getfixturevalue({"f2": "f2_aut", "s3": "s3_aut"}[group])
+    # not even one below the bound 1 of a sphere of one element
+    aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
     bounds = []
     randbelow = ExactSampler.randbelow
 
@@ -195,8 +198,38 @@ def test_each_sphere_sample_draws_once_per_letter(request, monkeypatch,
 
     monkeypatch.setattr(ExactSampler, "randbelow", counted)
     sample_uniform_sphere(aut, n, make_rng(9), count=100)
-    assert len(bounds) == n * 100
-    assert (1 in bounds) == (group == "s3")
+    assert bounds == [sphere_count(aut, n)] * 100
+    assert (bounds[0] == 1) == (group == "s3")
+
+
+@pytest.mark.parametrize("group,top", [
+    ("f2", 5), ("psl2z", 10), ("s3", 4), ("genus2", 3), ("f2_star_ab", 3),
+    ("z2_z4", 8), ("z5_z2", 8),
+])
+def test_draws_unrank_the_sphere_in_shortlex_order(request, monkeypatch,
+                                                   group, top):
+    # at each radius up to `top`, draws 0, 1, ..., N - 1 in turn must spell
+    # the whole sphere, each element once, in the order enumerate_sphere
+    # lists it; s3's spheres are empty from radius 3 on
+    aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
+    turn = iter(())
+
+    def in_turn(self, bound):
+        r = next(turn)
+        assert r < bound
+        return r
+
+    monkeypatch.setattr(ExactSampler, "randbelow", in_turn)
+    for n in range(top + 1):
+        size = sphere_count(aut, n)
+        if size == 0:
+            with pytest.raises(EmptySphere):
+                sample_uniform_sphere(aut, n, make_rng(0))
+            continue
+        turn = iter(range(size))
+        got = [x.key for x in sample_uniform_sphere(aut, n, make_rng(0),
+                                                    count=size)]
+        assert got == [x.key for x in enumerate_sphere(aut, n)]
 
 
 def test_other_bit_generators_are_refused(f2_aut):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,33 @@ def test_scalar_forms():
     assert render_value(True) == "true"
     assert render_value(0.25) == "0.25"
     assert render_value("x") == '"x"'
+
+
+def decimal_digits(n):
+    """Digits of n >= 0 read off in blocks of 100, without ``str(n)``."""
+    blocks = []
+    while True:
+        n, r = divmod(n, 10 ** 100)
+        blocks.append(r)
+        if not n:
+            break
+    return str(blocks[-1]) + "".join(f"{b:0100d}" for b in blocks[-2::-1])
+
+
+def test_integers_past_the_conversion_limit_render_exactly():
+    # the free group's cylinder count up to length 10,000 has 4,772 digits
+    n = 12 * (3 ** 10000 - 1) // 2
+    limit = sys.get_int_max_str_digits()
+    digits = decimal_digits(n)
+    assert len(digits) == 4772
+    assert render_value({"cylinders": n}) == (
+        '{\n  "cylinders": ' + digits + "\n}")
+    assert render_value(-n) == "-" + digits
+    assert render_value(Fraction(n, n + 1)) == (
+        f'"{digits}/{decimal_digits(n + 1)}"')
+    assert csv_text(["n"], [[n]]) == f"n\n{digits}\n"
+    assert sys.get_int_max_str_digits() == limit
+    assert render_value(10 ** 4299) == str(10 ** 4299)
 
 
 def test_floats_round_trip():
