@@ -9,7 +9,9 @@ start state of length n are in bijection with the sphere of radius n.
 Construction is empirical: a candidate automaton is built from a finite ball
 and then validated against an independent breadth-first oracle (path counts
 per radius, geodesity, and injectivity).  If validation fails the
-neighbourhood depth L is raised, up to a fixed maximum.
+neighbourhood depth L is raised, up to a fixed maximum.  Both read only the
+ball: products come from its neighbour table and lengths from its spheres,
+so neither multiplies with the engine nor searches for a length.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import EmptySphere, FormatError, ResourceLimit, StabilizationFailure
-from .geometry import BallTree, ball_tree, word_length, DEFAULT_BALL_BUDGET
+from .geometry import BallTree, ball_tree, DEFAULT_BALL_BUDGET
 from .groups import GroupElement, GroupSpec, ResolvedGenSet
 from .randomness import ExactSampler, make_rng
 
@@ -211,14 +213,12 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     # byte-identical automata.
     targets = winner.tolist()
     remap = {0: 0}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        for t in targets[order[qi]]:
+    order = [0]  # grows as states are found
+    for s in order:
+        for t in targets[s]:
             if t >= 0 and t not in remap:
                 remap[t] = len(remap)
                 order.append(t)
-        qi += 1
     transitions = {(remap[s], li): remap[t] for s in order
                    for li, t in enumerate(targets[s]) if t >= 0}
     return GeodesicAutomaton(
@@ -257,39 +257,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _successor_table(aut: GeodesicAutomaton
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The transitions in compressed rows, last letter first: the edges of
-    state s are ``start[s]:start[s + 1]``, with their letters and targets."""
-    start = np.zeros(aut.n_states + 1, dtype=np.intp)
-    letters, targets = [], []
-    for s in range(aut.n_states):
-        for li, t in reversed(aut.successors(s)):
-            letters.append(li)
-            targets.append(t)
-        start[s + 1] = len(letters)
-    return (start, np.array(letters, dtype=np.intp),
-            np.array(targets, dtype=np.intc))
-
-
-def _expand_rows(start: np.ndarray, rows: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge of every row, rows in order: the edge indices and, for
-    each, the position of its row in `rows`."""
-    deg = start[rows + 1] - start[rows]
-    row = np.repeat(np.arange(len(rows)), deg)
-    ends = np.cumsum(deg)
-    edge = np.arange(int(ends[-1]) if len(ends) else 0) + np.repeat(
-        start[rows] - (ends - deg), deg)
-    return edge, row
-
-
 def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
                            seed: int = 0) -> ValidationReport:
-    spec = aut.group
-    eng = spec.engine
-    T = aut.genset
-    tkeys = [e.key for e in T.elements]
+    """Check path counts, geodesity and injectivity against the ball alone:
+    products from its neighbour table, lengths from its spheres."""
     horizon = tree.radius()
     counts = aut.path_counts(horizon)
     rows = []
@@ -312,10 +283,14 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
         # that is kept and extended, is the one that sweep would mark.  A
         # word of d letters is geodesic when its position lies in sphere d;
         # only words shorter than the horizon are extended, so every product
-        # is in the neighbour table.
-        nt = len(tkeys)
+        # is in the neighbour table.  ``table[s, nt - 1 - li]`` is the
+        # target of state s on letter li, -1 where there is no edge: its
+        # columns run last letter first.
+        nt = len(aut.genset)
         nbr = np.frombuffer(tree.nbr, dtype=np.intc)
-        start, letters, targets = _successor_table(aut)
+        table = np.full((aut.n_states, nt), -1, dtype=np.intc)
+        for (s, li), t in aut.transitions.items():
+            table[s, nt - 1 - li] = t
         states = np.array([aut.initial], dtype=np.intc)
         pos = np.zeros(1, dtype=np.intc)
         for d in range(horizon + 1):
@@ -332,29 +307,28 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
             injectivity_failures += len(pos) - int(np.count_nonzero(fresh))
             if d == horizon:
                 break
-            states, pos = states[fresh], pos[fresh]
-            edge, row = _expand_rows(start, states)
-            states = targets[edge]
-            pos = nbr[pos[row].astype(np.intp) * nt + letters[edge]]
+            out = table[states[fresh]]
+            row, col = np.nonzero(out >= 0)
+            states = out[row, col]
+            pos = nbr[pos[fresh][row].astype(np.intp) * nt + (nt - 1 - col)]
         # Spot checks from interior states: every path, wherever it starts,
-        # must spell a geodesic word.
+        # must spell a geodesic word.  A walk of k <= horizon letters from
+        # the identity steps only from positions within distance k - 1, so
+        # through the neighbour table, and its length in T is the sphere
+        # its end position lies in.
         rng = make_rng(seed, stream=977)
         for _ in range(SPOT_SAMPLES):
             s = int(rng.integers(aut.n_states))
-            gk = eng.identity
-            length = 0
+            p = length = 0
             budget = int(rng.integers(1, horizon + 1))
             for _ in range(budget):
                 succ = aut.successors(s)
                 if not succ:
                     break
                 li, s = succ[int(rng.integers(len(succ)))]
-                gk = eng.mult(gk, tkeys[li])
+                p = tree.nbr[p * nt + li]
                 length += 1
-            if length == 0:
-                continue
-            x = GroupElement(spec, gk)
-            if word_length(x, T) != length:
+            if bisect_right(tree.layer_bounds, p) - 1 != length:
                 geodesic_failures += 1
 
     ok = (first_mismatch is None and geodesic_failures == 0
@@ -439,14 +413,15 @@ def enumerate_sphere(aut: GeodesicAutomaton, n: int) -> Iterator[GroupElement]:
         raise ResourceLimit(f"sphere of radius {n} exceeds budget "
                             f"{DEFAULT_BALL_BUDGET}")
 
-    def rec(state: int, gk, depth: int):
+    # depth first; successors are pushed last letter first, to pop in order
+    stack = [(aut.initial, eng.identity, 0)]
+    while stack:
+        state, gk, depth = stack.pop()
         if depth == n:
             yield GroupElement(spec, gk)
-            return
-        for li, t in aut.successors(state):
-            yield from rec(t, eng.mult(gk, tkeys[li]), depth + 1)
-
-    yield from rec(aut.initial, eng.identity, 0)
+            continue
+        for li, t in reversed(aut.successors(state)):
+            stack.append((t, eng.mult(gk, tkeys[li]), depth + 1))
 
 
 class _StepTable(dict):

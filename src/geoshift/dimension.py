@@ -44,31 +44,40 @@ def _ray_chain(m: MarkovMeasure):
 
 
 def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng) -> list:
-    """A length-n prefix of a typical geodesic ray: the group elements
-    o = x_0, x_1, ..., x_n along it.  The first edge is drawn from `entry`,
-    the rest from the Markov chain.
+    """A length-n prefix of a typical geodesic ray from the identity: the
+    letter indices of its n edges.  The first edge is drawn from `entry`,
+    the rest from the Markov chain; :func:`_prefix_key` gives the element
+    a prefix ends at.
 
     The walk takes its n + 1 uniforms in one ``rng.random(n + 1)`` call,
     which yields the same doubles and leaves the same generator state as
     n + 1 scalar calls (the last uniform picks an edge the prefix does not
     use); a walk that raises EmptySphere has still drawn all of them.  Each
     step is then a bisection of the row's cumulative sums."""
-    sft = m.component.sft
-    T = aut.genset
-    trail = [aut.group.identity()]
     if n == 0:
-        return trail
+        return []
+    edges, nodes = m.component.sft.edges, m.nodes
     u = rng.random(n + 1).tolist()
     j = min(bisect_right(np.cumsum(entry).tolist(), u[0]), len(entry) - 1)
     cum_rows = m._cum_rows  # built once per measure, not once per ray
+    letters = []
     for k in range(1, n + 1):
-        li = sft.edges[m.nodes[j]][1]
-        trail.append(trail[-1] * T.elements[li])
+        letters.append(edges[nodes[j]][1])
         cum = cum_rows[j]
         if cum[-1] <= 0.0:
             raise EmptySphere("the chain reached an absorbing defect")
         j = min(bisect_right(cum, u[k] * cum[-1]), len(cum) - 1)
-    return trail
+    return letters
+
+
+def _prefix_key(aut):
+    """The engine key of the element a list of letter indices spells: one
+    ``engine.from_word`` of their base spellings, as
+    :func:`sample_uniform_sphere` takes each sample's key."""
+    eng = aut.group.engine
+    spelled = [eng.to_word(e.key) for e in aut.genset.elements]
+    return lambda letters: eng.from_word(
+        [c for li in letters for c in spelled[li]])
 
 
 @dataclass
@@ -88,11 +97,10 @@ def drift(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int, samples: int,
         raise ValueError("need a positive ray length and at least one ray")
     aut, entry = _ray_chain(m)
     length = _ForeignLength(aut.genset, Sstar)
+    key = _prefix_key(aut)
     rng = make_rng(seed, stream=317)
-    vals = []
-    for _ in range(samples):
-        trail = _walk(m, aut, entry, n, rng)
-        vals.append(length(trail[-1].key) / n)
+    vals = [length(key(_walk(m, aut, entry, n, rng))) / n
+            for _ in range(samples)]
     mean = sum(vals) / samples
     var = (sum((v - mean) ** 2 for v in vals) / (samples - 1)
            if samples > 1 else 0.0)
@@ -132,13 +140,14 @@ def ps_dimension_estimate(aut_s: GeodesicAutomaton, Sstar: ResolvedGenSet,
 
     aut, entry = _ray_chain(m)
     length = _ForeignLength(aut_s.genset, Sstar)
+    key = _prefix_key(aut)
     rng = make_rng(seed, stream=337)
     ks = sorted({max(1, (n * q) // 4) for q in (1, 2, 3, 4)})
     diagnostics = []
     for ri in range(diag_rays):
-        trail = _walk(m, aut, entry, n, rng)
+        letters = _walk(m, aut, entry, n, rng)
         for k in ks:
-            lk = length(trail[k].key)
+            lk = length(key(letters[:k]))
             local = gr_s * k / lk if lk > 0 else math.inf
             diagnostics.append((ri, k, lk, local))
     return DimensionEstimate(gr_s, est, dim_hat, width, diagnostics, seed)
@@ -168,5 +177,8 @@ def regular_growth_check(aut: GeodesicAutomaton, n_max: int,
     values = []
     for n in range(n_min, n_max + 1):
         count = sphere_count(aut, n)
-        values.append(float(count) * math.exp(-v * n))
+        try:
+            values.append(float(count) * math.exp(-v * n))
+        except OverflowError:  # past the largest float: scale in logs
+            values.append(math.exp(math.log(count) - v * n))
     return RegularGrowth(v, n_min, n_max, values, min(values), max(values))

@@ -52,10 +52,9 @@ def cross_lipschitz(S: ResolvedGenSet, Sstar: ResolvedGenSet) -> int:
     """max over letters, in both directions, of the word length in the
     other generating set; a bi-Lipschitz constant between the two metrics."""
     lip = 1
-    for x in S.elements:
-        lip = max(lip, word_length(x, Sstar))
-    for x in Sstar.elements:
-        lip = max(lip, word_length(x, S))
+    for A, B in ((S, Sstar), (Sstar, S)):
+        length = _ForeignLength(A, B)
+        lip = max(lip, *(length(x.key) for x in A.elements))
     return lip
 
 
@@ -203,25 +202,43 @@ class _BandProduct:
             total += inc
         return total + self.tails[q]
 
+    @cached_property
+    def graph(self) -> list:
+        """The nodes (last letter, row) the keys reach, numbered in the
+        order found from the start node 0: per node, its out-edges as
+        (letter, target, increment, rise), where the rise of the length is
+        the increment plus the change of the tail."""
+        steps, follow, tails = self.steps, self.follow, self.tails
+        nodes = [(len(follow) - 1, 0)]  # grows as nodes are found
+        number = {nodes[0]: 0}
+        graph = []
+        for a, q in nodes:
+            graph.append([])
+            for b in follow[a]:
+                r, inc = steps[q][b]
+                j = number.setdefault((b, r), len(nodes))
+                if j == len(nodes):
+                    nodes.append((b, r))
+                graph[-1].append((b, j, inc, inc + tails[r] - tails[q]))
+        return graph
+
     def layers(self):
         """The spheres of radius 1, 2, ... until a finite group runs out.
-        Each is the nodes (last letter, row) its keys reach, with the number
+        Each is the nodes of :attr:`graph` its keys reach, with the number
         of those keys, the sum of their lengths, and (-length, word) and
         (length, word) for the longest and the shortest, each with its
         lex-first word: |L - tau r| peaks at an extreme of L."""
-        steps, follow, tails = self.steps, self.follow, self.tails
+        graph = self.graph
         empty = (math.inf,)  # the extremes of a node no key reached yet
-        layer = {(len(follow) - 1, 0): (1, 0, (0, ()), (0, ()))}
+        layer = {0: (1, 0, (0, ()), (0, ()))}
         while True:
             nxt: dict = {}
-            for (a, q), (count, total, (hi, hw), (lo, lw)) in layer.items():
-                for b in follow[a]:
-                    r, inc = steps[q][b]
-                    inc += tails[r] - tails[q]  # the rise of the length
-                    old = nxt.get((b, r), (0, 0, empty, empty))
-                    nxt[b, r] = (old[0] + count, old[1] + total + count * inc,
-                                 min(old[2], (hi - inc, hw + (b,))),
-                                 min(old[3], (lo + inc, lw + (b,))))
+            for i, (count, total, (hi, hw), (lo, lw)) in layer.items():
+                for b, j, _, rise in graph[i]:
+                    old = nxt.get(j, (0, 0, empty, empty))
+                    nxt[j] = (old[0] + count, old[1] + total + count * rise,
+                              min(old[2], (hi - rise, hw + (b,))),
+                              min(old[3], (lo + rise, lw + (b,))))
             if not nxt:
                 return
             layer = nxt
@@ -232,16 +249,11 @@ class _BandProduct:
         """tau(S*/S), the limit of the sphere means of |x|_{S*}/n: the mean
         increment of the product's Parry chain (Calegari-Fujiwara 2010).
         Raises ValueError unless it has exactly one maximal component."""
-        nodes = [(len(self.follow) - 1, 0)]  # grows as nodes are found
-        edges, incs = [], []
-        for i, (a, q) in enumerate(nodes):
-            for b in self.follow[a]:
-                r, inc = self.steps[q][b]
-                if (b, r) not in nodes:
-                    nodes.append((b, r))
-                edges.append((i, b, nodes.index((b, r))))
-                incs.append(inc)
-        dec = components(Sft(edges, len(nodes)))
+        graph = self.graph
+        edges = [(i, b, j) for i, out in enumerate(graph)
+                 for b, j, _, _ in out]
+        incs = [inc for out in graph for _, _, inc, _ in out]
+        dec = components(Sft(edges, len(graph)))
         top = maximal_components(dec)
         if len(top.maximal) != 1:
             raise ValueError(f"{len(top.maximal)} maximal components")

@@ -223,15 +223,22 @@ class _SpelledKeys(Sequence):
         return self._spelled() == other
 
 
-def _astar_length(T: ResolvedGenSet, x: GroupElement, budget: int) -> int:
-    """Exact foreign length by A* over left quotients.
+def word_length(x: GroupElement, T: ResolvedGenSet,
+                budget: int = DEFAULT_BALL_BUDGET) -> int:
+    """Geodesic length of x with respect to the generating set T.
 
-    The state is g = z^-1 x where z is the partial product; the remaining
-    distance is at least ceil(|g|_S / L) with L the largest base length of a
-    letter, which is an admissible and consistent heuristic.  Nodes pop in
-    order of their bound, so the identity pops before any node whose bound
-    exceeds the length, and the search needs no limit on the length.
+    For the base set this is the engine's normal-form length.  For any
+    other set it is an A* search over left quotients.  The state is
+    g = z^-1 x where z is the partial product; the remaining distance is at
+    least ceil(|g|_S / L) with L the largest base length of a letter, a
+    heuristic that never overestimates and is consistent, so the answer is
+    exact.  Nodes pop in order of their bound, so the identity pops before
+    any node whose bound exceeds the length, and the search needs no limit
+    on the length.  Raises ResourceLimit when the search pops more than
+    ``budget`` states.
     """
+    if T.is_base:
+        return x.length()
     eng = T.group.engine
     lip = T.max_letter_length
     inv_keys = [T.elements[T.inverse_index[i]].key for i in range(len(T))]
@@ -258,17 +265,3 @@ def _astar_length(T: ResolvedGenSet, x: GroupElement, budget: int) -> int:
                 best[nk] = nc
                 h = -(-eng.length(nk) // lip)
                 heappush(heap, (nc + h, nc, nk))
-
-
-def word_length(x: GroupElement, T: ResolvedGenSet,
-                budget: int = DEFAULT_BALL_BUDGET) -> int:
-    """Geodesic length of x with respect to the generating set T.
-
-    For the base set this is the engine's normal-form length.  For any
-    other set it is an A* search whose heuristic, the base length divided
-    by the longest letter, never overestimates, so the answer is exact.
-    Raises ResourceLimit when the search pops more than ``budget`` states.
-    """
-    if T.is_base:
-        return x.length()
-    return _astar_length(T, x, budget)

@@ -20,7 +20,8 @@ from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
                                 _validate_against_tree, deserialize_automaton)
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
-from geoshift.groups import GroupElement, dehn_group, finite_table_group
+from geoshift.groups import (GroupElement, dehn_group, finite_table_group,
+                             free_group)
 
 
 def test_free_group_machine_shape(f2_aut):
@@ -64,6 +65,15 @@ def test_enumerate_sphere_lists_distinct_geodesics(f2, f2_aut):
 
 def test_enumerate_identity_sphere(f2, f2_aut):
     assert list(enumerate_sphere(f2_aut, 0)) == [f2.identity()]
+
+
+def test_enumerate_sphere_needs_no_stack_frame_per_letter():
+    # the two elements a^1500 and a^-1500, in letter order; a recursion per
+    # letter would pass the interpreter's depth limit
+    Z = free_group(1)
+    aut = build_geodesic_automaton(Z, n_check=4)
+    got = [x.key for x in enumerate_sphere(aut, 1500)]
+    assert got == [bytes([0]) * 1500, bytes([1]) * 1500]
 
 
 def test_uniform_sampler_stays_on_the_sphere(f2_aut):
@@ -157,9 +167,11 @@ def test_alternative_generators_get_their_own_machine(f2, f2_star_ab):
 
 
 # ---------------------------------------------------------------------------
-# Key-based reference: the construction and the validation sweep as they
-# were before they read products from the ball's neighbour table.  Each one
-# multiplies keys with the engine and looks every product up in the index.
+# Key-based reference: the construction, the validation sweep and the spot
+# walks as they were before they read products from the ball's neighbour
+# table.  Each one multiplies keys with the engine and looks every product
+# up in the index; the spot walks take each length from word_length, an A*
+# search on a foreign set.
 # ---------------------------------------------------------------------------
 
 def reference_word_trie(n_letters, depth):
@@ -309,21 +321,6 @@ def reference_validate(aut, tree, seed=0):
           and injectivity_failures == 0)
     return ValidationReport(rows, first_mismatch, geodesic_failures,
                             injectivity_failures, horizon, ok)
-
-
-def spot_walk_steps(aut, horizon, seed=0):
-    """Letters the spot checks multiply, replayed from their stream."""
-    rng = make_rng(seed, stream=977)
-    steps = 0
-    for _ in range(SPOT_SAMPLES):
-        s = int(rng.integers(aut.n_states))
-        for _ in range(int(rng.integers(1, horizon + 1))):
-            succ = aut.successors(s)
-            if not succ:
-                break
-            _, s = succ[int(rng.integers(len(succ)))]
-            steps += 1
-    return steps
 
 
 def with_transitions(aut, transitions):
@@ -483,8 +480,59 @@ def test_construction_and_sweep_do_not_multiply(group, radius, request,
         aut = _candidate(spec, T, tree, lv, lv)
         assert calls == []
         rep = _validate_against_tree(aut, tree)
+        assert calls == []
         if rep.ok:
             break
     assert rep.ok
-    # base lengths need no products, so every call is a spot-walk step
-    assert len(calls) == spot_walk_steps(aut, tree.radius())
+
+
+class _Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"validation read engine.{name}")
+
+
+@pytest.mark.parametrize("group,genset,radius", [
+    ("f2", None, 8), ("f2", "Sstar_ab", 6), ("psl2z", "Sstar_st", 8)])
+def test_validation_reads_only_its_ball(group, genset, radius, request,
+                                        monkeypatch):
+    # no engine method, so no product and no length search either
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(genset)
+    aut = build_geodesic_automaton(spec, T, n_check=radius)
+    tree = ball_tree(T, radius)
+    want = reference_validate(aut, tree)
+    monkeypatch.setattr(spec, "engine", _Untouchable())
+    assert _validate_against_tree(aut, tree) == want
+
+
+def letter_swaps(aut):
+    """Every mutant that swaps the targets of two edges out of one state.
+    Each keeps every state's multiset of targets, so every path count: only
+    the sweep and the spot walks can catch them."""
+    out = []
+    for s in range(aut.n_states):
+        succ = aut.successors(s)
+        for i, (a, t) in enumerate(succ):
+            for b, u in succ[i + 1:]:
+                if t != u:
+                    out.append(with_transitions(
+                        aut, {**aut.transitions, (s, a): u, (s, b): t}))
+    return out
+
+
+@pytest.mark.parametrize("group,genset,radius", [
+    ("f2", None, 7), ("f2", "Sstar_ab", 5), ("psl2z", None, 9),
+    ("psl2z", "Sstar_st", 7), ("s3", None, 4)])
+def test_letter_swaps_fail_validation_like_the_spot_walk_oracle(
+        group, genset, radius, request):
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(genset)
+    aut = build_geodesic_automaton(spec, T, n_check=radius)
+    tree = ball_tree(T, radius)
+    caught = 0
+    for seed, mutant in enumerate(letter_swaps(aut)):
+        got = _validate_against_tree(mutant, tree, seed=seed)
+        assert got.first_mismatch is None
+        assert got == reference_validate(mutant, tree, seed=seed)
+        caught += got.geodesic_failures > 0
+    assert caught

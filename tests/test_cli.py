@@ -100,6 +100,16 @@ def test_growth_report():
     assert doc["report"]["envelope"]["c2"] >= doc["report"]["envelope"]["c1"] > 0
 
 
+def test_growth_report_past_the_largest_float():
+    # |S_n| = (4/3) 3^n passes the largest float near n = 646; past it the
+    # envelope scales the counts in logs
+    r = run("growth", "--group", F2, "--n-max", "700")
+    assert r.returncode == 0
+    envelope = json.loads(r.stdout)["report"]["envelope"]
+    assert envelope["c1"] == pytest.approx(4.0 / 3.0, abs=1e-9)
+    assert envelope["c2"] == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+
 def test_components_report():
     r = run("components", "--group", PSL)
     doc = json.loads(r.stdout)

@@ -15,7 +15,7 @@ from geoshift import (
     sft_from_automaton,
     word_length_potential,
 )
-from geoshift.dimension import _ray_chain, _walk
+from geoshift.dimension import _prefix_key, _ray_chain, _walk
 from geoshift.errors import EmptySphere
 from geoshift.randomness import make_rng
 from test_randomness import state
@@ -38,7 +38,8 @@ def psl_measure(psl_aut):
 
 
 def _walk_per_step(m, aut, entry, n, rng):
-    """The ray walk with one scalar draw and one cumulative sum per step."""
+    """The ray walk with one scalar draw and one cumulative sum per step,
+    and one group product per step: the elements o = x_0, ..., x_n."""
     sft = m.component.sft
     T = aut.genset
     cum_entry = np.cumsum(entry)
@@ -64,14 +65,18 @@ def _walk_per_step(m, aut, entry, n, rng):
 def test_walk_replays_the_per_step_walk(request, which):
     m = request.getfixturevalue(which)
     aut, entry = _ray_chain(m)
+    key = _prefix_key(aut)
     for seed in range(5):
         for n in (0, 1, 7, 40):
             rng, ref_rng = make_rng(seed, stream=317), make_rng(seed, stream=317)
             # two rays in a row: the second starts where the first left off
             for _ in range(2):
-                trail = _walk(m, aut, entry, n, rng)
+                letters = _walk(m, aut, entry, n, rng)
                 ref = _walk_per_step(m, aut, entry, n, ref_rng)
-                assert [x.key for x in trail] == [x.key for x in ref]
+                assert len(letters) == n
+                # one normal form per prefix against the per-step products
+                assert [key(letters[:k]) for k in range(n + 1)] == [
+                    x.key for x in ref]
                 assert state(rng) == state(ref_rng)
 
 

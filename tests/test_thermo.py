@@ -369,14 +369,13 @@ def test_sampled_rays_are_geodesics(f2_aut, f2_measure):
     def walk(seed):
         return dimension._walk(f2_measure, aut, entry, 30, make_rng(seed))
 
-    trail = walk(5)
-    # consecutive elements differ by one letter, and every prefix sits one
-    # step further out, so the trail is a geodesic
-    letters = set(f2_aut.genset.elements)
-    assert all(x.inverse() * y in letters for x, y in zip(trail, trail[1:]))
-    assert [y.length() for y in trail] == list(range(31))
-    assert walk(5) == trail
-    assert walk(6) != trail
+    letters = walk(5)
+    # every prefix sits one step further out, so the ray is a geodesic
+    key = dimension._prefix_key(aut)
+    length = f2_aut.group.engine.length
+    assert [length(key(letters[:k])) for k in range(31)] == list(range(31))
+    assert walk(5) == letters
+    assert walk(6) != letters
 
 
 @pytest.mark.parametrize("group", ["f2", "psl2z", "s3"])
