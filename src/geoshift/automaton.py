@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import EmptySphere, FormatError, ResourceLimit, StabilizationFailure
-from .geometry import BallTree, ball_tree, DEFAULT_BALL_BUDGET
+from .geometry import BallTree, ball_tree, DEFAULT_BALL_BUDGET, _Spelled
 from .groups import GroupElement, GroupSpec, ResolvedGenSet
 from .randomness import ExactSampler, make_rng
 
@@ -42,6 +42,7 @@ __all__ = [
 LEVEL_MIN = 1     # first neighbourhood depth tried
 LEVEL_MAX = 4     # last neighbourhood depth tried before giving up
 SPOT_SAMPLES = 300  # random interior paths checked for geodesity
+SAMPLE_BLOCK = 4096  # sphere samples and rays drawn and walked together
 
 
 @dataclass
@@ -424,77 +425,77 @@ def enumerate_sphere(aut: GeodesicAutomaton, n: int) -> Iterator[GroupElement]:
             stack.append((t, eng.mult(gk, tkeys[li]), depth + 1))
 
 
-class _StepTable(dict):
-    """One radius's step table of :func:`sample_uniform_sphere`, keyed by
-    state: the running totals of the path counts below over the
-    successors with a path left, and for each such successor the start of
-    its block, its letter spelled in base letters and its target.  A
-    state's step is built on its first visit, so a walk on a large
-    automaton (genus 2 has 3,193 states) pays only for the states it
-    reaches."""
-
-    def __init__(self, aut: GeodesicAutomaton, below: list[int],
-                 spelled: list[tuple[int, ...]]):
-        super().__init__()
-        self.aut, self.below, self.spelled = aut, below, spelled
-
-    def __missing__(self, s: int) -> tuple:
-        ends, moves, total = [], [], 0
-        for li, t in self.aut.successors(s):
-            if self.below[t]:
-                moves.append((total, self.spelled[li], t))
-                total += self.below[t]
-                ends.append(total)
-        step = self[s] = (ends, moves)
-        return step
+def _prefix_key(aut: GeodesicAutomaton):
+    """The engine key of the element a list of letter indices spells: one
+    ``engine.from_word`` of their base spellings.  That equals the fold of
+    ``engine.mult`` over the letters on every engine, because each
+    engine's key is the normal form of the element a word spells, whatever
+    order it was put together in: the freely reduced word, the table
+    element, the reduced syllable sequence, or the Dehn normal form."""
+    eng = aut.group.engine
+    spelled = [eng.to_word(e.key) for e in aut.genset.elements]
+    return lambda letters: eng.from_word(
+        [c for li in letters for c in spelled[li]])
 
 
 def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
                           rng: np.random.Generator, count: int = 1
-                          ) -> list[GroupElement]:
+                          ) -> Sequence[GroupElement]:
     """Exactly uniform samples from the sphere of radius n.
 
     Each sample is one exact draw r below the size of the sphere,
     ``counts[n][initial]``, unranked into the r-th accepted word in
-    shortlex order, the order of :func:`enumerate_sphere`.  The walk reads
-    one step table per radius k.  Its running totals of ``counts[k - 1]``
-    over the successors of a state s split ``[0, counts[k][s])`` into one
-    block per successor, as large as the number of words that go on
-    through it.  A step bisects the totals for the block that holds r,
-    keeps r's offset within that block and appends the block's letter to
-    the sample's word.  So r goes to a word one to one, and every element
-    of the sphere has identical probability.
+    shortlex order, the order of :func:`enumerate_sphere`.  Per radius k,
+    a dense (state, letter) table of the running totals of ``counts[k - 1]``
+    over the successors of s (zero where s has no edge) splits
+    ``[0, counts[k][s])`` into one block per successor, as large as the
+    number of words that go on through it.  A step takes the number of
+    totals <= r as the letter, subtracts its block's start from r and moves
+    to its target.  So r goes to a word one to one, and every element of
+    the sphere has identical probability.
 
-    Each sample's key is then one ``engine.from_word`` of its spelled
-    letters.  That equals the per-step fold of ``engine.mult`` on every
-    engine, because each engine's key is the normal form of the element a
-    word spells, whatever order it was put together in: the freely reduced
-    word, the table element, the reduced syllable sequence, or the Dehn
-    normal form.  Raises EmptySphere when the sphere has no elements.
+    Samples are drawn, one draw each and in order, and unranked
+    SAMPLE_BLOCK at a time, all of a block's rows in one array step per
+    radius: in Python integers while ``max(counts[k]) >= 2**63``, in int64
+    from there on.  The result is a read-only sequence of GroupElements,
+    their keys spelled on first read (one :func:`_prefix_key` each), and
+    its ``letters`` is the (count, n) letter matrix.  Raises EmptySphere
+    when the sphere has no elements, ValueError on a negative n or count.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    spec = aut.group
-    eng = spec.engine
+    if n < 0 or count < 0:
+        raise ValueError("n and count must be nonnegative")
     counts = aut.path_counts(n)
     size = counts[n][aut.initial]
     if size == 0:
         raise EmptySphere(f"no elements at distance {n}")
-    spelled = [eng.to_word(e.key) for e in aut.genset.elements]
-    walk = [_StepTable(aut, counts[k - 1], spelled) for k in range(n, 0, -1)]
-    out = []
+    target = np.full((aut.n_states, len(aut.genset)), -1, dtype=np.intp)
+    for (s, li), t in aut.transitions.items():
+        target[s, li] = t
+    steps = []  # per radius n, ..., 1: (totals, block starts)
+    for k in range(n, 0, -1):
+        width = np.array(counts[k - 1], dtype=object)[target] * (target >= 0)
+        ends = np.cumsum(width, axis=1)
+        if max(counts[k]) < 1 << 63:
+            ends, width = ends.astype(np.int64), width.astype(np.int64)
+        steps.append((ends, ends - width))
+    letters = np.empty((count, n), dtype=np.min_scalar_type(len(aut.genset)))
     with ExactSampler(rng) as sampler:
-        randbelow = sampler.randbelow
-        for _ in range(count):
-            r = randbelow(size)
-            s = aut.initial
-            word: list[int] = []
-            for table in walk:
-                ends, moves = table[s]
-                start, letter, s = moves[bisect_right(ends, r)]
-                r -= start
-                word += letter
-            out.append(GroupElement(spec, eng.from_word(word)))
+        for lo in range(0, count, SAMPLE_BLOCK):
+            hi = min(lo + SAMPLE_BLOCK, count)
+            r = np.array([sampler.randbelow(size) for _ in range(lo, hi)],
+                         dtype=object)
+            s = np.full(hi - lo, aut.initial, dtype=np.intp)
+            for i, (ends, starts) in enumerate(steps):
+                r = r.astype(ends.dtype, copy=False)
+                li = np.count_nonzero(ends[s] <= r[:, None], axis=1)
+                r = r - starts[s, li]
+                letters[lo:hi, i] = li
+                s = target[s, li]
+    spec, key = aut.group, _prefix_key(aut)
+    out = _Spelled(count, lambda: [  # rows listed a block at a time
+        GroupElement(spec, key(row)) for lo in range(0, count, SAMPLE_BLOCK)
+        for row in letters[lo:lo + SAMPLE_BLOCK].tolist()])
+    out.letters = letters
     return out
 
 

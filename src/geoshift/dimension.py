@@ -11,12 +11,11 @@ checks that the counts stay within exponential envelopes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import GeodesicAutomaton, sphere_count
+from .automaton import SAMPLE_BLOCK, GeodesicAutomaton, sphere_count
 from .distortion import _ForeignLength
 from .errors import EmptySphere
 from .groups import ResolvedGenSet
@@ -43,41 +42,45 @@ def _ray_chain(m: MarkovMeasure):
     return aut, m.pi / m.pi.sum()
 
 
-def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng) -> list:
-    """A length-n prefix of a typical geodesic ray from the identity: the
-    letter indices of its n edges.  The first edge is drawn from `entry`,
-    the rest from the Markov chain; :func:`_prefix_key` gives the element
-    a prefix ends at.
+def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng,
+          count: int) -> np.ndarray:
+    """Length-n prefixes of `count` typical geodesic rays from the
+    identity: a (count, n) matrix, the letter indices of each ray's n
+    edges.  The first edge is drawn from `entry`, the rest from the Markov
+    chain; ``automaton._prefix_key`` gives the element a prefix ends at.
 
-    The walk takes its n + 1 uniforms in one ``rng.random(n + 1)`` call,
-    which yields the same doubles and leaves the same generator state as
-    n + 1 scalar calls (the last uniform picks an edge the prefix does not
-    use); a walk that raises EmptySphere has still drawn all of them.  Each
-    step is then a bisection of the row's cumulative sums."""
+    The walk takes its uniforms in one ``rng.random((count, n + 1))``
+    call, which yields the same doubles and leaves the same generator
+    state as `count` calls of ``rng.random(n + 1)``, one per ray (the last
+    uniform of a ray picks an edge its prefix does not use).  Each step
+    then counts, for every ray at once, the entries of its row of
+    ``cumsum(P)`` that are at most its uniform times the row's total,
+    which is where a bisection of that row lands.  A walk that meets an
+    absorbing defect raises EmptySphere, having drawn all its uniforms."""
+    letters = np.empty((count, n), dtype=np.intp)
     if n == 0:
-        return []
-    edges, nodes = m.component.sft.edges, m.nodes
-    u = rng.random(n + 1).tolist()
-    j = min(bisect_right(np.cumsum(entry).tolist(), u[0]), len(entry) - 1)
-    cum_rows = m._cum_rows  # built once per measure, not once per ray
-    letters = []
+        return letters
+    edges, last = m.component.sft.edges, len(entry) - 1
+    letter = np.array([edges[v][1] for v in m.nodes], dtype=np.intp)
+    u = rng.random((count, n + 1))
+    j = np.minimum(np.searchsorted(np.cumsum(entry), u[:, 0], side="right"),
+                   last)
+    cum = m._cum_rows  # built once per measure, not once per walk
     for k in range(1, n + 1):
-        letters.append(edges[nodes[j]][1])
-        cum = cum_rows[j]
-        if cum[-1] <= 0.0:
+        letters[:, k - 1] = letter[j]
+        rows = cum[j]
+        if (rows[:, -1] <= 0.0).any():
             raise EmptySphere("the chain reached an absorbing defect")
-        j = min(bisect_right(cum, u[k] * cum[-1]), len(cum) - 1)
+        j = np.minimum(np.count_nonzero(
+            rows <= (u[:, k] * rows[:, -1])[:, None], axis=1), last)
     return letters
 
 
-def _prefix_key(aut):
-    """The engine key of the element a list of letter indices spells: one
-    ``engine.from_word`` of their base spellings, as
-    :func:`sample_uniform_sphere` takes each sample's key."""
-    eng = aut.group.engine
-    spelled = [eng.to_word(e.key) for e in aut.genset.elements]
-    return lambda letters: eng.from_word(
-        [c for li in letters for c in spelled[li]])
+def _rays(m: MarkovMeasure, n: int, count: int, rng):
+    """The walks of `count` rays of length n, SAMPLE_BLOCK rays each."""
+    aut, entry = _ray_chain(m)
+    for lo in range(0, count, SAMPLE_BLOCK):
+        yield _walk(m, aut, entry, n, rng, min(SAMPLE_BLOCK, count - lo))
 
 
 @dataclass
@@ -95,12 +98,10 @@ def drift(m: MarkovMeasure, Sstar: ResolvedGenSet, n: int, samples: int,
     that ratio is the drift of d_{S*} along typical d_S-geodesics."""
     if n < 1 or samples < 1:
         raise ValueError("need a positive ray length and at least one ray")
-    aut, entry = _ray_chain(m)
+    aut, _ = _ray_chain(m)
     length = _ForeignLength(aut.genset, Sstar)
-    key = _prefix_key(aut)
-    rng = make_rng(seed, stream=317)
-    vals = [length(key(_walk(m, aut, entry, n, rng))) / n
-            for _ in range(samples)]
+    vals = [L / n for words in _rays(m, n, samples, make_rng(seed, stream=317))
+            for L in length.lengths(aut, words)]
     mean = sum(vals) / samples
     var = (sum((v - mean) ** 2 for v in vals) / (samples - 1)
            if samples > 1 else 0.0)
@@ -138,18 +139,17 @@ def ps_dimension_estimate(aut_s: GeodesicAutomaton, Sstar: ResolvedGenSet,
     dim_hat = gr_s / est.mean
     width = gr_s * (3.0 * est.stderr) / (est.mean ** 2)
 
-    aut, entry = _ray_chain(m)
+    aut, _ = _ray_chain(m)
     length = _ForeignLength(aut_s.genset, Sstar)
-    key = _prefix_key(aut)
-    rng = make_rng(seed, stream=337)
     ks = sorted({max(1, (n * q) // 4) for q in (1, 2, 3, 4)})
     diagnostics = []
-    for ri in range(diag_rays):
-        letters = _walk(m, aut, entry, n, rng)
-        for k in ks:
-            lk = length(key(letters[:k]))
-            local = gr_s * k / lk if lk > 0 else math.inf
-            diagnostics.append((ri, k, lk, local))
+    for words in _rays(m, n, diag_rays, make_rng(seed, stream=337)):
+        # per ray, its lengths at each k
+        for lks in zip(*(length.lengths(aut, words[:, :k]) for k in ks)):
+            ri = len(diagnostics) // len(ks)
+            for k, lk in zip(ks, lks):
+                local = gr_s * k / lk if lk > 0 else math.inf
+                diagnostics.append((ri, k, lk, local))
     return DimensionEstimate(gr_s, est, dim_hat, width, diagnostics, seed)
 
 

@@ -20,8 +20,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .automaton import (GeodesicAutomaton, sample_uniform_sphere,
-                        sphere_count)
+import numpy as np
+
+from .automaton import (GeodesicAutomaton, _prefix_key,
+                        sample_uniform_sphere, sphere_count)
 from .errors import EmptySphere, ResourceLimit
 from .geometry import ball_tree, word_length
 from .groups import GroupElement, ResolvedGenSet
@@ -98,6 +100,15 @@ class _ForeignLength:
         if self.band is not None:
             return self.band.length(key)
         return word_length(GroupElement(self.Sstar.group, key), self.Sstar)
+
+    def lengths(self, aut: GeodesicAutomaton, words: np.ndarray) -> list:
+        """Lengths in S* of the elements the rows of `words` spell: paths
+        of `aut`, an automaton of S, as letter indices.  A band pair reads
+        the rows themselves, a search pair the key of each."""
+        if self.band is not None:
+            return self.band.lengths(words)
+        key = _prefix_key(aut)
+        return [self(key(row)) for row in words.tolist()]
 
     def layers(self, S: ResolvedGenSet, R: int,
                aut: GeodesicAutomaton | None = None):
@@ -201,6 +212,21 @@ class _BandProduct:
             q, inc = steps[q][c]
             total += inc
         return total + self.tails[q]
+
+    def lengths(self, words: np.ndarray) -> list:
+        """:meth:`length` of the element each row of `words`, an S-path of
+        letter indices, spells: the transducer walked a column at a time.
+        On a band pair S is the base set of a free group, or of a free
+        product with unit syllables, so a path, a subword of an accepted
+        word, is a geodesic: its key is its own letters (a free group), or
+        one syllable per letter that ``index`` maps back to that letter."""
+        steps = np.array(self.steps, dtype=np.intp)
+        nxt, inc = steps[:, :, 0], steps[:, :, 1]
+        q = total = np.zeros(len(words), dtype=np.intp)
+        for c in words.T:
+            total = total + inc[q, c]
+            q = nxt[q, c]
+        return (total + np.array(self.tails)[q]).tolist()
 
     @cached_property
     def graph(self) -> list:
@@ -319,8 +345,9 @@ def _sphere_lengths(aut: GeodesicAutomaton, Sstar: ResolvedGenSet,
     if not n_list or n_list[0] < 1:
         raise ValueError("sphere radii must be positive")
     length = _ForeignLength(aut.genset, Sstar)
-    return [(n, [length(x.key) for x in sample_uniform_sphere(
-                aut, n, make_rng(seed, stream=stream + i), count=samples)])
+    return [(n, length.lengths(aut, sample_uniform_sphere(
+                aut, n, make_rng(seed, stream=stream + i),
+                count=samples).letters))
             for i, n in enumerate(n_list)]
 
 

@@ -144,7 +144,7 @@ def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
     products of its positions, in order, by every letter but the inverse of
     their own, in letter order; they take the next positions in that order,
     and the back edge leads to the parent.  The layout takes no product:
-    the keys are a :class:`_SpelledKeys` that multiplies each position's
+    the keys are a :class:`_Spelled` list that multiplies each position's
     parent key by its letter's key when they are first read.  A sphere that
     would take the ball past `budget` raises before it is built: the
     element-by-element loop raises at the same radius, since its count only
@@ -177,50 +177,47 @@ def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
         letter.frombytes(lets.tobytes())
         lo, hi = hi, hi + new
         layer_bounds.append(hi)
-    keys = _SpelledKeys(T, parent, letter, layer_bounds)
+    keys = _Spelled(hi, lambda: _spell_keys(T, parent, letter, layer_bounds))
     return BallTree(keys, parent, letter, layer_bounds, nbr)
 
 
-class _SpelledKeys(Sequence):
-    """The keys of a free-basis ball, spelled on first read.
+class _Spelled(Sequence):
+    """A read-only list of `size` items, spelled by ``spell()`` on first
+    read: ``len`` answers without them, and the first item access,
+    iteration, slice or comparison builds the list and keeps it."""
 
-    ``len`` answers from the layout.  The first item access, iteration,
-    slice or comparison multiplies, in position order, each position's
-    parent key by its letter's key, and keeps the list; later reads take no
-    product.
-    """
+    def __init__(self, size: int, spell):
+        self._size, self._spell, self._items = size, spell, None
 
-    def __init__(self, T: ResolvedGenSet, parent: array, letter: array,
-                 layer_bounds: list[int]):
-        self._T = T
-        self._parent = parent
-        self._letter = letter
-        self._bounds = layer_bounds
-        self._keys: list | None = None
-
-    def _spelled(self) -> list:
-        if self._keys is None:
-            T = self._T
-            mult = T.group.engine.mult
-            tkeys = [e.key for e in T.elements]
-            keys = [T.group.engine.identity]
-            for lo, hi in zip(self._bounds[1:], self._bounds[2:]):
-                keys += map(mult, map(keys.__getitem__, self._parent[lo:hi]),
-                            map(tkeys.__getitem__, self._letter[lo:hi]))
-            self._keys = keys
-        return self._keys
+    def _read(self) -> list:
+        if self._items is None:
+            self._items = self._spell()
+        return self._items
 
     def __len__(self) -> int:
-        return self._bounds[-1]
+        return self._size
 
     def __getitem__(self, i):
-        return self._spelled()[i]
+        return self._read()[i]
 
     def __iter__(self):
-        return iter(self._spelled())
+        return iter(self._read())
 
     def __eq__(self, other) -> bool:
-        return self._spelled() == other
+        return self._read() == other
+
+
+def _spell_keys(T: ResolvedGenSet, parent: array, letter: array,
+                layer_bounds: list[int]) -> list:
+    """The keys of a free-basis ball: in position order, each position's
+    parent key times its letter's key."""
+    mult = T.group.engine.mult
+    tkeys = [e.key for e in T.elements]
+    keys = [T.group.engine.identity]
+    for lo, hi in zip(layer_bounds[1:], layer_bounds[2:]):
+        keys += map(mult, map(keys.__getitem__, parent[lo:hi]),
+                    map(tkeys.__getitem__, letter[lo:hi]))
+    return keys
 
 
 def word_length(x: GroupElement, T: ResolvedGenSet,

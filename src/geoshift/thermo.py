@@ -198,8 +198,8 @@ class MarkovMeasure:
     memory = 1  # edges a node of the chain remembers
 
     @cached_property
-    def _cum_rows(self) -> list:  # of P, per row, as float lists
-        return np.cumsum(self.P, axis=1).tolist()
+    def _cum_rows(self) -> np.ndarray:  # cumulative sums of P, per row
+        return np.cumsum(self.P, axis=1)
 
 
 def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:

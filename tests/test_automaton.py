@@ -102,6 +102,29 @@ def test_sampling_a_negative_radius_fails(f2_aut):
         sample_uniform_sphere(f2_aut, -4, make_rng(0))
 
 
+def test_sampling_a_negative_count_fails(f2_aut):
+    # a negative count used to give an empty list
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_uniform_sphere(f2_aut, 4, make_rng(0), count=-1)
+    assert len(sample_uniform_sphere(f2_aut, 4, make_rng(0), count=0)) == 0
+
+
+def test_sphere_samples_are_spelled_on_first_read(f2_aut, monkeypatch):
+    eng = f2_aut.group.engine
+    spelled = []
+    from_word = eng.from_word
+    monkeypatch.setattr(eng, "from_word",
+                        lambda ids: spelled.append(1) or from_word(ids))
+    xs = sample_uniform_sphere(f2_aut, 9, make_rng(7), count=50)
+    assert len(xs) == 50 and xs.letters.shape == (50, 9)
+    assert not spelled
+    assert xs[3].length() == 9
+    assert len(spelled) == 50
+    assert [x.key for x in xs] == [from_word(row)
+                                   for row in xs.letters.tolist()]
+    assert len(spelled) == 50
+
+
 def test_serialization_round_trip(f2, f2_aut):
     text = serialize_automaton(f2_aut)
     back = deserialize_automaton(text, f2)

@@ -1,6 +1,8 @@
 """Drift along typical rays, regular growth, and the dimension estimate."""
 
+import dataclasses
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from geoshift import (
     sft_from_automaton,
     word_length_potential,
 )
-from geoshift.dimension import _prefix_key, _ray_chain, _walk
+from geoshift.automaton import _prefix_key
+from geoshift.dimension import _ray_chain, _walk
+from geoshift.distortion import _BandProduct
 from geoshift.errors import EmptySphere
 from geoshift.randomness import make_rng
 from test_randomness import state
@@ -61,6 +65,76 @@ def _walk_per_step(m, aut, entry, n, rng):
     return trail
 
 
+def reference_walk(m, aut, entry, n, rng):
+    """The ray walk one ray at a time, as it stood before the block walk:
+    n + 1 uniforms from one ``rng.random(n + 1)``, then a bisection of the
+    current row's cumulative sums per step; the letter indices of the
+    ray's n edges."""
+    if n == 0:
+        return []
+    edges, nodes = m.component.sft.edges, m.nodes
+    u = rng.random(n + 1).tolist()
+    j = min(bisect_right(np.cumsum(entry).tolist(), u[0]), len(entry) - 1)
+    cum_rows = np.cumsum(m.P, axis=1).tolist()
+    letters = []
+    for k in range(1, n + 1):
+        letters.append(edges[nodes[j]][1])
+        cum = cum_rows[j]
+        if cum[-1] <= 0.0:
+            raise EmptySphere("the chain reached an absorbing defect")
+        j = min(bisect_right(cum, u[k] * cum[-1]), len(cum) - 1)
+    return letters
+
+
+@pytest.mark.parametrize("which", ["f2_measure", "psl_measure"])
+@pytest.mark.parametrize("n, count", [(0, 3), (1, 40), (7, 1), (13, 300),
+                                      (40, 50)])
+def test_block_walk_is_the_per_ray_walk(request, which, n, count):
+    m = request.getfixturevalue(which)
+    aut, entry = _ray_chain(m)
+    rng, ref_rng = make_rng(3, stream=n), make_rng(3, stream=n)
+    rng.integers(3)  # start from a held-back half
+    ref_rng.integers(3)
+    words = _walk(m, aut, entry, n, rng, count)
+    assert words.shape == (count, n)
+    assert words.tolist() == [reference_walk(m, aut, entry, n, ref_rng)
+                              for _ in range(count)]
+    assert state(rng) == state(ref_rng)
+
+
+@pytest.mark.parametrize("which", ["f2_measure", "psl_measure"])
+def test_block_walk_raises_at_an_absorbing_defect_like_the_per_ray_walk(
+        request, which):
+    m = request.getfixturevalue(which)
+    aut, entry = _ray_chain(m)
+    P = m.P.copy()
+    P[int(np.argmax(m.pi))] = 0.0  # the likeliest node absorbs
+    broken = dataclasses.replace(m, P=P)
+    with pytest.raises(EmptySphere):
+        _walk(broken, aut, entry, 20, make_rng(4), 30)
+    ref_rng = make_rng(4)
+    with pytest.raises(EmptySphere):
+        for _ in range(30):
+            reference_walk(broken, aut, entry, 20, ref_rng)
+
+
+@pytest.mark.parametrize("which, star", [("f2_measure", "Sstar_ab"),
+                                         ("f2_measure", "Sstar_a2"),
+                                         ("psl_measure", "Sstar_st")])
+def test_band_lengths_of_a_ray_block_are_the_key_lengths(request, which,
+                                                         star):
+    m = request.getfixturevalue(which)
+    aut, entry = _ray_chain(m)
+    G = aut.group
+    band = _BandProduct.of(aut.genset, G.resolve(star))
+    words = _walk(m, aut, entry, 40, make_rng(1), 200)
+    rows = words.tolist()
+    assert band.lengths(words) == [band.length(G.engine.from_word(row))
+                                   for row in rows]
+    assert band.lengths(words[:, :17]) == [
+        band.length(G.engine.from_word(row[:17])) for row in rows]
+
+
 @pytest.mark.parametrize("which", ["f2_measure", "psl_measure"])
 def test_walk_replays_the_per_step_walk(request, which):
     m = request.getfixturevalue(which)
@@ -69,15 +143,16 @@ def test_walk_replays_the_per_step_walk(request, which):
     for seed in range(5):
         for n in (0, 1, 7, 40):
             rng, ref_rng = make_rng(seed, stream=317), make_rng(seed, stream=317)
-            # two rays in a row: the second starts where the first left off
-            for _ in range(2):
-                letters = _walk(m, aut, entry, n, rng)
+            # two rays in one walk: the second starts where the first left
+            # off
+            words = _walk(m, aut, entry, n, rng, 2)
+            assert words.shape == (2, n)
+            for letters in words.tolist():
                 ref = _walk_per_step(m, aut, entry, n, ref_rng)
-                assert len(letters) == n
                 # one normal form per prefix against the per-step products
                 assert [key(letters[:k]) for k in range(n + 1)] == [
                     x.key for x in ref]
-                assert state(rng) == state(ref_rng)
+            assert state(rng) == state(ref_rng)
 
 
 def test_ray_chain_is_uniform_on_the_first_spheres(f2, f2_measure):

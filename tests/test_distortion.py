@@ -4,6 +4,7 @@ import time
 from array import array
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -457,6 +458,47 @@ def test_band_means_are_the_enumerated_means(request, walk_automata,
     # the product walk builds no ball
     monkeypatch.setattr(distortion, "ball_tree", None)
     assert mean_distortion_exact(aut, Sstar, n_max) == want
+
+
+BAND_WORD_CASES = [("f2", "Sstar_ab"), ("f2", "Sstar_a2"),
+                   ("psl2z", "Sstar_st"), ("z2_z4", ("s", "u")),
+                   ("z2_z4", ("u^-1", "s")), ("z2_z2", ("s", "t"))]
+
+
+@pytest.mark.parametrize("group, star", BAND_WORD_CASES,
+                         ids=[f"{g}-{PAIR_IDS.get(s, s)}"
+                              for g, s in BAND_WORD_CASES])
+def test_band_lengths_of_a_word_matrix_are_the_key_lengths(
+        request, walk_automata, group, star):
+    # every accepted word of each sphere up to radius 8, one row each,
+    # against the per-key walk of the key its letters spell
+    G, S, Sstar = _pair(request, group, star)
+    aut = (request.getfixturevalue({"f2": "f2_aut", "psl2z": "psl_aut"}[group])
+           if group in ("f2", "psl2z") else walk_automata[group])
+    band = _BandProduct.of(S, Sstar)
+    eng = G.engine
+    for n in range(9):
+        rows = [eng.to_word(x.key) for x in enumerate_sphere(aut, n)]
+        words = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+        got = band.lengths(words)
+        assert got == [band.length(eng.from_word(row)) for row in rows]
+        assert {type(L) for L in got} == {int}
+
+
+def test_search_pair_lengths_read_each_key(f2, f2_aut):
+    # a letter of base length three: the pair is no band pair, and the
+    # lengths of a sample's rows are A* lengths of its keys
+    from geoshift import sample_uniform_sphere
+    from geoshift.randomness import make_rng
+
+    T = f2.resolve(GeneratingSet(
+        f2.base.letters + ("w", "w^-1"), {**f2.base.inverses, "w": "w^-1"},
+        {"w": ("a", "a", "b"), "w^-1": ("b^-1", "a^-1", "a^-1")}, name="T"))
+    length = _ForeignLength(f2_aut.genset, T)
+    assert length.mode == "search"
+    xs = sample_uniform_sphere(f2_aut, 7, make_rng(2), count=40)
+    assert length.lengths(f2_aut, xs.letters) == [word_length(x, T)
+                                                  for x in xs]
 
 
 def test_band_means_ignore_the_machine(f2, f2_aut):

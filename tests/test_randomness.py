@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from geoshift import (EmptySphere, build_geodesic_automaton,
                       enumerate_sphere, make_rng, sample_uniform_sphere,
                       sphere_count)
+from geoshift.automaton import SAMPLE_BLOCK
 from geoshift.randomness import ExactSampler
 
 
@@ -145,6 +146,12 @@ SPHERE_AUTOMATA = {"f2": "f2_aut", "psl2z": "psl_aut", "s3": "s3_aut",
     ("psl2z", 24, 300), ("s3", 2, 50), ("s3", 3, 50),
     ("genus2", 3, 100), ("genus2", 6, 100), ("f2_star_ab", 8, 300),
     ("z2_z4", 12, 300), ("z5_z2", 12, 300),
+    # F2's sphere of radius 39 holds 4 * 3^38 < 2^63 elements and every
+    # step unranks in int64; radius 41 takes two steps in Python integers
+    # first, radius 200 takes 161, and PSL2Z's radius 130 takes 7
+    ("f2", 39, 200), ("f2", 41, 200), ("f2", 200, 60), ("psl2z", 130, 200),
+    # draws carry from one block to the next
+    ("f2", 40, SAMPLE_BLOCK + 150),
 ])
 def test_sphere_samples_and_final_state_match_the_reference(
         request, group, n, count):

@@ -25,7 +25,7 @@ from geoshift import (
     sft_from_automaton,
     word_length_potential,
 )
-from geoshift import dimension
+from geoshift import automaton, dimension
 from geoshift.randomness import make_rng
 from geoshift.sft import Sft
 from geoshift.thermo import Potential, mean_potential, pressure
@@ -367,11 +367,12 @@ def test_sampled_rays_are_geodesics(f2_aut, f2_measure):
     aut, entry = dimension._ray_chain(f2_measure)
 
     def walk(seed):
-        return dimension._walk(f2_measure, aut, entry, 30, make_rng(seed))
+        return dimension._walk(f2_measure, aut, entry, 30, make_rng(seed),
+                               1)[0].tolist()
 
     letters = walk(5)
     # every prefix sits one step further out, so the ray is a geodesic
-    key = dimension._prefix_key(aut)
+    key = automaton._prefix_key(aut)
     length = f2_aut.group.engine.length
     assert [length(key(letters[:k])) for k in range(31)] == list(range(31))
     assert walk(5) == letters
