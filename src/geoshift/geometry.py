@@ -11,6 +11,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappush, heappop
+from typing import Optional
 
 import numpy as np
 
@@ -44,12 +45,13 @@ class BallTree:
     stay below the last sphere read products from it instead of
     multiplying.
 
-    A free group on its free basis has a tree for its Cayley graph, so
-    there every position but the identity has exactly one neighbour in the
-    previous sphere (its parent, by the back edge) and its other products
-    are new elements of the next sphere.  The layout of such a ball is
-    fixed by counting alone, which is how :func:`ball_tree` lays it out.
-    Its ``keys`` are then a read-only sequence that spells them, one
+    Where the keys are shortlex-least geodesic words over the base letters
+    (a free or Dehn group on its base set), a key is its parent's key
+    followed by its letter, so a product that contains no rewrite word of
+    the engine is a new element of the next sphere and its position
+    follows by counting.  On a free basis every product but the back edge
+    is one.  :func:`ball_tree` lays such a ball out one sphere at a time;
+    its ``keys`` are then a read-only sequence that spells them, one
     product per position, only when they are first read.
     """
 
@@ -83,16 +85,25 @@ def ball_tree(T: ResolvedGenSet, radius: int,
     checked after each element's products, so at most budget + len(T)
     elements are built.
 
-    Every other group and generating set needs a dictionary from key to
-    position, since a product may be an element found before.  On a free
-    basis none is: each product other than the back edge is new, so
-    :func:`_free_basis_ball` places the sphere by counting and spells the
-    keys only when they are read.
+    Two layouts give the same tree.  An engine whose keys are the
+    shortlex-least geodesic words over the base letters (the free and
+    Dehn families), on its base set, takes :func:`_word_ball`: one sphere
+    at a time, where only the products that meet a rewrite word go to the
+    engine and the rest take their positions by counting.  Every other
+    group and generating set takes :func:`_dictionary_ball`, which
+    multiplies each product and looks it up among the keys found, since it
+    may be an element found before; so does a word ball whose engine
+    answers break the word layout.
     """
     if radius < 0:
         raise ValueError(f"ball radius must be nonnegative, got {radius}")
-    if T.group.family == "free" and T.is_base:
-        return _free_basis_ball(T, radius, budget)
+    tree = _word_ball(T, radius, budget)
+    return tree if tree is not None else _dictionary_ball(T, radius, budget)
+
+
+def _dictionary_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
+    """:func:`ball_tree` by a dictionary from key to position: every product
+    but the back edge is multiplied and looked up."""
     eng = T.group.engine
     mult = eng.mult
     tkeys = list(enumerate(e.key for e in T.elements))
@@ -136,21 +147,48 @@ def _budget_exceeded(budget: int, depth: int, radius: int) -> ResourceLimit:
                          f"radius {depth} of {radius}")
 
 
-def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
-    """:func:`ball_tree` for a free group on its free basis, one sphere at a
-    time with no index of keys and no product.
+def _word_ball(T: ResolvedGenSet, radius: int,
+               budget: int) -> Optional[BallTree]:
+    """:func:`ball_tree` for an engine whose keys are shortlex-least
+    geodesic words over the base letters, on its base set, one sphere at a
+    time; None where that does not apply or where the engine's answers
+    break the layout.
 
-    The Cayley graph is a tree, so the children of sphere n are the
-    products of its positions, in order, by every letter but the inverse of
-    their own, in letter order; they take the next positions in that order,
-    and the back edge leads to the parent.  The layout takes no product:
-    the keys are a :class:`_Spelled` list that multiplies each position's
-    parent key by its letter's key when they are first read.  A sphere that
-    would take the ball past `budget` raises before it is built: the
-    element-by-element loop raises at the same radius, since its count only
-    grows within a sphere.
+    Such words are prefix-closed (Cannon 1984; Epstein et al., *Word
+    Processing in Groups*, 1992), so a key is its parent's key followed by
+    its letter.  The keys of a sphere are then in lex order by position,
+    and the products of its keys g by the letters t other than the back
+    edge come in the dictionary loop's order, the lex order of the words
+    g + t.  The engine returns g + t unchanged unless it contains one of
+    the engine's rewrite words (``_rewrite_words``, none for a free
+    group): either g contains one, a flag kept per position, or g + t ends
+    in one, which the base-nt code of each position's last letters tells.
+    Every other product is a new element and takes the next position by
+    counting; only the rows that meet a rewrite word go to the engine.
+    A result h equal to g + t is new as well.  Any other h must be an
+    earlier key, found by walking its letters from the identity along the
+    positions' own letters: shorter than g + t, or as long and lex smaller,
+    where the dictionary loop placed it first.  If it is not, the layout
+    gives up and returns None.
+
+    The budget is checked twice per sphere, with the dictionary loop's
+    message at the same radius: before any engine product against the
+    rows that need none, a lower bound on the sphere, then against the
+    exact count.  The keys are a :class:`_Spelled` list that multiplies
+    each position's parent key by its letter's key when they are first
+    read.
     """
+    eng = T.group.engine
+    words = getattr(eng, "_rewrite_words", None)
     nt = len(T)
+    tkeys = [e.key for e in T.elements]
+    if (words is None or not T.is_base
+            or tkeys != [bytes((li,)) for li in range(nt)]):
+        return None
+    tables = _rewrite_tables(words, nt)
+    if tables is None:
+        return None
+    mult = eng.mult
     inv = np.array(T.inverse_index, dtype=np.intc)
     letters = np.arange(nt, dtype=np.intc)
     parent = array("i", [-1])
@@ -158,27 +196,123 @@ def _free_basis_ball(T: ResolvedGenSet, radius: int, budget: int) -> BallTree:
     nbr = array("i")
     layer_bounds = [0, 1]
     lo, hi = 0, 1
-    # parent and back-edge letter of each position of the sphere lo:hi
+    # per position of the sphere lo:hi: its parent, its back-edge letter,
+    # the code of its last letters and whether its key has a rewrite word
     up = np.array([-1], dtype=np.intc)
     back = np.array([-1], dtype=np.intc)
+    code = np.zeros(1, dtype=np.int64)
+    flag = np.zeros(1, dtype=bool)
+    wrap = nt ** (max(map(len, words), default=1) - 1)
+
+    def spell(p: int) -> bytes:
+        out = bytearray()
+        while p > 0:
+            out.append(letter[p])
+            p = parent[p]
+        out.reverse()
+        return bytes(out)
+
+    def find(h: bytes, block: np.ndarray) -> int:
+        # the position whose key is h, or -1; a word as long as the next
+        # sphere's keys takes its last step in the block being laid out
+        p = 0
+        for c in h:
+            q = nbr[p * nt + c] if p < lo else int(block[p - lo, c])
+            if q < 0 or parent[q] != p or letter[q] != c:
+                return -1
+            p = q
+        return p
+
     for depth in range(radius):
         forward = letters != back[:, None]
-        children = np.count_nonzero(forward, axis=1)
-        new = int(children.sum())
-        if hi + new > budget:
+        new = forward
+        if tables:
+            rewrite = np.repeat(flag[:, None], nt, axis=1)
+            for k, prefixes, masks, bits in tables:
+                if k > depth + 1:
+                    break
+                tail = code % nt ** (k - 1)
+                at = np.searchsorted(prefixes, tail).clip(max=len(prefixes) - 1)
+                hit = np.where(prefixes[at] == tail, masks[at], 0)
+                rewrite |= (hit[:, None] & bits) != 0
+            rewrite &= forward
+            new = forward & ~rewrite
+        if hi + int(np.count_nonzero(new)) > budget:
+            raise _budget_exceeded(budget, depth + 1, radius)
+        pending = []
+        if tables:
+            last = -1
+            for r, t in zip(*(a.tolist() for a in np.nonzero(rewrite))):
+                if r != last:
+                    g, last = spell(lo + r), r
+                w = g + tkeys[t]
+                h = mult(g, tkeys[t])
+                if h == w:
+                    new[r, t] = True
+                elif len(h) > len(w):
+                    return None
+                else:
+                    pending.append((r, t, w, h))
+        children = np.count_nonzero(new, axis=1)
+        count = int(children.sum())
+        if hi + count > budget:
             raise _budget_exceeded(budget, depth + 1, radius)
         block = np.repeat(up[:, None], nt, axis=1)
-        block[forward] = np.arange(hi, hi + new, dtype=np.intc)
-        nbr.frombytes(block.tobytes())
+        block[new] = np.arange(hi, hi + count, dtype=np.intc)
         up = np.repeat(np.arange(lo, hi, dtype=np.intc), children)
         parent.frombytes(up.tobytes())
-        lets = np.broadcast_to(letters, forward.shape)[forward]
-        back = inv[lets]
+        lets = np.broadcast_to(letters, new.shape)[new]
         letter.frombytes(lets.tobytes())
-        lo, hi = hi, hi + new
+        # a row still waiting here holds its parent, which fails the walk
+        for r, t, w, h in pending:
+            q = find(h, block)
+            if q < 0 or (len(h) == len(w) and h > w):
+                return None
+            block[r, t] = q
+        nbr.frombytes(block.tobytes())
+        back = inv[lets]
+        if tables:
+            code = (code[up - lo] * nt + lets) % wrap
+            flag = rewrite[new]
+        lo, hi = hi, hi + count
         layer_bounds.append(hi)
-    keys = _Spelled(hi, lambda: _spell_keys(T, parent, letter, layer_bounds))
-    return BallTree(keys, parent, letter, layer_bounds, nbr)
+        if lo == hi:
+            break
+
+    def spell_keys() -> list:
+        mult = eng.mult
+        keys = [eng.identity]
+        for a, b in zip(layer_bounds[1:], layer_bounds[2:]):
+            keys += map(mult, map(keys.__getitem__, parent[a:b]),
+                        map(tkeys.__getitem__, letter[a:b]))
+        return keys
+
+    return BallTree(_Spelled(hi, spell_keys), parent, letter, layer_bounds,
+                    nbr)
+
+
+def _rewrite_tables(words, nt: int) -> Optional[list]:
+    """For each length k of the rewrite words, shortest first: the sorted
+    base-nt codes of their first k - 1 letters, for each code the bitmask
+    of the last letters that complete a rewrite word, and the bit of each
+    letter.  [] when there are no words; None when a code of the longest
+    word times nt, or a mask, would not fit in 64 bits."""
+    if not words:
+        return []
+    if nt > 64 or nt ** max(map(len, words)) >= 1 << 63:
+        return None
+    by_length: dict[int, dict[int, int]] = {}
+    for w in set(words):
+        prefix = 0
+        for c in w[:-1]:
+            prefix = prefix * nt + c
+        masks = by_length.setdefault(len(w), {})
+        masks[prefix] = masks.get(prefix, 0) | 1 << w[-1]
+    dtype = np.min_scalar_type((1 << nt) - 1)
+    bits = (np.ones(nt, dtype=dtype) << np.arange(nt, dtype=dtype))
+    return [(k, np.array(sorted(masks), dtype=np.int64),
+             np.array([masks[c] for c in sorted(masks)], dtype=dtype), bits)
+            for k, masks in sorted(by_length.items())]
 
 
 class _Spelled(Sequence):
@@ -205,19 +339,6 @@ class _Spelled(Sequence):
 
     def __eq__(self, other) -> bool:
         return self._read() == other
-
-
-def _spell_keys(T: ResolvedGenSet, parent: array, letter: array,
-                layer_bounds: list[int]) -> list:
-    """The keys of a free-basis ball: in position order, each position's
-    parent key times its letter's key."""
-    mult = T.group.engine.mult
-    tkeys = [e.key for e in T.elements]
-    keys = [T.group.engine.identity]
-    for lo, hi in zip(layer_bounds[1:], layer_bounds[2:]):
-        keys += map(mult, map(keys.__getitem__, parent[lo:hi]),
-                    map(tkeys.__getitem__, letter[lo:hi]))
-    return keys
 
 
 def word_length(x: GroupElement, T: ResolvedGenSet,

@@ -103,6 +103,10 @@ class _FreeEngine:
     """Word problem for a free group: free reduction over letter indices."""
 
     family = "free"
+    # A product of a freely reduced word by a letter other than the inverse
+    # of its last one never cancels, so no word makes it rewrite: see
+    # _DehnEngine._rewrite_words.
+    _rewrite_words: tuple[bytes, ...] = ()
 
     def __init__(self, inv: tuple[int, ...]):
         self.inv = inv
@@ -306,6 +310,16 @@ class _DehnEngine:
     of two normal forms needs no cache: both are freely reduced, so it
     cancels only at the junction, and most products match no relator
     prefix and are returned after one search.
+
+    The rewrite words, ``_rewrite_words``, are the prefixes r[:len(r)//2 + 1]
+    of the symmetrized relators longer than 2, which every subword that
+    greedy shortening replaces begins with, and the halves r[:len(r)//2] of
+    the even-length ones, which every half swap replaces.  A freely reduced
+    word that contains none of them is left as it is by both loops, so it
+    is its own normal form: the product of a normal form g by a letter t
+    other than the inverse of g's last letter is the word g + t, with no
+    search, unless g + t contains a rewrite word.  The breadth-first ball
+    on the base letters relies on this to send only those products here.
     """
 
     family = "dehn"
@@ -344,7 +358,8 @@ class _DehnEngine:
         self._halves = _any_of(halves)
         # _rewritable asks for both at once.  An empty list leaves its loop a
         # no-op, so the joined pattern of the other list still decides.
-        self._rewritable = _any_of(long_prefixes + halves)
+        self._rewrite_words = tuple(long_prefixes + halves)
+        self._rewritable = _any_of(self._rewrite_words)
         self.identity = b""
         self._nf_cache: dict[bytes, bytes] = {}
 

@@ -1,13 +1,16 @@
 """Balls and word metrics for alternative generating sets."""
 
+import warnings
+
 import pytest
 
 from conftest import ball_depths, reference_ball_tree
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import ResourceLimit
-from geoshift.geometry import ball_tree, word_length
-from geoshift.groups import GroupElement, free_group
+from geoshift.geometry import (_dictionary_ball, _word_ball, ball_tree,
+                               word_length)
+from geoshift.groups import GroupElement, dehn_group, free_group
 
 
 def test_ball_layers_match_sphere_sizes(f2):
@@ -208,13 +211,14 @@ def test_ball_budget_stops_within_a_layer(f2, monkeypatch):
     assert len(products) <= 1000 + len(S)
 
 
-@pytest.mark.parametrize("group,genset,radius", [("genus2", None, 4),
+@pytest.mark.parametrize("group,genset,radius", [("psl2z", "Sstar_st", 9),
                                                  ("f2", "Sstar_ab", 5)])
 def test_ball_budget_stops_within_a_layer_of_the_dictionary_loop(
         group, genset, radius, request, monkeypatch):
     # these balls take a product per element and pass 1,000 elements inside
-    # a sphere: genus 2 has 457 elements within radius 3 and 3,193 within 4,
-    # F2 over Sstar_ab 511 within radius 4 and 2,047 within 5
+    # a sphere: PSL2Z over Sstar_st has 610 elements within radius 8 and
+    # 1,075 within 9, F2 over Sstar_ab 511 within radius 4 and 2,047
+    # within 5
     spec = request.getfixturevalue(group)
     T = spec.resolve(genset)
     products = set()
@@ -230,6 +234,148 @@ def test_ball_budget_stops_within_a_layer_of_the_dictionary_loop(
                                             f"{radius} of 12"):
         ball_tree(T, 12, budget=1000)
     assert 1000 <= len(products) <= 1000 + len(T)
+
+
+def one_relator(relator: str):
+    """A Dehn group on a, A = a^-1, b, B = b^-1 with one relator."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # most fail C'(1/6)
+        return dehn_group([tuple(relator)], ("a", "A", "b", "B"),
+                          {"a": "A", "b": "B"})
+
+
+def z4():
+    # <a | a^4>: a finite Dehn group, whose spheres run out after radius 2
+    return dehn_group([("a",) * 4], ("a", "A"), {"a": "A"})
+
+
+def fields(tree):
+    """A ball tree in the form of :func:`reference_ball_tree`'s result."""
+    return (list(tree.keys), tree.parent.tolist(), tree.letter.tolist(),
+            tree.nbr.tolist(), tree.layer_bounds)
+
+
+RELATORS = ("abAB", "aabab", "aaa", "abab", "aabb", "ababab", "aabAb",
+            "abbaBB", "aaaabbb")
+
+
+@pytest.mark.parametrize("group,radius", [
+    *(("genus2", r) for r in range(6)),
+    *(("f2", r) for r in range(9)),
+    *((rel, 5) for rel in RELATORS),
+    ("z4", 5),
+])
+def test_word_layout_matches_the_dictionary_loop(group, radius, request):
+    if group in RELATORS:
+        spec = one_relator(group)
+    elif group == "z4":
+        spec = z4()
+    else:
+        spec = request.getfixturevalue(group)
+    T = spec.resolve(None)
+    tree = _word_ball(T, radius, budget=10 ** 7)
+    assert tree is not None
+    want = _dictionary_ball(T, radius, budget=10 ** 7)
+    assert_same_tree(tree, fields(want))
+    if group == "z4":
+        assert want.layer_bounds == [0, 1, 3, 4, 4]
+
+
+def test_word_layout_declines_other_groups_and_sets(f2, psl2z, s3):
+    assert _word_ball(f2.resolve("Sstar_ab"), 3, 100) is None
+    assert _word_ball(psl2z.resolve(None), 3, 100) is None
+    assert _word_ball(s3.resolve(None), 3, 100) is None
+
+
+def lex_greatest(spec):
+    # Z/4 names a^2 by the lex-greater of its two geodesics, A A
+    mult = spec.engine.mult
+    return lambda a, b: (b"\x01\x01" if mult(a, b) == b"\x00\x00"
+                         else mult(a, b))
+
+
+def not_a_key(spec):
+    # a rewritten product comes back as long as it is, but ending in a a^-1,
+    # which no key does
+    mult = spec.engine.mult
+    return lambda a, b: (mult(a, b) if mult(a, b) == a + b
+                         else mult(a, b)[:-2] + b"\x00\x01")
+
+
+def longer(spec):
+    # a rewritten product comes back longer than a + b
+    mult = spec.engine.mult
+    return lambda a, b: (mult(a, b) if mult(a, b) == a + b
+                         else a + b + b"\x00")
+
+
+@pytest.mark.parametrize("group,radius,answer", [
+    ("z4", 4, lex_greatest),
+    ("genus2", 5, not_a_key),
+    ("genus2", 5, longer),
+])
+def test_word_layout_falls_back_when_the_engine_breaks_it(
+        group, radius, answer, request, monkeypatch):
+    spec = z4() if group == "z4" else request.getfixturevalue(group)
+    T = spec.resolve(None)
+    monkeypatch.setattr(spec.engine, "mult", answer(spec))
+    assert _word_ball(T, radius, budget=10 ** 7) is None
+    tree = ball_tree(T, radius)
+    assert isinstance(tree.keys, list)
+    assert_same_tree(tree, fields(_dictionary_ball(T, radius,
+                                                   budget=10 ** 7)))
+
+
+@pytest.mark.parametrize("budget,products", [
+    (22_192, 0),     # below the rows of sphere 5 that need no product
+    (22_193, 152),   # the 152 rewrite rows go to the engine first
+    (22_288, 152),
+    (22_289, 152),   # exactly the radius-5 ball: no limit is hit
+])
+def test_word_layout_budget_matches_the_dictionary_loop(
+        genus2, budget, products, monkeypatch):
+    # genus 2 has 3,193 elements within radius 4 and 22,289 within 5; 19,000
+    # of the 19,152 products of sphere 4 contain no rewrite word
+    T = genus2.resolve(None)
+    try:
+        want = reference_ball_tree(T, 5, budget)
+    except ResourceLimit as err:
+        want = err
+    mult = genus2.engine.mult
+    step = []
+
+    def counted(a, b):
+        step.append(len(a) == 4)
+        return mult(a, b)
+
+    monkeypatch.setattr(genus2.engine, "mult", counted)
+    if isinstance(want, ResourceLimit):
+        with pytest.raises(ResourceLimit) as got:
+            ball_tree(T, 5, budget=budget)
+        assert str(got.value) == str(want)
+    else:
+        tree = ball_tree(T, 5, budget=budget)
+        assert tree.layer_bounds == want[4]
+    assert sum(step) == products
+
+
+def test_genus2_default_ball_stops_before_the_radius_8_products(
+        genus2, monkeypatch):
+    # 1,085,905 elements lie within radius 7, and sphere 8 has 6,493,536, so
+    # the rows of sphere 8 that need no product already pass the budget
+    mult = genus2.engine.mult
+    lengths = []
+
+    def counted(a, b):
+        lengths.append(len(a))
+        return mult(a, b)
+
+    monkeypatch.setattr(genus2.engine, "mult", counted)
+    with pytest.raises(ResourceLimit) as err:
+        ball_tree(genus2.resolve(None), 8)
+    assert str(err.value) == ("ball enumeration exceeded budget 5000000 at "
+                              "radius 8 of 8")
+    assert lengths and max(lengths) == 6
 
 
 @pytest.mark.parametrize("word,expected", [

@@ -475,6 +475,20 @@ def test_dehn_normal_forms_are_the_ball_geodesics():
         assert len(key) == depths[i]
 
 
+def test_genus2_radius_7_ball_follows_cannon_series(genus2):
+    # the same series to radius 7, 1,085,905 elements: counts only, read
+    # from the layer bounds
+    num, den = (1, 2, 2, 2, 1), (1, -6, -6, -6, 1)
+    series = []
+    for n in range(8):
+        c = num[n] if n < len(num) else 0
+        c -= sum(den[k] * series[n - k] for k in range(1, min(n, 4) + 1))
+        series.append(c)
+    tree = ball_tree(genus2.resolve(None), 7)
+    assert [tree.sphere_size(n) for n in range(8)] == series
+    assert series[7] == 930_328 and len(tree.keys) == 1_085_905
+
+
 def test_ball_products_bypass_the_normal_form_cache(monkeypatch):
     G = parse_group_file("groups/genus2.grp")
     eng = G.engine
