@@ -454,13 +454,16 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
     to its target.  So r goes to a word one to one, and every element of
     the sphere has identical probability.
 
-    Samples are drawn, one draw each and in order, and unranked
-    SAMPLE_BLOCK at a time, all of a block's rows in one array step per
+    Samples are drawn SAMPLE_BLOCK at a time, by one
+    :meth:`ExactSampler.draws` each, and unranked with one array step per
     radius: in Python integers while ``max(counts[k]) >= 2**63``, in int64
-    from there on.  The result is a read-only sequence of GroupElements,
-    their keys spelled on first read (one :func:`_prefix_key` each), and
-    its ``letters`` is the (count, n) letter matrix.  Raises EmptySphere
-    when the sphere has no elements, ValueError on a negative n or count.
+    from there on.  A step compares r with the totals a letter column at a
+    time, all but the last, which exceeds r, and reads block start and
+    target at the flat index ``s * letters + letter``.  The result is a
+    read-only sequence of GroupElements, their keys spelled on first read
+    (one :func:`_prefix_key` each), and its ``letters`` is the (count, n)
+    letter matrix.  Raises EmptySphere when the sphere has no elements,
+    ValueError on a negative n or count.
     """
     if n < 0 or count < 0:
         raise ValueError("n and count must be nonnegative")
@@ -468,29 +471,31 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
     size = counts[n][aut.initial]
     if size == 0:
         raise EmptySphere(f"no elements at distance {n}")
-    target = np.full((aut.n_states, len(aut.genset)), -1, dtype=np.intp)
+    nt = len(aut.genset)
+    target = np.full((aut.n_states, nt), -1, dtype=np.intp)
     for (s, li), t in aut.transitions.items():
         target[s, li] = t
-    steps = []  # per radius n, ..., 1: (totals, block starts)
+    steps = []  # per radius n, ..., 1: (letter columns of totals, starts)
     for k in range(n, 0, -1):
         width = np.array(counts[k - 1], dtype=object)[target] * (target >= 0)
         ends = np.cumsum(width, axis=1)
         if max(counts[k]) < 1 << 63:
             ends, width = ends.astype(np.int64), width.astype(np.int64)
-        steps.append((ends, ends - width))
-    letters = np.empty((count, n), dtype=np.min_scalar_type(len(aut.genset)))
+        steps.append((ends.T[:-1].copy(), (ends - width).ravel()))
+    letters = np.empty((n, count), dtype=np.min_scalar_type(nt)).T
     with ExactSampler(rng) as sampler:
         for lo in range(0, count, SAMPLE_BLOCK):
             hi = min(lo + SAMPLE_BLOCK, count)
-            r = np.array([sampler.randbelow(size) for _ in range(lo, hi)],
-                         dtype=object)
+            r = sampler.draws(size, hi - lo)
             s = np.full(hi - lo, aut.initial, dtype=np.intp)
             for i, (ends, starts) in enumerate(steps):
+                # uint64 draws against int64 totals would compare in float64
                 r = r.astype(ends.dtype, copy=False)
-                li = np.count_nonzero(ends[s] <= r[:, None], axis=1)
-                r = r - starts[s, li]
+                li = sum(column[s] <= r for column in ends)
+                at = s * nt + li
+                r = r - starts[at]
+                s = target.ravel()[at]
                 letters[lo:hi, i] = li
-                s = target[s, li]
     spec, key = aut.group, _prefix_key(aut)
     out = _Spelled(count, lambda: [  # rows listed a block at a time
         GroupElement(spec, key(row)) for lo in range(0, count, SAMPLE_BLOCK)

@@ -188,6 +188,8 @@ class _BandProduct:
                 row = tuple(g[y] - low for y in shifted)
                 self.steps[-1].append((rows.setdefault(row, len(rows)), low))
         self.tails = [r[0] for r in rows]
+        nxt_inc = np.array(self.steps, dtype=np.intp).reshape(-1, 2).T
+        self._flat = (*nxt_inc, np.array(self.tails))  # at row*letters+letter
         letters = range(len(keys))
         self.follow = [[b for b in letters
                         if eng.length(mult(a, keys[b])) == 2]
@@ -220,13 +222,13 @@ class _BandProduct:
         product with unit syllables, so a path, a subword of an accepted
         word, is a geodesic: its key is its own letters (a free group), or
         one syllable per letter that ``index`` maps back to that letter."""
-        steps = np.array(self.steps, dtype=np.intp)
-        nxt, inc = steps[:, :, 0], steps[:, :, 1]
+        nxt, inc, tails = self._flat
         q = total = np.zeros(len(words), dtype=np.intp)
         for c in words.T:
-            total = total + inc[q, c]
-            q = nxt[q, c]
-        return (total + np.array(self.tails)[q]).tolist()
+            at = q * len(self.steps[0]) + c
+            total = total + inc[at]
+            q = nxt[at]
+        return (total + tails[q]).tolist()
 
     @cached_property
     def graph(self) -> list:

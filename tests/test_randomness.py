@@ -124,6 +124,73 @@ def test_mixed_bounds_match_the_reference(bounds, seed):
         1 << 40, size=3).tolist()
 
 
+def blocked(calls, rng):
+    """Each (bound, count) of `calls` as one ExactSampler.draws call."""
+    with ExactSampler(rng) as s:
+        return [s.draws(bound, count).tolist() for bound, count in calls]
+
+
+def referenced_blocks(calls, rng):
+    s = ReferenceSampler(rng)
+    return [[s.randbelow(bound) for _ in range(count)] for bound, count in calls]
+
+
+F2_40 = 4 * 3 ** 39  # F2's sphere of radius 40: two halves per draw
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("calls", [
+    pytest.param([(1000, 1), (1000, 1), (1 << 40, 1), (1000, 3)], id="mixed"),
+    # past one 1,024-word fetch
+    pytest.param([(7, 2500)], id="fetch-32"),
+    pytest.param([(2 ** 32, 2100)], id="fetch-raw-half"),
+    pytest.param([(2 ** 40 + 3, 1500)], id="fetch-64"),
+    # past a 256-half group of the assembled draws, and past SAMPLE_BLOCK
+    pytest.param([(2 ** 63 + 5, 200)], id="group-refill"),
+    pytest.param([(F2_40, SAMPLE_BLOCK + 150)], id="block-two-halves"),
+    pytest.param([(3 ** 30, SAMPLE_BLOCK + 1), (9, SAMPLE_BLOCK + 1)],
+                 id="block-64-then-32"),
+    # about half and a sixteenth rejected: windows fetched again and again
+    pytest.param([(2 ** 31 + 1, 5000)], id="reject-32"),
+    pytest.param([(3 * 2 ** 60 + 1, 5000)], id="reject-64"),
+    # the leftover halves of a group carry over 32- and 64-bit draws
+    pytest.param([(2 ** 63 + 5, 3), (F2_40, 2), (1000, 5), (2 ** 100 + 1, 4),
+                  (2 ** 40, 3), (2 ** 63 + 5, 130), (3, 1)], id="leftover"),
+    # bounds from 2^64 on assemble Python integers
+    pytest.param([(2 ** 64, 50)], id="big-2^64"),
+    pytest.param([(2 ** 64 + 1, 300)], id="big-group-refill"),
+    pytest.param([(3 ** 200, 40), (5, 3)], id="big-many-halves"),
+    pytest.param([(1, 5), (5, 0), (2 ** 70, 0), (1, 0)], id="empty"),
+])
+def test_block_draws_match_the_reference(calls, held):
+    # `held` starts from a held-back half
+    a, b = make_rng(21), make_rng(21)
+    if held:
+        a.integers(3)
+        b.integers(3)
+    assert blocked(calls, a) == referenced_blocks(calls, b)
+    assert state(a) == state(b)
+
+
+def test_an_even_run_of_halves_leaves_its_last_high_half_in_the_state():
+    # numpy keeps `uinteger` at the high half of the last word it split,
+    # also when that half was drawn and none is held
+    a, b = make_rng(4), make_rng(4)
+    blocked([(1000, 2)], a)
+    referenced_blocks([(1000, 2)], b)
+    assert state(a) == state(b)
+    assert state(a)[4] == 0 and state(a)[5] != 0
+
+
+@given(st.lists(st.tuples(BOUNDS, st.integers(0, 300)), max_size=8),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_mixed_block_draws_match_the_reference(calls, seed):
+    a, b = make_rng(seed), make_rng(seed)
+    assert blocked(calls, a) == referenced_blocks(calls, b)
+    assert state(a) == state(b)
+
+
 def test_a_sampler_that_skips_the_held_half_is_caught():
     class SkipsHeldHalf(ExactSampler):
         def _next32(self):
@@ -193,20 +260,21 @@ def z5_z2_aut(z5_z2):
 
 @pytest.mark.parametrize("group,n", [("f2", 40), ("s3", 0)])
 def test_each_sphere_sample_draws_once(request, monkeypatch, group, n):
-    # the traced draw count wraps randbelow, so no draw may go around it,
-    # not even one below the bound 1 of a sphere of one element
+    # the sampler's draws all go through ExactSampler.draws, one draw per
+    # sample below the sphere's size, not even one skipped below the bound
+    # 1 of a sphere of one element
     aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
-    bounds = []
-    randbelow = ExactSampler.randbelow
+    calls = []
+    draws = ExactSampler.draws
 
-    def counted(self, bound):
-        bounds.append(bound)
-        return randbelow(self, bound)
+    def counted(self, bound, count):
+        calls.append((bound, count))
+        return draws(self, bound, count)
 
-    monkeypatch.setattr(ExactSampler, "randbelow", counted)
+    monkeypatch.setattr(ExactSampler, "draws", counted)
     sample_uniform_sphere(aut, n, make_rng(9), count=100)
-    assert bounds == [sphere_count(aut, n)] * 100
-    assert (bounds[0] == 1) == (group == "s3")
+    assert calls == [(sphere_count(aut, n), 100)]
+    assert (calls[0][0] == 1) == (group == "s3")
 
 
 @pytest.mark.parametrize("group,top", [
@@ -221,12 +289,12 @@ def test_draws_unrank_the_sphere_in_shortlex_order(request, monkeypatch,
     aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
     turn = iter(())
 
-    def in_turn(self, bound):
-        r = next(turn)
-        assert r < bound
+    def in_turn(self, bound, count):
+        r = np.fromiter(turn, dtype=np.uint64, count=count)
+        assert (r < bound).all()
         return r
 
-    monkeypatch.setattr(ExactSampler, "randbelow", in_turn)
+    monkeypatch.setattr(ExactSampler, "draws", in_turn)
     for n in range(top + 1):
         size = sphere_count(aut, n)
         if size == 0:
@@ -237,6 +305,34 @@ def test_draws_unrank_the_sphere_in_shortlex_order(request, monkeypatch,
         got = [x.key for x in sample_uniform_sphere(aut, n, make_rng(0),
                                                     count=size)]
         assert got == [x.key for x in enumerate_sphere(aut, n)]
+
+
+@pytest.mark.parametrize("n", [39, 40])
+def test_ranks_next_to_block_edges_unrank_exactly(f2_aut, monkeypatch, n):
+    # F2's sphere of radius 39 holds 4 * 3^38 < 2^63 elements, radius 40's
+    # 4 * 3^39 > 2^63; the draws come as uint64, which numpy compares with
+    # the int64 totals in float64, so a rank one below a block's edge must
+    # be cast exactly to tell it from the edge
+    counts = f2_aut.path_counts(n)
+    edge = 3 ** (n - 1)  # each first letter's block
+    ranks = [0, 1, edge - 1, edge, edge + 1, 2 * edge - 1, 3 * edge,
+             4 * edge - 2, 4 * edge - 1]
+    assert counts[n][f2_aut.initial] == 4 * edge
+    monkeypatch.setattr(ExactSampler, "draws", lambda self, bound, count:
+                        np.array(ranks, dtype=np.uint64))
+    got = sample_uniform_sphere(f2_aut, n, make_rng(0), count=len(ranks))
+    want = []
+    for r in ranks:  # unranked in Python integers
+        s, row = f2_aut.initial, []
+        for k in range(n, 0, -1):
+            for li, t in f2_aut.successors(s):
+                if r < counts[k - 1][t]:
+                    s = t
+                    row.append(li)
+                    break
+                r -= counts[k - 1][t]
+        want.append(row)
+    assert got.letters.tolist() == want
 
 
 def test_other_bit_generators_are_refused(f2_aut):
