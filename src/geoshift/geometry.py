@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimit
-from .groups import GroupElement, ResolvedGenSet
+from .groups import GroupElement, ResolvedGenSet, _FreeEngine
 
 __all__ = [
     "ball_tree",
@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 DEFAULT_BALL_BUDGET = 5_000_000
+# products per block of rows in the coded layout
+_CODED_BLOCK = 1 << 18
 
 
 @dataclass
@@ -45,14 +47,17 @@ class BallTree:
     stay below the last sphere read products from it instead of
     multiplying.
 
-    Where the keys are shortlex-least geodesic words over the base letters
-    (a free or Dehn group on its base set), a key is its parent's key
-    followed by its letter, so a product that contains no rewrite word of
-    the engine is a new element of the next sphere and its position
-    follows by counting.  On a free basis every product but the back edge
-    is one.  :func:`ball_tree` lays such a ball out one sphere at a time;
-    its ``keys`` are then a read-only sequence that spells them, one
-    product per position, only when they are first read.
+    :func:`ball_tree` has three layouts with one result.  The word layout
+    serves a free or Dehn group on its base set, whose keys are
+    shortlex-least geodesic words over the base letters: a key is its
+    parent's key followed by its letter, so a product that contains no
+    rewrite word of the engine is a new element of the next sphere and its
+    position follows by counting.  The coded layout serves a free group on
+    any other set: it codes reduced words as integers and finds each
+    product among the codes of three spheres.  The dictionary loop serves
+    the rest.  The first two lay a ball out one sphere at a time, and their
+    ``keys`` are a read-only sequence that spells them, one product per
+    position, only when they are first read.
     """
 
     keys: Sequence
@@ -81,23 +86,40 @@ def ball_tree(T: ResolvedGenSet, radius: int,
 
     The back edge needs no product: ``keys[i] * T[inv(letter[i])]`` is
     ``keys[parent[i]]``.  Raises ValueError for a negative radius, and
-    ResourceLimit once more than `budget` elements are found, which is
-    checked after each element's products, so at most budget + len(T)
-    elements are built.
+    ResourceLimit, with one message in every layout, at the first radius
+    whose ball has more than `budget` elements.
 
-    Two layouts give the same tree.  An engine whose keys are the
-    shortlex-least geodesic words over the base letters (the free and
-    Dehn families), on its base set, takes :func:`_word_ball`: one sphere
-    at a time, where only the products that meet a rewrite word go to the
-    engine and the rest take their positions by counting.  Every other
-    group and generating set takes :func:`_dictionary_ball`, which
-    multiplies each product and looks it up among the keys found, since it
-    may be an element found before; so does a word ball whose engine
-    answers break the word layout.
+    Three layouts give the same tree, tried in this order:
+
+    - :func:`_word_ball`, for an engine whose keys are the shortlex-least
+      geodesic words over the base letters (the free and Dehn families)
+      on its base set: one sphere at a time, where only the products that
+      meet a rewrite word go to the engine and the rest take their
+      positions by counting.  It raises before the engine products of a
+      sphere whose other products already pass the budget, and otherwise
+      once that sphere's positions are counted: it holds the ball before
+      that sphere and a boolean mask of the sphere's products.
+    - :func:`_coded_ball`, for a free group on any other set, while
+      B ** (radius * max_letter_length) < 2 ** 63, with B the number of
+      base letters plus one: reduced words as integer codes, one sphere at
+      a time in blocks of rows, each product found by ``searchsorted``
+      among the codes of three spheres.  It makes no engine product, and
+      raises after the block that passes the budget: it holds the ball
+      before that sphere and the codes found in it so far, at most
+      budget + ``_CODED_BLOCK`` (2 ** 18) elements in all, and one block's
+      products.
+    - :func:`_dictionary_ball`, for every other group and generating set,
+      and for a word ball whose engine answers break the word layout or a
+      coded ball past 63 bits: it multiplies each product and looks it up
+      among the keys found, since it may be an element found before.  The
+      budget is checked after each element's products, so it holds at
+      most budget + len(T) keys when it raises.
     """
     if radius < 0:
         raise ValueError(f"ball radius must be nonnegative, got {radius}")
     tree = _word_ball(T, radius, budget)
+    if tree is None:
+        tree = _coded_ball(T, radius, budget)
     return tree if tree is not None else _dictionary_ball(T, radius, budget)
 
 
@@ -279,6 +301,15 @@ def _word_ball(T: ResolvedGenSet, radius: int,
         if lo == hi:
             break
 
+    return _spelled_tree(eng, tkeys, parent, letter, layer_bounds, nbr)
+
+
+def _spelled_tree(eng, tkeys: list, parent: array, letter: array,
+                  layer_bounds: list[int], nbr: array) -> BallTree:
+    """A ball tree whose keys are a :class:`_Spelled` list: each position's
+    key is its parent's key times its letter's key, multiplied in position
+    order on first read."""
+
     def spell_keys() -> list:
         mult = eng.mult
         keys = [eng.identity]
@@ -287,8 +318,115 @@ def _word_ball(T: ResolvedGenSet, radius: int,
                         map(tkeys.__getitem__, letter[a:b]))
         return keys
 
-    return BallTree(_Spelled(hi, spell_keys), parent, letter, layer_bounds,
-                    nbr)
+    return BallTree(_Spelled(layer_bounds[-1], spell_keys), parent, letter,
+                    layer_bounds, nbr)
+
+
+def _coded_ball(T: ResolvedGenSet, radius: int,
+                budget: int) -> Optional[BallTree]:
+    """:func:`ball_tree` for a free group on any generating set, one sphere
+    at a time in blocks of rows; None for any other engine, or where a code
+    of the ball would not fit in 63 bits.
+
+    A freely reduced word over the base letters is coded as an integer in
+    base B = (number of base letters) + 1, with digits letter + 1: the
+    identity is 0, and appending letter c takes a code to code * B + c + 1.
+    A letter of T is a reduced word, so a product cancels only at the
+    junction: each base letter c of the letter takes the code to code // B
+    where its last digit is inv(c) + 1, and appends c elsewhere.  The words
+    of the radius-R ball have at most R * max_letter_length letters, so
+    every code, the partial products' too, stays below
+    B ** (R * max_letter_length), which must be below 2 ** 63.
+
+    The products of sphere k lie in spheres k - 1, k and k + 1.  Each is
+    looked up in the sorted codes of spheres k - 1 and k and among the new
+    codes of the sphere's earlier blocks; the rest are numbered in order of
+    first occurrence, row by row and letter by letter, which is the order
+    in which the dictionary loop finds them.  The budget is checked after
+    each block, with the dictionary loop's message at the same radius.
+    The keys are a :class:`_Spelled` list.
+    """
+    eng = T.group.engine
+    if not isinstance(eng, _FreeEngine):
+        return None
+    base = len(eng.inv) + 1
+    if base ** (radius * T.max_letter_length) >= 1 << 63:
+        return None
+    nt = len(T)
+    tkeys = [e.key for e in T.elements]
+    cancel = [c + 1 for c in eng.inv]  # the last digit letter c cancels
+    rows = max(1, _CODED_BLOCK // nt)
+    parent = array("i", [-1])
+    letter = array("i", [-1])
+    nbr = array("i")
+    layer_bounds = [0, 1]
+    lo, hi = 0, 1
+    codes = np.zeros(1, dtype=np.int64)  # of the sphere lo:hi, by position
+    # the sorted codes of the spheres before and at lo:hi, with positions
+    before = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intc))
+    at = (codes, np.zeros(1, dtype=np.intc))
+    for depth in range(radius):
+        # the codes of the next sphere found so far, sorted, with positions
+        seen = np.zeros(0, dtype=np.int64)
+        seen_at = np.zeros(0, dtype=np.intc)
+        for start in range(0, hi - lo, rows):
+            block = codes[start:start + rows]
+            prod = np.empty((len(block), nt), dtype=np.int64)
+            for li, key in enumerate(tkeys):
+                col = block
+                for c in key:
+                    q, r = np.divmod(col, base)
+                    col = np.where(r == cancel[c], q, col * base + (c + 1))
+                prod[:, li] = col
+            # sorted, the products look up fast and group equal codes
+            order = np.argsort(prod, axis=None)
+            prod = prod.ravel()[order]
+            pos = np.full(len(prod), -1, dtype=np.intc)
+            _find(*before, prod, pos)
+            _find(*at, prod, pos)
+            _find(seen, seen_at, prod, pos)
+            miss = np.flatnonzero(pos < 0)
+            fresh = prod[miss]
+            head = np.empty(len(fresh), dtype=bool)
+            head[:1] = True
+            np.not_equal(fresh[1:], fresh[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            uniq = fresh[starts]
+            first = (np.minimum.reduceat(order[miss], starts) if len(starts)
+                     else starts)
+            rank = np.empty(len(uniq), dtype=np.intc)
+            by_first = np.argsort(first)
+            rank[by_first] = np.arange(len(uniq), dtype=np.intc)
+            where = rank + (hi + len(seen))
+            pos[miss] = where[np.cumsum(head) - 1]
+            out = np.empty_like(pos)
+            out[order] = pos
+            nbr.frombytes(out.tobytes())
+            # each new code's parent row and letter, where it was first found
+            row, lets = np.divmod(first[by_first], nt)
+            parent.frombytes((row + (lo + start)).astype(np.intc).tobytes())
+            letter.frombytes(lets.astype(np.intc).tobytes())
+            ins = np.searchsorted(seen, uniq)
+            seen = np.insert(seen, ins, uniq)
+            seen_at = np.insert(seen_at, ins, where)
+            if hi + len(seen) > budget:
+                raise _budget_exceeded(budget, depth + 1, radius)
+        codes = np.empty(len(seen), dtype=np.int64)
+        codes[seen_at - hi] = seen
+        before, at = at, (seen, seen_at)
+        lo, hi = hi, hi + len(seen)
+        layer_bounds.append(hi)
+    return _spelled_tree(eng, tkeys, parent, letter, layer_bounds, nbr)
+
+
+def _find(keys: np.ndarray, values: np.ndarray, items: np.ndarray,
+          out: np.ndarray) -> None:
+    """Set out[i] to values[j] wherever items[i] is keys[j], for keys
+    sorted."""
+    if len(keys):
+        j = np.searchsorted(keys, items).clip(max=len(keys) - 1)
+        hit = keys[j] == items
+        out[hit] = values[j[hit]]
 
 
 def _rewrite_tables(words, nt: int) -> Optional[list]:

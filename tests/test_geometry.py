@@ -8,9 +8,11 @@ from conftest import ball_depths, reference_ball_tree
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import ResourceLimit
-from geoshift.geometry import (_dictionary_ball, _word_ball, ball_tree,
-                               word_length)
-from geoshift.groups import GroupElement, dehn_group, free_group
+from geoshift import geometry
+from geoshift.geometry import (_coded_ball, _dictionary_ball, _word_ball,
+                               ball_tree, word_length)
+from geoshift.groups import (GeneratingSet, GroupElement, dehn_group,
+                             free_group)
 
 
 def test_ball_layers_match_sphere_sizes(f2):
@@ -67,6 +69,52 @@ def f3():
     return free_group(3)
 
 
+def foreign(letters, words):
+    """A generating set of base words and their inverses: ``letters`` maps
+    each name to its base word, and the inverse of name x is named x^-1."""
+    names, inverses, spelled = [], {}, {}
+    inv = {"a": "a^-1", "b": "b^-1", "c": "c^-1"}
+    inv.update({v: k for k, v in inv.items()})
+    for x, word in zip(letters, words):
+        names += [x, x + "^-1"]
+        inverses[x] = x + "^-1"
+        spelled[x] = tuple(word)
+        spelled[x + "^-1"] = tuple(inv[c] for c in reversed(word))
+    return GeneratingSet(tuple(names), inverses, spelled, name="+".join(letters))
+
+
+# free foreign sets, spelled over the base letters a, b, c and inverses
+FOREIGN = {
+    # F1 on {t, t^2}
+    "f1.t_t2": ("f1", foreign(["t", "tt"], [["a"], ["a", "a"]])),
+    # F3 with letters of base length 3 and 4
+    "f3.aba_abAB": ("f3", foreign(
+        ["a", "b", "c", "aba", "abAB"],
+        [["a"], ["b"], ["c"], ["a", "b", "a"],
+         ["a", "b", "a^-1", "b^-1"]])),
+    # F2 on a set without the base letters b and b^-1
+    "f2.a_ab": ("f2", foreign(["a", "ab"], [["a"], ["a", "b"]])),
+    # a letter of base length 13 or 14: F2's codes in base 5 reach 5^26 <
+    # 2^63 within radius 2 for the first, 5^28 > 2^63 for the second
+    "f2.a_w13": ("f2", foreign(["a", "w"], [["a"], ["a", "b"] * 6 + ["a"]])),
+    "f2.a_w14": ("f2", foreign(["a", "w"], [["a"], ["a", "b"] * 7])),
+    # F1's codes are in base 3, and 3^39 < 2^63 <= 3^40 < 2^64
+    "f1.t_t13": ("f1", foreign(["t", "u"], [["a"], ["a"] * 13])),
+    "f1.t_t20": ("f1", foreign(["t", "u"], [["a"], ["a"] * 20])),
+}
+
+
+def resolved(name, request):
+    """The generating set a test names: a group fixture with its base set,
+    a group fixture and one of its named sets as "f2.Sstar_ab", or a key
+    of FOREIGN."""
+    if name in FOREIGN:
+        group, genset = FOREIGN[name]
+    else:
+        group, _, genset = name.partition(".")
+    return request.getfixturevalue(group).resolve(genset or None)
+
+
 def assert_same_tree(tree, reference):
     keys, parent, letter, nbr, bounds = reference
     assert tree.keys == keys
@@ -84,8 +132,20 @@ def assert_same_tree(tree, reference):
     ("f1", None, 8),
     ("f3", None, 2),
     ("f3", None, 5),
+    ("f2", "Sstar_ab", 0),
+    ("f2", "Sstar_ab", 1),
     ("f2", "Sstar_ab", 4),
+    ("f2", "Sstar_ab", 7),
+    ("f2", "Sstar_a2", 0),
+    ("f2", "Sstar_a2", 1),
     ("f2", "Sstar_a2", 4),
+    ("f2", "Sstar_a2", 7),
+    ("f1", "t_t2", 9),
+    ("f3", "aba_abAB", 2),
+    ("f3", "aba_abAB", 4),
+    ("f2", "a_ab", 7),
+    ("f2", "a_w13", 2),
+    ("f2", "a_w14", 2),    # codes past 63 bits: the dictionary loop
     ("psl2z", None, 9),
     ("psl2z", "Sstar_st", 6),
     ("s3", None, 5),
@@ -95,7 +155,8 @@ def assert_same_tree(tree, reference):
 ])
 def test_ball_tree_matches_a_plain_breadth_first_search(group, genset, radius,
                                                         request):
-    T = request.getfixturevalue(group).resolve(genset)
+    name = group if genset is None else f"{group}.{genset}"
+    T = resolved(name, request)
     assert_same_tree(ball_tree(T, radius), reference_ball_tree(T, radius))
 
 
@@ -107,10 +168,22 @@ def test_ball_tree_matches_a_plain_breadth_first_search(group, genset, radius,
     ("f3", 5, 500),     # spheres end at 1, 7, 37, 187 and 937 elements
     ("f3", 3, 187),
     ("genus2", 4, 300),
+    # F2 over Sstar_ab: spheres end at 1, 7, 31, 127, 511 and 2,047
+    ("f2.Sstar_ab", 5, 300),
+    ("f2.Sstar_ab", 5, 2046),
+    ("f2.Sstar_ab", 5, 2047),   # exactly the ball
+    ("f2.Sstar_ab", 1, 6),
+    ("f2.Sstar_ab", 0, 0),      # radius 0 checks no budget
+    # over Sstar_a2: 1, 7, 29, 115, 441 and 1,695
+    ("f2.Sstar_a2", 5, 1000),
+    ("f2.Sstar_a2", 5, 1695),
+    ("f2.a_ab", 6, 200),
+    ("f3.aba_abAB", 3, 500),
+    ("f2.a_w14", 2, 10),
 ])
 def test_ball_budget_matches_a_plain_breadth_first_search(group, radius,
                                                           budget, request):
-    T = request.getfixturevalue(group).resolve(None)
+    T = resolved(group, request)
     try:
         want = reference_ball_tree(T, radius, budget)
     except ResourceLimit as err:
@@ -211,14 +284,12 @@ def test_ball_budget_stops_within_a_layer(f2, monkeypatch):
     assert len(products) <= 1000 + len(S)
 
 
-@pytest.mark.parametrize("group,genset,radius", [("psl2z", "Sstar_st", 9),
-                                                 ("f2", "Sstar_ab", 5)])
+@pytest.mark.parametrize("group,genset,radius", [("psl2z", "Sstar_st", 9)])
 def test_ball_budget_stops_within_a_layer_of_the_dictionary_loop(
         group, genset, radius, request, monkeypatch):
-    # these balls take a product per element and pass 1,000 elements inside
+    # this ball takes a product per element and passes 1,000 elements inside
     # a sphere: PSL2Z over Sstar_st has 610 elements within radius 8 and
-    # 1,075 within 9, F2 over Sstar_ab 511 within radius 4 and 2,047
-    # within 5
+    # 1,075 within 9
     spec = request.getfixturevalue(group)
     T = spec.resolve(genset)
     products = set()
@@ -234,6 +305,97 @@ def test_ball_budget_stops_within_a_layer_of_the_dictionary_loop(
                                             f"{radius} of 12"):
         ball_tree(T, 12, budget=1000)
     assert 1000 <= len(products) <= 1000 + len(T)
+
+
+@pytest.mark.parametrize("name,radius,budget", [
+    ("f2.Sstar_ab", 5, 10 ** 7),
+    ("f2.Sstar_ab", 12, 1000),   # 511 elements within radius 4, 2,047 in 5
+    ("f2.Sstar_a2", 6, 10 ** 7),
+    ("f1.t_t2", 8, 10 ** 7),
+    ("f3.aba_abAB", 3, 10 ** 7),
+])
+def test_coded_layout_multiplies_only_to_spell_its_keys(name, radius, budget,
+                                                       request, monkeypatch):
+    T = resolved(name, request)
+    try:
+        want = reference_ball_tree(T, radius, budget)
+    except ResourceLimit as err:
+        want = err
+    eng = T.group.engine
+    calls = []
+    mult = eng.mult
+
+    def counted(a, b):
+        calls.append(1)
+        return mult(a, b)
+
+    monkeypatch.setattr(eng, "mult", counted)
+    if isinstance(want, ResourceLimit):
+        with pytest.raises(ResourceLimit) as got:
+            ball_tree(T, radius, budget=budget)
+        assert str(got.value) == str(want)
+        assert calls == []
+        return
+    tree = ball_tree(T, radius, budget=budget)
+    assert len(tree.keys) == tree.layer_bounds[-1]
+    assert calls == []
+    assert tree.keys == want[0]
+    assert len(calls) == len(want[0]) - 1
+    # a second read spells nothing again
+    assert list(tree.keys) == want[0]
+    assert len(calls) == len(want[0]) - 1
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("name,radius,budget", [
+    ("f2.Sstar_ab", 5, 10 ** 7),
+    ("f2.Sstar_ab", 5, 1000),
+    ("f2.Sstar_ab", 5, 2047),
+    ("f2.a_ab", 6, 10 ** 7),
+    ("f3.aba_abAB", 3, 10 ** 7),
+])
+def test_coded_layout_blocks_match_the_dictionary_loop(
+        name, radius, budget, block, request, monkeypatch):
+    # blocks of one row, of fewer products than one row and of several rows:
+    # a product may first be found in an earlier block of its sphere
+    T = resolved(name, request)
+    try:
+        want = fields(_dictionary_ball(T, radius, budget))
+    except ResourceLimit as err:
+        want = err
+    monkeypatch.setattr(geometry, "_CODED_BLOCK", block)
+    if isinstance(want, ResourceLimit):
+        with pytest.raises(ResourceLimit) as got:
+            _coded_ball(T, radius, budget)
+        assert str(got.value) == str(want)
+    else:
+        assert_same_tree(_coded_ball(T, radius, budget), want)
+
+
+def test_coded_layout_declines_codes_past_63_bits(f2_star_ab, psl2z, request):
+    # F2's codes are in base 5: a letter of base length 14 reaches 5^28 >
+    # 2^63 within radius 2, one of length 13 only 5^26
+    w13, w14 = resolved("f2.a_w13", request), resolved("f2.a_w14", request)
+    assert _coded_ball(w13, 2, 100) is not None
+    assert _coded_ball(w14, 1, 100) is not None
+    assert _coded_ball(w14, 2, 100) is None
+    tree = ball_tree(w14, 2)
+    assert isinstance(tree.keys, list)
+    assert_same_tree(tree, fields(_dictionary_ball(w14, 2, budget=100)))
+    # the bound is 2^63 itself: F1's codes are in base 3, t^13 at radius 3
+    # keeps them below 3^39 < 2^63, and t^20 at radius 2 below 3^40 >= 2^63
+    assert _coded_ball(resolved("f1.t_t13", request), 3, 100) is not None
+    t20 = resolved("f1.t_t20", request)
+    assert _coded_ball(t20, 2, 100) is None
+    assert_same_tree(ball_tree(t20, 2),
+                     fields(_dictionary_ball(t20, 2, budget=100)))
+    # Sstar_ab's letters have base length 2: its codes fit to radius 13, so
+    # the layout starts and meets the budget, and at radius 14 it declines
+    # before the first sphere
+    with pytest.raises(ResourceLimit):
+        _coded_ball(f2_star_ab, 13, 0)
+    assert _coded_ball(f2_star_ab, 14, 0) is None
+    assert _coded_ball(psl2z.resolve("Sstar_st"), 2, 100) is None
 
 
 def one_relator(relator: str):
