@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EmptySphere, FormatError, ResourceLimit, StabilizationFailure
 from .geometry import BallTree, ball_tree, DEFAULT_BALL_BUDGET, _Spelled
 from .groups import GroupElement, GroupSpec, ResolvedGenSet
-from .randomness import ExactSampler, make_rng
+from .randomness import ExactSampler, make_rng, scalar_draws
 
 __all__ = [
     "GeodesicAutomaton",
@@ -58,16 +58,29 @@ class GeodesicAutomaton:
     tail_used: int
     validated_to: int
     conflicts: int = 0
+    _table: Optional[np.ndarray] = field(default=None, repr=False,
+                                         compare=False)
     _succ: Optional[list] = field(default=None, repr=False)
     _path_counts: Optional[list] = field(default=None, repr=False)
+
+    @property
+    def table(self) -> np.ndarray:
+        """(state, letter) -> target as intc, -1 for no edge, which counting,
+        validation and sampling read; from ``transitions`` if not given."""
+        if self._table is None:
+            edges = np.array(list(self.transitions), np.intp).reshape(-1, 2)
+            self._table = np.full((self.n_states, len(self.genset)), -1,
+                                  dtype=np.intc)
+            self._table[tuple(edges.T)] = list(self.transitions.values())
+        return self._table
 
     def successors(self, state: int) -> tuple:
         """Outgoing (letter index, target) pairs, in letter order."""
         if self._succ is None:
-            succ: list[list] = [[] for _ in range(self.n_states)]
-            for (s, li), t in sorted(self.transitions.items()):
-                succ[s].append((li, t))
-            self._succ = [tuple(v) for v in succ]
+            src, li = np.nonzero(self.table >= 0)
+            pairs = list(zip(li.tolist(), self.table[src, li].tolist()))
+            ends = np.searchsorted(src, range(self.n_states + 1)).tolist()
+            self._succ = [tuple(pairs[a:b]) for a, b in zip(ends, ends[1:])]
         return self._succ[state]
 
     def edges(self) -> list[tuple[int, int, int]]:
@@ -75,16 +88,18 @@ class GeodesicAutomaton:
         return [(s, li, t) for (s, li), t in sorted(self.transitions.items())]
 
     def path_counts(self, n: int) -> list[list[int]]:
-        """counts[k][s] = number of length-k paths starting at state s."""
+        """counts[k][s] = number of length-k paths starting at state s:
+        one gather-and-sum over :attr:`table` per radius, in int64 while
+        the largest count times the largest out-degree is below 2^63."""
         if self._path_counts is None:
             self._path_counts = [[1] * self.n_states]
-        counts = self._path_counts
+        counts, table = self._path_counts, self.table
+        if len(counts) <= n:
+            degree = int(np.count_nonzero(table >= 0, axis=1).max(initial=0))
         while len(counts) <= n:
-            prev = counts[-1]
-            row = []
-            for s in range(self.n_states):
-                row.append(sum(prev[t] for _, t in self.successors(s)))
-            counts.append(row)
+            big = max(counts[-1]) * degree >= 1 << 63
+            prev = np.array(counts[-1] + [0], object if big else np.int64)
+            counts.append(prev[table].sum(axis=1).tolist())  # -1 reads 0
         return counts
 
 
@@ -212,26 +227,29 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     # Renumber states in breadth-first order from the start state, the
     # identity's, and drop anything unreachable, so equal inputs give
     # byte-identical automata.
-    targets = winner.tolist()
-    remap = {0: 0}
-    order = [0]  # grows as states are found
+    # new numbers by old; -1 (no edge) and -2 (no votes) both read -1
+    renumber = [0] + [-1] * (len(winner) + 1)
+    order, targets = [0], winner.tolist()  # order grows as states are found
     for s in order:
         for t in targets[s]:
-            if t >= 0 and t not in remap:
-                remap[t] = len(remap)
+            if t >= 0 and renumber[t] < 0:
+                renumber[t] = len(order)
                 order.append(t)
-    transitions = {(remap[s], li): remap[t] for s in order
-                   for li, t in enumerate(targets[s]) if t >= 0}
+    table = np.array(renumber, dtype=np.intc)[winner[order]]
+    src, li = np.nonzero(table >= 0)
+    transitions = dict(zip(zip(src.tolist(), li.tolist()),
+                           table[src, li].tolist()))
     return GeodesicAutomaton(
         group=spec,
         genset=T,
-        n_states=len(remap),
+        n_states=len(order),
         initial=0,
         transitions=transitions,
         level_used=level,
         tail_used=tail_len,
         validated_to=0,
         conflicts=conflicts,
+        _table=table,
     )
 
 
@@ -284,14 +302,11 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
         # that is kept and extended, is the one that sweep would mark.  A
         # word of d letters is geodesic when its position lies in sphere d;
         # only words shorter than the horizon are extended, so every product
-        # is in the neighbour table.  ``table[s, nt - 1 - li]`` is the
-        # target of state s on letter li, -1 where there is no edge: its
-        # columns run last letter first.
+        # is in the neighbour table.  ``table`` is the automaton's target
+        # table with its columns reversed, last letter first.
         nt = len(aut.genset)
         nbr = np.frombuffer(tree.nbr, dtype=np.intc)
-        table = np.full((aut.n_states, nt), -1, dtype=np.intc)
-        for (s, li), t in aut.transitions.items():
-            table[s, nt - 1 - li] = t
+        table = aut.table[:, ::-1]
         states = np.array([aut.initial], dtype=np.intc)
         pos = np.zeros(1, dtype=np.intc)
         for d in range(horizon + 1):
@@ -316,17 +331,16 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
         # must spell a geodesic word.  A walk of k <= horizon letters from
         # the identity steps only from positions within distance k - 1, so
         # through the neighbour table, and its length in T is the sphere
-        # its end position lies in.
-        rng = make_rng(seed, stream=977)
+        # its end position lies in.  Draws replay ``rng.integers``.
+        draws = scalar_draws(make_rng(seed, stream=977))
         for _ in range(SPOT_SAMPLES):
-            s = int(rng.integers(aut.n_states))
+            s = draws(aut.n_states)
             p = length = 0
-            budget = int(rng.integers(1, horizon + 1))
-            for _ in range(budget):
+            for _ in range(1 + draws(horizon)):
                 succ = aut.successors(s)
                 if not succ:
                     break
-                li, s = succ[int(rng.integers(len(succ)))]
+                li, s = succ[draws(len(succ))]
                 p = tree.nbr[p * nt + li]
                 length += 1
             if bisect_right(tree.layer_bounds, p) - 1 != length:
@@ -471,10 +485,7 @@ def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
     size = counts[n][aut.initial]
     if size == 0:
         raise EmptySphere(f"no elements at distance {n}")
-    nt = len(aut.genset)
-    target = np.full((aut.n_states, nt), -1, dtype=np.intp)
-    for (s, li), t in aut.transitions.items():
-        target[s, li] = t
+    nt, target = len(aut.genset), aut.table.astype(np.intp)
     steps = []  # per radius n, ..., 1: (letter columns of totals, starts)
     for k in range(n, 0, -1):
         width = np.array(counts[k - 1], dtype=object)[target] * (target >= 0)

@@ -434,9 +434,9 @@ def lln_check(aut: GeodesicAutomaton, Sstar: ResolvedGenSet, tau_hat: float,
     n_list = [n for n, _ in rows]
     fractions = {}
     for n, lengths in rows:
-        devs = [abs(L - n * tau_hat) / n for L in lengths]
+        devs = np.abs(np.asarray(lengths) - n * tau_hat) / n
         for eps in eps_list:
-            outliers = sum(1 for d in devs if d > eps)
+            outliers = int(np.count_nonzero(devs > eps))
             fractions[(n, eps)] = outliers / samples
     monotone = {}
     for eps in eps_list:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "ExactSampler"]
+__all__ = ["make_rng", "ExactSampler", "scalar_draws"]
 
 _MASK32 = np.uint64((1 << 32) - 1)
 
@@ -165,3 +165,32 @@ class ExactSampler:
     def randbelow(self, bound: int) -> int:
         """One draw below `bound`, as a Python integer."""
         return int(self.draws(bound, 1)[0])
+
+
+def scalar_draws(rng: np.random.Generator):
+    """A function drawing below a bound in [1, 2^32] what one
+    ``rng.integers(bound)`` call would, by :class:`ExactSampler`'s rule on
+    raw words fetched 1,024 at a time; draw nothing else from `rng`."""
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.Philox):
+        raise ValueError("scalar draws replay Philox only, not "
+                         f"{type(bitgen).__name__}")
+    state = bitgen.state
+
+    def halves():  # a held half first, then each low half before its high
+        if state["has_uint32"]:
+            yield int(state["uinteger"])
+        while True:
+            for word in bitgen.random_raw(1024).tolist():
+                yield from (word & 0xFFFFFFFF, word >> 32)
+    source = halves()
+
+    def randbelow(bound: int) -> int:
+        if not 0 < bound <= 1 << 32:
+            raise ValueError("bound must lie in [1, 2^32]")
+        threshold = (1 << 32) % bound
+        for half in source if bound > 1 else (0,):  # 1 takes no draw
+            m = half * bound
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+    return randbelow

@@ -15,6 +15,7 @@ from geoshift import (
     sphere_count,
     validate_automaton,
 )
+from geoshift import automaton
 from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
                                 ValidationReport, _candidate,
                                 _validate_against_tree, deserialize_automaton)
@@ -559,3 +560,77 @@ def test_letter_swaps_fail_validation_like_the_spot_walk_oracle(
         assert got == reference_validate(mutant, tree, seed=seed)
         caught += got.geodesic_failures > 0
     assert caught
+
+
+def reference_path_counts(aut, n):
+    """The per-state loop over the transitions themselves: counts[k][s]
+    sums counts[k - 1] over the targets of s, in Python integers."""
+    targets = [[] for _ in range(aut.n_states)]
+    for (s, _), t in aut.transitions.items():
+        targets[s].append(t)
+    counts = [[1] * aut.n_states]
+    for _ in range(n):
+        prev = counts[-1]
+        counts.append([sum(prev[t] for t in ts) for ts in targets])
+    return counts
+
+
+@pytest.mark.parametrize("group,genset,n_check", [
+    ("f2", None, 8), ("psl2z", None, 10), ("s3", None, 5),
+    ("genus2", None, 6), ("f2", "Sstar_ab", 6)])
+def test_path_counts_match_the_per_state_loop(group, genset, n_check,
+                                              request):
+    spec = request.getfixturevalue(group)
+    aut = build_geodesic_automaton(spec, spec.resolve(genset),
+                                   n_check=n_check)
+    # genus 2's counts pass 2^63 at radius 23, F2 on Sstar_ab's at 32
+    want = reference_path_counts(aut, 40)
+    rebuilt = with_transitions(aut, aut.transitions)
+    assert rebuilt.path_counts(40) == want
+    assert aut.path_counts(40) == want  # its table came from _candidate
+    assert aut.table.dtype == rebuilt.table.dtype == np.intc
+    assert np.array_equal(aut.table, rebuilt.table)
+    assert all(type(c) is int for row in want for c in row)
+
+
+def test_path_counts_leave_int64_at_the_first_radius_that_could_overflow(
+        f2_aut, monkeypatch):
+    want = reference_path_counts(f2_aut, 700)
+    aut = with_transitions(f2_aut, f2_aut.transitions)
+    assert aut.table is aut.table  # built once, before the spy below
+    dtypes = []
+
+    class Spy:
+        """numpy, noting the dtype of each array made: one per radius."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, obj, dtype=None):
+            dtypes.append(dtype)
+            return np.array(obj, dtype)
+
+    monkeypatch.setattr(automaton, "np", Spy())
+    for n in range(38, 46):
+        assert aut.path_counts(n) == want[:n + 1]
+    # radius k reads counts[k - 1], at most 4 * 3^(k - 2) at the start
+    # state, which has 4 successors: 16 * 3^37 < 2^63 <= 16 * 3^38, and
+    # 4 * 3^39, the count at radius 40, overflows int64
+    assert 16 * 3 ** 37 < 2 ** 63 <= 16 * 3 ** 38 and 4 * 3 ** 39 >= 2 ** 63
+    assert dtypes[:39] == [np.int64] * 39
+    assert dtypes[39:] == [object] * 6
+    assert aut.path_counts(700) == want
+    assert want[700][0] == 4 * 3 ** 699
+
+
+@pytest.mark.parametrize("transitions", [
+    {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 3): 2},  # state 2 is a dead end
+    {}])
+def test_path_counts_read_no_edge_as_zero(f2, transitions):
+    aut = GeodesicAutomaton(group=f2, genset=f2.resolve(None), n_states=3,
+                            initial=0, transitions=transitions,
+                            level_used=1, tail_used=1, validated_to=0)
+    want = reference_path_counts(aut, 12)
+    assert aut.path_counts(12) == want
+    assert [row[0] for row in want] == ([1] + [2] * 12 if transitions
+                                        else [1] + [0] * 12)

@@ -13,7 +13,7 @@ from geoshift import (EmptySphere, build_geodesic_automaton,
                       enumerate_sphere, make_rng, sample_uniform_sphere,
                       sphere_count)
 from geoshift.automaton import SAMPLE_BLOCK
-from geoshift.randomness import ExactSampler
+from geoshift.randomness import ExactSampler, scalar_draws
 
 
 class ReferenceSampler:
@@ -341,3 +341,41 @@ def test_other_bit_generators_are_refused(f2_aut):
         ExactSampler(rng)
     with pytest.raises(ValueError, match="Philox"):
         sample_uniform_sphere(f2_aut, 4, rng, count=3)
+
+
+SCALAR_BOUNDS = [1, 2, 7, 3193, 2 ** 31 + 1, 2 ** 32 - 1]
+
+
+@pytest.mark.parametrize("segment", range(5))
+def test_scalar_draws_replay_one_integers_call_each(segment):
+    # each segment starts on a held half and words of zeros, which 2^32 - 1
+    # and 2^31 + 1 reject: on even segments the held half is 0 too, and the
+    # first draw below 2^32 - 1 rejects eight halves and takes the high
+    # half of the fourth word; on odd ones it takes the held half
+    a, b = make_rng(segment, stream=977), make_rng(segment, stream=977)
+    held = 0x9ABCDEF0 * (segment % 2)
+    forced = a.bit_generator.state
+    forced["buffer"] = np.array([0, 0, 0, 0x12345678 << 32], dtype=np.uint64)
+    forced["buffer_pos"], forced["has_uint32"], forced["uinteger"] = 0, 1, held
+    a.bit_generator.state = b.bit_generator.state = forced
+    picks = make_rng(segment, stream=5).integers(len(SCALAR_BOUNDS), size=998)
+    bounds = [2 ** 32 - 1, 2 ** 31 + 1] + [SCALAR_BOUNDS[i] for i in picks]
+    draw = scalar_draws(a)
+    got = [draw(bound) for bound in bounds]
+    assert got == [int(b.integers(bound)) for bound in bounds]
+    assert got[0] == (held or 0x12345678) - 1
+    # the same draws, with 1 + a draw below h for integers(1, h + 1)
+    c = make_rng(segment, stream=977)
+    draw = scalar_draws(make_rng(segment, stream=977))
+    assert [1 + draw(bound) for bound in bounds[:300]] == [
+        int(c.integers(1, bound + 1)) for bound in bounds[:300]]
+
+
+def test_scalar_draws_refuse_what_they_cannot_replay():
+    with pytest.raises(ValueError, match="Philox"):
+        scalar_draws(np.random.Generator(np.random.PCG64(0)))
+    draw = scalar_draws(make_rng(0))
+    for bound in (0, 2 ** 32 + 1):
+        with pytest.raises(ValueError, match="bound"):
+            draw(bound)
+    assert draw(2 ** 32) == int(make_rng(0).integers(2 ** 32))

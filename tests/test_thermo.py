@@ -25,7 +25,7 @@ from geoshift import (
     sft_from_automaton,
     word_length_potential,
 )
-from geoshift import automaton, dimension
+from geoshift import automaton, dimension, thermo
 from geoshift.randomness import make_rng
 from geoshift.sft import Sft
 from geoshift.thermo import Potential, mean_potential, pressure
@@ -406,3 +406,58 @@ def test_rays_need_a_shift_backed_by_an_automaton():
     m = parry_gibbs_measure(C, word_length_potential(math.log(2.0)))
     with pytest.raises(ValueError, match="automaton"):
         dimension._ray_chain(m)
+
+
+def reference_check_variational(C, psi, trials, seed):
+    """The variational check one trial at a time: one (n, n) draw of
+    weights and one solve per trial."""
+    m = parry_gibbs_measure(C, psi)
+    parry_value = entropy(m) + mean_potential(m)
+    gap = abs(m.pressure - parry_value)
+    rng = make_rng(seed, stream=101)
+    support = m.support
+    vals = np.where(support, m.psi_arrows, 0.0)
+    n = support.shape[0]
+    best = -math.inf
+    for _ in range(trials):
+        w = np.where(support, rng.random((n, n)) + 1e-9, 0.0)
+        P = w / w.sum(axis=1)[:, None]
+        A = P.T - np.eye(n)
+        A[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        pi = np.linalg.solve(A, b)
+        pi = np.abs(pi)
+        pi /= pi.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(P > 0, P * np.log(P), 0.0)
+        best = max(best, float(-(pi @ plogp.sum(axis=1)))
+                   + float((pi[:, None] * P * vals).sum()))
+    violation = max(0.0, best - m.pressure)
+    ok = violation <= thermo.VARIATIONAL_TOL and gap <= thermo.VARIATIONAL_TOL
+    return thermo.VariationalReport(m.pressure, parry_value, gap, trials,
+                                    best, violation, ok)
+
+
+@pytest.mark.parametrize("measure,per_block", [
+    ("f2", None), ("f2", 5), ("psl2z", 5), ("period 2", 5), ("period 2", 1)])
+def test_variational_blocks_match_one_trial_at_a_time(
+        measure, per_block, f2_measure, psl_measure, monkeypatch):
+    # per_block None keeps the module's block, 7,281 trials on F2's
+    # 12 edges; otherwise the block is cut to that many trials, and one
+    # more case runs into a third block
+    m = {"f2": f2_measure, "psl2z": psl_measure,
+         "period 2": period_two_measure()}[measure]
+    n = len(m.nodes)
+    cases = {0, 1}
+    if per_block is None:
+        per_block = thermo.VARIATIONAL_BLOCK // n ** 2
+    else:
+        monkeypatch.setattr(thermo, "VARIATIONAL_BLOCK", per_block * n ** 2)
+        cases.add(2 * per_block + 1)
+    cases |= {per_block - 1, per_block, per_block + 1}
+    for seed, trials in enumerate(sorted(cases)):
+        got = check_variational(m.component, m.potential, trials=trials,
+                                seed=seed)
+        assert got == reference_check_variational(
+            m.component, m.potential, trials, seed)
