@@ -60,8 +60,9 @@ class GeodesicAutomaton:
     conflicts: int = 0
     _table: Optional[np.ndarray] = field(default=None, repr=False,
                                          compare=False)
-    _succ: Optional[list] = field(default=None, repr=False)
-    _path_counts: Optional[list] = field(default=None, repr=False)
+    _succ: Optional[list] = field(default=None, repr=False, compare=False)
+    _path_counts: Optional[list] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def table(self) -> np.ndarray:

@@ -53,26 +53,30 @@ def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng,
     call, which yields the same doubles and leaves the same generator
     state as `count` calls of ``rng.random(n + 1)``, one per ray (the last
     uniform of a ray picks an edge its prefix does not use).  Each step
-    then counts, for every ray at once, the entries of its row of
-    ``cumsum(P)`` that are at most its uniform times the row's total,
-    which is where a bisection of that row lands.  A walk that meets an
-    absorbing defect raises EmptySphere, having drawn all its uniforms."""
+    then counts, for every ray at once, the entries of the cumulative step
+    law of its state, one per letter, that are at most its uniform (< 1)
+    times the total: where a bisection of that row lands, a letter of
+    positive probability.  A walk that meets an absorbing defect raises
+    EmptySphere, having drawn all its uniforms."""
     letters = np.empty((count, n), dtype=np.intp)
     if n == 0:
         return letters
     edges, last = m.component.sft.edges, len(entry) - 1
-    letter = np.array([edges[v][1] for v in m.nodes], dtype=np.intp)
+    src, letter, dst = np.array([edges[v] for v in m.nodes], dtype=np.intp).T
     u = rng.random((count, n + 1))
     j = np.minimum(np.searchsorted(np.cumsum(entry), u[:, 0], side="right"),
                    last)
-    cum = m._cum_rows  # built once per measure, not once per walk
+    cum = np.zeros(aut.table.shape)
+    cum[src, letter] = m.p
+    cum = np.cumsum(cum, axis=1)
+    a, s = letter[j], dst[j]
     for k in range(1, n + 1):
-        letters[:, k - 1] = letter[j]
-        rows = cum[j]
+        letters[:, k - 1] = a
+        rows = cum[s]
         if (rows[:, -1] <= 0.0).any():
             raise EmptySphere("the chain reached an absorbing defect")
-        j = np.minimum(np.count_nonzero(
-            rows <= (u[:, k] * rows[:, -1])[:, None], axis=1), last)
+        a = np.count_nonzero(rows <= (u[:, k] * rows[:, -1])[:, None], axis=1)
+        s = aut.table[s, a]
     return letters
 
 

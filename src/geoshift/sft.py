@@ -181,25 +181,19 @@ def components(sft: Sft) -> ComponentDecomposition:
         for v in comp:
             scc_of_state[v] = ci
     condensation: dict[int, set] = {}
-    for (s, _, t) in sft.edges:
+    inner: dict[int, list[int]] = {}  # scc id -> its edges, in order
+    for i, (s, _, t) in enumerate(sft.edges):
         a, b = scc_of_state[s], scc_of_state[t]
         if a != b:
             condensation.setdefault(a, set()).add(b)
+        else:
+            inner.setdefault(a, []).append(i)
 
     comps: list[Component] = []
-    scc_of_component: list[int] = []
-    for ci, comp in enumerate(sccs):
-        members = set(comp)
-        edge_ids = tuple(
-            i for i, (s, _, t) in enumerate(sft.edges)
-            if s in members and t in members
-        )
-        if not edge_ids:
-            continue
+    for ci, edge_ids in sorted(inner.items()):  # the sccs with an edge
         arrows = [(sft.edges[i][0], sft.edges[i][2]) for i in edge_ids]
-        period, phase = digraph_period(sorted(members), arrows)
-        comps.append(Component(sft, len(comps), frozenset(members), edge_ids,
-                               period, phase))
-        scc_of_component.append(ci)
+        period, phase = digraph_period(sccs[ci], arrows)
+        comps.append(Component(sft, len(comps), frozenset(sccs[ci]),
+                               tuple(edge_ids), period, phase))
     return ComponentDecomposition(sft, tuple(comps), condensation,
-                                  tuple(scc_of_component))
+                                  tuple(sorted(inner)))

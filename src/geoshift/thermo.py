@@ -1,11 +1,16 @@
 """Pressure, Parry-Gibbs measures, and entropy on recurrent components.
 
-Everything here runs on a weighted adjacency matrix built from a recurrent
-component and a potential on its edges: the matrix is indexed by edges, and
-the arrow from one edge to a successor carries the potential of the first.
-Periodic components are reduced to a primitive matrix by passing to the
-appropriate power on one cyclic class and propagating the eigenvector back
-around the cycle.
+Everything here runs on the state graph of a recurrent component, kept as
+one edge list: the source and target state of each edge and its weight
+exp(psi), where psi is a potential on the edges.  The state matrix M[s, t],
+the sum of the weights of the edges from s to t, has the Perron root of the
+edge shift, and a product with M or its transpose is one ``np.bincount``
+over the edges.  A Parry chain's step from an edge depends only on the
+state the edge ends in, so the Perron vectors of M give the chain, its
+stationary law and the Gibbs constants in closed form, E numbers each.
+Periodic components are reduced to a primitive problem by passing to the
+period-th power on one cyclic class of states and propagating the
+eigenvector back around the cycle.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -85,97 +89,78 @@ def word_length_potential(v: float) -> Potential:
 
 
 # ---------------------------------------------------------------------------
-# Edge graph
+# State graph
 # ---------------------------------------------------------------------------
 
-def _edge_graph(C: Component, psi: Potential
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrow matrix, arrow values and cyclic phases of the component's edges.
-
-    Node i is the edge C.edge_ids[i].  An arrow joins e to every edge f
-    that starts where e ends and carries the potential of e; -inf marks the
-    absent arrows.  The edge graph has the component's period, and an edge
-    sits in the phase of its source state, counted from the first edge's.
-    """
+def _state_graph(C: Component, psi: Potential) -> tuple:
+    """The component's edges as one list over its states, numbered in
+    sorted order: the source and target of each edge in C.edge_ids, the
+    potential on it, its weight exp(psi - shift), rescaled so that the
+    largest weight is 1, and the shift."""
+    local = {s: i for i, s in enumerate(sorted(C.states))}
     edges = C.sft.edges
-    src = np.array([edges[e][0] for e in C.edge_ids])
-    dst = np.array([edges[e][2] for e in C.edge_ids])
-    support = dst[:, None] == src[None, :]
+    src = np.array([local[edges[e][0]] for e in C.edge_ids], dtype=np.intp)
+    dst = np.array([local[edges[e][2]] for e in C.edge_ids], dtype=np.intp)
     values = np.array([psi.value(e) for e in C.edge_ids], dtype=float)
-    arrows = np.where(support, values[:, None], -np.inf)
-    state_phase = np.array([C.phase[s] for s in src.tolist()], dtype=np.int64)
-    phase = (state_phase - state_phase[0]) % C.period
-    return support, arrows, phase
+    shift = float(values.max())
+    return src, dst, values, np.exp(values - shift), shift
 
 
 # ---------------------------------------------------------------------------
 # Perron eigendata
 # ---------------------------------------------------------------------------
 
-def _power_primitive(B: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and vector of a primitive nonnegative matrix, by power
-    iteration with Collatz-Wielandt bracketing."""
-    n = B.shape[0]
-    v = np.full(n, 1.0 / n)
+def _perron(C: Component, src: np.ndarray, dst: np.ndarray, w: np.ndarray
+            ) -> tuple[float, np.ndarray]:
+    """Perron root and a positive right eigenvector, summing to 1, of the
+    state matrix M[s, t] = sum of w(e) over the edges e from s to t, by
+    power iteration with Collatz-Wielandt bracketing.  With src and dst
+    swapped it gives the left eigenvector.
+
+    M maps a vector on cyclic class j + 1 to one on class j, so its
+    period-th power keeps class 0: the iteration runs there, and one
+    product per class walks the vector back around the cycle.  Started
+    from the uniform edge vector and scaled as the edge vector
+    w(e) v(dst e) it stands for, the iterates of a constant potential are
+    the edge matrix's, read at states, and so is the root.
+    """
+    k = len(C.states)
+    on = np.array([C.phase[s] == 0 for s in sorted(C.states)])
+
+    def product(v, times=1):  # M^times v, one term per edge and time
+        for _ in range(times):
+            v = np.bincount(src, w * v[dst], minlength=k)
+        return v
+
+    x = product(on / len(w), C.period)
     for _ in range(PERRON_ITMAX):
-        w = B @ v
-        s = w.sum()
+        s = (w * x[dst]).sum()
         if not np.isfinite(s) or s <= 0.0:
             raise NonConvergence("power iteration left the positive cone")
-        w /= s
-        mask = w > 0
-        if not mask.all():
-            v = w
-            continue
-        ratios = (B @ w)[mask] / w[mask]
-        lo, hi = ratios.min(), ratios.max()
-        if hi - lo <= PERRON_TOL * max(hi, 1.0):
-            lam = 0.5 * (lo + hi)
-            return lam, w / w.sum()
-        v = w
-    raise NonConvergence(
-        f"power iteration did not converge within {PERRON_ITMAX} steps"
-    )
-
-
-def _perron(W: np.ndarray, period: int, phase: np.ndarray
-            ) -> tuple[float, np.ndarray]:
-    """Perron root and a positive right eigenvector of an irreducible
-    nonnegative matrix with the given cyclic structure."""
-    n = W.shape[0]
-    if period == 1:
-        return _power_primitive(W)
-    Wp = np.linalg.matrix_power(W, period)
-    idx0 = np.flatnonzero(phase == 0)
-    lam_p, r0 = _power_primitive(Wp[np.ix_(idx0, idx0)])
-    lam = lam_p ** (1.0 / period)
-    r = np.zeros(n)
-    r[idx0] = r0
-    # r_j = W[j -> j+1] r_{j+1} / lam, walked backwards from class 0.
-    for j in range(period - 1, 0, -1):
-        src = np.flatnonzero(phase == j)
-        dst = np.flatnonzero(phase == (j + 1) % period)
-        r[src] = W[np.ix_(src, dst)] @ r[dst] / lam
-    if (r <= 0).any():
+        u = x / s
+        x = product(u, C.period)
+        if (u[on] > 0).all():
+            ratios = x[on] / u[on]
+            lo, hi = ratios.min(), ratios.max()
+            if hi - lo <= PERRON_TOL * max(hi, 1.0):
+                break
+    else:
+        raise NonConvergence(
+            f"power iteration did not converge within {PERRON_ITMAX} steps")
+    lam = (0.5 * (lo + hi)) ** (1.0 / C.period)
+    v = u
+    for _ in range(C.period - 1):
+        v = product(v) / lam
+        u = u + v
+    if (u <= 0).any():
         raise NonConvergence("eigenvector failed to be strictly positive")
-    return lam, r / r.sum()
-
-
-def _weight_matrix(support: np.ndarray, arrows: np.ndarray
-                   ) -> tuple[np.ndarray, float]:
-    """exp(psi) arranged on arrows, rescaled so the largest entry is 1."""
-    finite = arrows[support]
-    shift = float(finite.max()) if finite.size else 0.0
-    W = np.zeros_like(arrows)
-    W[support] = np.exp(finite - shift)
-    return W, shift
+    return lam, u / u.sum()
 
 
 def pressure(C: Component, psi: Potential) -> float:
     """log of the Perron root of the potential-weighted transition matrix."""
-    support, arrows, phase = _edge_graph(C, psi)
-    W, shift = _weight_matrix(support, arrows)
-    lam, _ = _perron(W, C.period, phase)
+    src, dst, _, w, shift = _state_graph(C, psi)
+    lam, _ = _perron(C, src, dst, w)
     return math.log(lam) + shift
 
 
@@ -185,73 +170,74 @@ def pressure(C: Component, psi: Potential) -> float:
 
 @dataclass
 class MarkovMeasure:
-    """Shift-invariant Markov measure attaining the pressure."""
+    """Shift-invariant Markov measure attaining the pressure: it steps from
+    an edge e to a node f that starts where e ends with probability p(f)."""
 
     component: Component
     potential: Potential
     nodes: list  # global edge ids, in the component's order
-    P: np.ndarray
-    pi: np.ndarray
+    src: np.ndarray  # source state of each node, numbered in sorted order
+    dst: np.ndarray  # target state of each node
+    p: np.ndarray  # step probability of each node from its source state
+    pi: np.ndarray  # stationary law on the nodes
     pressure: float
-    psi_arrows: np.ndarray  # potential value per arrow, -inf off support
-    support: np.ndarray
     r: np.ndarray  # right Perron vector of exp(psi) on arrows, summing to 1
 
     memory = 1  # edges a node of the chain remembers
 
-    @cached_property
-    def _cum_rows(self) -> np.ndarray:  # cumulative sums of P, per row
-        return np.cumsum(self.P, axis=1)
-
 
 def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:
     """The Markov measure with transition weights proportional to
-    exp(psi) times the right Perron data."""
-    support, arrows, phase = _edge_graph(C, psi)
-    W, shift = _weight_matrix(support, arrows)
-    lam, r = _perron(W, C.period, phase)
+    exp(psi) times the right Perron data.
 
-    # Left eigenvector: Perron data of the transpose, whose cyclic classes
-    # are the same sets traversed the other way round.
-    lam_l, l = _perron(W.T, C.period, (-phase) % C.period)
+    With right and left Perron vectors u and l of the state matrix, the
+    edge matrix has right vector r(e) ~ w(e) u(dst e) and left vector
+    l(src e), so p(f) = w(f) u(dst f) / (lam u(src f)) and
+    pi(e) = l(src e) w(e) u(dst e) / (lam <l, u>), which steps of the
+    chain then polish.
+    """
+    src, dst, _, w, shift = _state_graph(C, psi)
+    lam, u = _perron(C, src, dst, w)
+    lam_l, l = _perron(C, dst, src, w)
     if abs(lam_l - lam) > 1e-9 * max(lam, 1.0):
         raise NonConvergence("left and right Perron roots disagree")
 
-    P = W * r[None, :] / (lam * r[:, None])
-    P[~support] = 0.0
-    rows = P.sum(axis=1)
+    k = len(C.states)
+    wu = w * u[dst]
+    p = wu / (lam * u[src])
+    rows = np.bincount(src, p, minlength=k)
     if np.abs(rows - 1.0).max() > 1e-9:
         raise NonConvergence("transition matrix is not stochastic")
-    P /= rows[:, None]
+    p /= rows[src]
 
-    pi = l * r
-    pi /= pi.sum()
-    for _ in range(200):
-        nxt = pi @ P
-        if np.abs(nxt - pi).sum() <= 1e-15:
-            pi = nxt
+    def step(pi):  # the law on edges one step of the chain later
+        return np.bincount(dst, pi, minlength=k)[src] * p
+
+    pi = l[src] * wu / (l[src] * wu).sum()
+    for _ in range(200):  # polish off the power iteration's error in l
+        pi, last = step(pi), pi
+        if np.abs(pi - last).sum() <= 1e-15:
             break
-        pi = nxt
     pi /= pi.sum()
-    if np.abs(pi @ P - pi).sum() > 1e-12:
+    if np.abs(step(pi) - pi).sum() > 1e-12:
         raise NonConvergence("stationary vector drifted")
 
-    nodes = list(C.edge_ids)
-    return MarkovMeasure(C, psi, nodes, P, pi, math.log(lam) + shift,
-                         arrows, support, r)
+    return MarkovMeasure(C, psi, list(C.edge_ids), src, dst, p, pi,
+                         math.log(lam) + shift, wu / wu.sum())
 
 
 def entropy(m: MarkovMeasure) -> float:
-    """Kolmogorov-Sinai entropy of the stationary Markov chain."""
+    """Kolmogorov-Sinai entropy of the stationary Markov chain: pi(e)
+    times the entropy of the step out of the state e ends in."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(m.P > 0, m.P * np.log(m.P), 0.0)
-    return float(-(m.pi @ plogp.sum(axis=1)))
+        plogp = np.where(m.p > 0, m.p * np.log(m.p), 0.0)
+    h = np.bincount(m.src, plogp, minlength=len(m.component.states))
+    return float(-(m.pi @ h[m.dst]))
 
 
 def mean_potential(m: MarkovMeasure) -> float:
     """Integral of the potential against the measure."""
-    vals = np.where(m.support, m.psi_arrows, 0.0)
-    return float((m.pi[:, None] * m.P * vals).sum())
+    return float(m.pi @ [m.potential.value(e) for e in m.nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +259,43 @@ def check_variational(C: Component, psi: Potential, trials: int = 200,
                       seed: int = 0) -> VariationalReport:
     """Entropy + integral of the potential, over random Markov measures on
     the component, never beats the pressure; the Parry-Gibbs measure
-    attains it.  Blocks of k trials, k n^2 <= VARIATIONAL_BLOCK, take one
-    ``rng.random((k, n, n))`` and one batched solve; each trial's sums run
-    in the one-trial order, so the best value is bit for bit the same."""
+    attains it.
+
+    A random measure is a chain on the k states that leaves each state by
+    one of its edges, with weights drawn uniformly; its stationary law
+    solves one k x k system.  Blocks of b trials, b k^2 <=
+    VARIATIONAL_BLOCK, take one ``rng.random((b, E))`` and one batched
+    solve; each trial's sums run in the one-trial order, so the best value
+    is bit for bit the same."""
     m = parry_gibbs_measure(C, psi)
     parry_value = entropy(m) + mean_potential(m)
     gap = abs(m.pressure - parry_value)
 
     rng = make_rng(seed, stream=101)
-    support = m.support
-    vals = np.where(support, m.psi_arrows, 0.0)
-    n = support.shape[0]
-    b = np.zeros(n)
-    b[-1] = 1.0
+    src, dst, vals, _, _ = _state_graph(C, psi)
+    k, n = len(C.states), len(src)
+    diag = np.arange(k)
+    b = np.where(diag == k - 1, 1.0, 0.0)
     best = -math.inf
-    per_block = max(1, VARIATIONAL_BLOCK // (n * n))
+    per_block = max(1, VARIATIONAL_BLOCK // (k * k))
     for lo in range(0, trials, per_block):
-        k = min(per_block, trials - lo)
-        w = np.where(support, rng.random((k, n, n)) + 1e-9, 0.0)
-        P = w / w.sum(axis=2)[:, :, None]
-        A = P.transpose(0, 2, 1) - np.eye(n)
+        t = min(per_block, trials - lo)
+        trial = np.arange(t)[:, None]
+        w = rng.random((t, n)) + 1e-9
+        out = np.zeros((t, k))
+        np.add.at(out, (trial, src), w)  # in edge order, as np.bincount
+        q = w / out[:, src]
+        A = np.zeros((t, k, k))
+        np.add.at(A, (trial, dst, src), q)  # the transposed state chain
+        A[:, diag, diag] -= 1.0
         A[:, -1, :] = 1.0
-        pi = np.abs(np.linalg.solve(A, b))
-        pi /= pi.sum(axis=1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = np.where(P > 0, P * np.log(P), 0.0).sum(axis=2)
-        means = (pi[:, :, None] * P * vals).reshape(k, -1).sum(axis=1)
-        for j in range(k):  # as entropy and mean_potential sum them
-            best = max(best, float(-(pi[j] @ rates[j])) + float(means[j]))
+        rho = np.abs(np.linalg.solve(A, b))
+        rho /= rho.sum(axis=1)[:, None]
+        rates = np.zeros((t, k))
+        np.add.at(rates, (trial, src), q * np.log(q))
+        means = (rho[:, src] * q * vals).sum(axis=1)
+        for j in range(t):  # per trial, so the block size changes no bit
+            best = max(best, float(-(rho[j] @ rates[j])) + float(means[j]))
     violation = max(0.0, best - m.pressure)
     ok = violation <= VARIATIONAL_TOL and gap <= VARIATIONAL_TOL
     return VariationalReport(m.pressure, parry_value, gap, trials, best,
@@ -331,28 +326,33 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8) -> GibbsReport:
     exp(psi(e) - pressure) r(f) / r(e), so the ratio of e_1 ... e_n is
     g(e_1) h(e_n) with g = pi / r and h = r exp(pressure - psi) (Bowen
     1975).  The bounds range over the pairs (e, f) joined by a path of at
-    most n_max - 1 steps.  The count is kept in Python integers, since on
-    F2 it passes 2^63 at length 40.  Raises ValueError when `n_max` is
-    below 1.
+    most n_max - 1 steps: per edge f, the least g and minus the greatest
+    over the paths that end in f are propagated one step at a time, each
+    step a min over the edges into each state.  The count is kept in
+    Python integers, since on F2 it passes 2^63 at length 40.  Raises
+    ValueError when `n_max` is below 1.
     """
     if n_max < 1:
         raise ValueError(f"cylinder length n_max must be at least 1, "
                          f"got {n_max}")
+    k, src, dst = len(m.component.states), m.src, m.dst
     value = np.array([m.potential.value(e) for e in m.nodes], dtype=float)
-    reach = np.eye(len(m.nodes), dtype=bool)
+    g = np.array([m.pi / m.r, -m.pi / m.r])
     for _ in range(n_max - 1):
-        grown = reach | (reach @ m.support)
-        if (grown == reach).all():
+        into = np.full((2, k), np.inf)
+        np.minimum.at(into, (slice(None), dst), g)
+        grown = np.minimum(g, into[:, src])
+        if (grown == g).all():
             break
-        reach = grown
-    ratios = np.outer(m.pi / m.r, m.r * np.exp(m.pressure - value))[reach]
-    steps = m.support.astype(int).astype(object)
-    paths, count = np.ones(len(m.nodes), dtype=object), 0
+        g = grown
+    lo, hi = (g * (m.r * np.exp(m.pressure - value))).min(axis=1)
+    paths, count = np.ones(k, dtype=object), 0
     for _ in range(n_max):
-        count += int(paths.sum())
-        paths = steps @ paths  # paths of the next length from each node
-    return GibbsReport(float(ratios.min()), float(ratios.max()), count,
-                       n_max, m.pressure)
+        nxt = np.zeros(k, dtype=object)
+        np.add.at(nxt, src, paths[dst])  # paths one edge longer per state
+        count += int(nxt.sum())
+        paths = nxt
+    return GibbsReport(float(lo), float(-hi), count, n_max, m.pressure)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,18 @@ def test_serialization_round_trip(f2, f2_aut):
         assert sphere_count(back, n) == sphere_count(f2_aut, n)
 
 
+@pytest.mark.parametrize("group", ["f2", "psl2z", "s3"])
+def test_an_automaton_equals_its_round_trip_with_its_caches_filled(request,
+                                                                  group):
+    spec = request.getfixturevalue(group)
+    aut = build_geodesic_automaton(spec, n_check=6)
+    aut.successors(aut.initial)
+    aut.path_counts(8)
+    assert aut._succ is not None and aut._path_counts is not None
+    assert aut == deserialize_automaton(serialize_automaton(aut), spec,
+                                        aut.genset)
+
+
 @pytest.mark.parametrize("old,new", [
     ("end", "edge 1 9 2\nend"),       # letter 9 of a 4-letter set
     ("end", "edge 0 1 99\nend"),      # target outside the 5 states

@@ -22,6 +22,7 @@ from geoshift.dimension import _ray_chain, _walk
 from geoshift.distortion import _BandProduct
 from geoshift.errors import EmptySphere
 from geoshift.randomness import make_rng
+from dense_thermo import step_matrix
 from test_randomness import state
 
 
@@ -47,6 +48,7 @@ def _walk_per_step(m, aut, entry, n, rng):
     sft = m.component.sft
     T = aut.genset
     cum_entry = np.cumsum(entry)
+    P = step_matrix(m)
     trail = [aut.group.identity()]
     if n == 0:
         return trail
@@ -55,7 +57,7 @@ def _walk_per_step(m, aut, entry, n, rng):
     for _ in range(n):
         li = sft.edges[m.nodes[j]][1]
         trail.append(trail[-1] * T.elements[li])
-        row = m.P[j]
+        row = P[j]
         cum = np.cumsum(row)
         if cum[-1] <= 0.0:
             raise EmptySphere("the chain reached an absorbing defect")
@@ -75,7 +77,7 @@ def reference_walk(m, aut, entry, n, rng):
     edges, nodes = m.component.sft.edges, m.nodes
     u = rng.random(n + 1).tolist()
     j = min(bisect_right(np.cumsum(entry).tolist(), u[0]), len(entry) - 1)
-    cum_rows = np.cumsum(m.P, axis=1).tolist()
+    cum_rows = np.cumsum(step_matrix(m), axis=1).tolist()
     letters = []
     for k in range(1, n + 1):
         letters.append(edges[nodes[j]][1])
@@ -107,9 +109,10 @@ def test_block_walk_raises_at_an_absorbing_defect_like_the_per_ray_walk(
         request, which):
     m = request.getfixturevalue(which)
     aut, entry = _ray_chain(m)
-    P = m.P.copy()
-    P[int(np.argmax(m.pi))] = 0.0  # the likeliest node absorbs
-    broken = dataclasses.replace(m, P=P)
+    p = m.p.copy()
+    # the state the likeliest node ends in absorbs: its step law is zero
+    p[m.src == m.dst[int(np.argmax(m.pi))]] = 0.0
+    broken = dataclasses.replace(m, p=p)
     with pytest.raises(EmptySphere):
         _walk(broken, aut, entry, 20, make_rng(4), 30)
     ref_rng = make_rng(4)
@@ -165,11 +168,12 @@ def test_ray_chain_is_uniform_on_the_first_spheres(f2, f2_measure):
              for e in m.nodes]
     # the law of (chain node j_k, x_k), from the first edge on
     law = {(j, steps[j]): p for j, p in enumerate(entry.tolist()) if p > 0}
+    P = step_matrix(m)
     for k in range(1, 6):
         if k > 1:
             nxt = {}
             for (j, key), p in law.items():
-                for i, q in enumerate(m.P[j].tolist()):
+                for i, q in enumerate(P[j].tolist()):
                     if q > 0:
                         y = (i, eng.mult(key, steps[i]))
                         nxt[y] = nxt.get(y, 0.0) + p * q

@@ -28,7 +28,11 @@ from geoshift import (
 from geoshift import automaton, dimension, thermo
 from geoshift.randomness import make_rng
 from geoshift.sft import Sft
+from geoshift.distortion import _BandProduct
 from geoshift.thermo import Potential, mean_potential, pressure
+from dense_thermo import (dense_entropy, dense_gibbs_constants,
+                          dense_mean_potential, dense_parry, dense_pressure,
+                          step_matrix)
 
 LOG3 = math.log(3.0)
 
@@ -40,6 +44,7 @@ def cylinder_measure(m, block):
     block = tuple(block)
     if not block:
         return float(sum(m.pi))
+    P = step_matrix(m)
     node = {e: i for i, e in enumerate(m.nodes)}
     cur = node.get(block[0])
     if cur is None:
@@ -49,7 +54,7 @@ def cylinder_measure(m, block):
         nxt = node.get(e)
         if nxt is None:
             return 0.0
-        prob *= float(m.P[cur, nxt])
+        prob *= float(P[cur, nxt])
         if prob == 0.0:
             return 0.0
         cur = nxt
@@ -95,8 +100,9 @@ def test_free_group_chain_is_uniform(f2_measure):
     m = f2_measure
     assert len(m.nodes) == 12
     assert np.allclose(m.pi, 1.0 / 12.0, atol=1e-12)
-    assert ((m.P > 0).sum(axis=1) == 3).all()
-    assert np.allclose(m.P[m.P > 0], 1.0 / 3.0, atol=1e-12)
+    P = step_matrix(m)
+    assert ((P > 0).sum(axis=1) == 3).all()
+    assert np.allclose(P[P > 0], 1.0 / 3.0, atol=1e-12)
 
 
 def test_pressure_vanishes_at_the_growth_rate(f2_measure):
@@ -124,7 +130,8 @@ def test_modular_chain_alternates(psl_measure):
     assert C.period == 2
     assert sorted(len(p) for p in C.cyclic_parts()) == [1, 2]
     assert np.allclose(psl_measure.pi, 0.25, atol=1e-12)
-    assert set(np.round(psl_measure.P[psl_measure.P > 0], 12)) == {0.5, 1.0}
+    P = step_matrix(psl_measure)
+    assert set(np.round(P[P > 0], 12)) == {0.5, 1.0}
 
 
 # --- cylinder sets ---
@@ -190,8 +197,9 @@ def edge_varying(m, step=0.0):
 
 def successor_lists(m):
     value = [m.potential.value(e) for e in m.nodes]
-    successors = [[(int(j), float(m.P[i, j]))
-                   for j in np.flatnonzero(m.support[i])]
+    P = step_matrix(m)
+    successors = [[(int(j), float(P[i, j]))
+                   for j in np.flatnonzero(m.src == m.dst[i])]
                   for i in range(len(m.nodes))]
     return value, successors
 
@@ -348,10 +356,93 @@ def test_periodic_perron_with_edge_potentials(shift, period, psl_aut):
     assert pressure(C, psi) == pytest.approx(math.log(rho), abs=1e-10)
     m = parry_gibbs_measure(C, psi)
     assert m.pressure == pytest.approx(math.log(rho), abs=1e-10)
-    assert (m.P >= 0).all() and (m.P[dense == 0] == 0).all()
-    assert np.abs(m.P.sum(axis=1) - 1.0).max() < 1e-12
+    P = step_matrix(m)
+    assert (P >= 0).all() and (P[dense == 0] == 0).all()
+    assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
     assert m.pi.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(m.pi @ m.P - m.pi).max() < 1e-12
+    assert np.abs(m.pi @ P - m.pi).max() < 1e-12
+
+
+def cycle3_measure():
+    # a period-3 component with two parallel edges and edge potentials
+    (C,) = components(CYCLE3_PARALLEL).components
+    return parry_gibbs_measure(C, Potential.on_edges(
+        {e: 0.3 - 0.45 * i for i, e in enumerate(C.edge_ids)}))
+
+
+def band_component(aut, star):
+    """The top component of a band product's graph, as its tau takes it."""
+    graph = _BandProduct.of(aut.genset, aut.group.resolve(star)).graph
+    edges = [(i, b, j) for i, out in enumerate(graph) for b, j, _, _ in out]
+    dec = components(Sft(edges, len(graph)))
+    top = maximal_components(dec)
+    return dec.components[top.maximal[0]], top.max_pressure
+
+
+def oracle_case(case, f2_measure, psl_measure, f2_aut, psl_aut):
+    """(component, potential) of one case checked against the oracle."""
+    if case.startswith("band"):
+        _, group, star, kind = case.split()
+        C, v = band_component({"f2": f2_aut, "psl2z": psl_aut}[group], star)
+        if kind == "growth":
+            return C, word_length_potential(v)
+        return C, Potential.on_edges({e: -0.3 - 0.17 * (i % 3)
+                                      for i, e in enumerate(C.edge_ids)})
+    if case.startswith("bernoulli"):
+        C = components(Sft([(0, 0, 0), (0, 1, 0)], 1)).components[0]
+        return C, Potential.on_edges({0: 0.0, 1: float(case.split()[1])})
+    m = {"f2": f2_measure, "psl2z": psl_measure, "cycle3": cycle3_measure(),
+         "f2 edge-varying": edge_varying(f2_measure, 0.05),
+         "psl2z edge-varying": edge_varying(psl_measure, 0.05),
+         "two-shift": two_shift_measure(),
+         "period 2": period_two_measure()}[case]
+    return m.component, m.potential
+
+
+@pytest.mark.parametrize("case", [
+    "f2", "psl2z", "f2 edge-varying", "psl2z edge-varying", "two-shift",
+    "period 2", "cycle3", "bernoulli 0.7", "bernoulli -1.3",
+    "band f2 Sstar_ab growth", "band f2 Sstar_a2 growth",
+    "band f2 Sstar_ab edge-varying", "band psl2z Sstar_st growth",
+    "band psl2z Sstar_st edge-varying"])
+def test_state_graph_matches_the_dense_edge_oracle(case, f2_measure,
+                                                   psl_measure, f2_aut,
+                                                   psl_aut):
+    # the root, pi, the step law, r, entropy, the mean potential and the
+    # Gibbs constants, each to 1e-12 relative; the root is compared as
+    # exp(pressure), since the pressure at the growth rate is about 0
+    C, psi = oracle_case(case, f2_measure, psl_measure, f2_aut, psl_aut)
+    m, d = parry_gibbs_measure(C, psi), dense_parry(C, psi)
+    for got, want in ((m.pressure, d.pressure),
+                      (pressure(C, psi), dense_pressure(C, psi))):
+        assert math.exp(got) == pytest.approx(math.exp(want), rel=1e-12)
+    np.testing.assert_allclose(m.pi, d.pi, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(step_matrix(m), d.P, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(m.r, d.r, rtol=1e-12, atol=0)
+    assert entropy(m) == pytest.approx(dense_entropy(d), rel=1e-12)
+    assert mean_potential(m) == pytest.approx(dense_mean_potential(d),
+                                              rel=1e-12)
+    for n_max in (1, 2, 3, 8):
+        rep = gibbs_ratio_scan(m, n_max=n_max)
+        assert (rep.c_lower, rep.c_upper) == pytest.approx(
+            dense_gibbs_constants(d, psi, n_max), rel=1e-12)
+
+
+def test_genus2_growth_rate_is_the_sparse_state_matrix_root(genus2_aut):
+    # the component has 19,096 edges, so the dense edge matrices would
+    # take about 6 GB; scipy's Arnoldi iteration reads the state matrix
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import eigs
+
+    s, _, t = zip(*genus2_aut.edges())
+    n = genus2_aut.n_states
+    M = coo_matrix((np.ones(len(s)), (s, t)), shape=(n, n)).tocsr()
+    (top,) = eigs(M, k=1, which="LM", return_eigenvectors=False)
+    assert math.exp(growth_rate(genus2_aut)) == pytest.approx(top.real,
+                                                              rel=1e-12)
+    v, m = thermo.parry_measure(genus2_aut)
+    assert len(m.nodes) == 19_096
+    assert entropy(m) == pytest.approx(v, rel=1e-12)
 
 
 def test_random_markov_measures_never_beat_the_pressure(f2_measure):
@@ -409,30 +500,31 @@ def test_rays_need_a_shift_backed_by_an_automaton():
 
 
 def reference_check_variational(C, psi, trials, seed):
-    """The variational check one trial at a time: one (n, n) draw of
-    weights and one solve per trial."""
+    """The variational check one trial at a time: one draw of E edge
+    weights, one state chain and one k x k solve per trial."""
     m = parry_gibbs_measure(C, psi)
     parry_value = entropy(m) + mean_potential(m)
     gap = abs(m.pressure - parry_value)
     rng = make_rng(seed, stream=101)
-    support = m.support
-    vals = np.where(support, m.psi_arrows, 0.0)
-    n = support.shape[0]
+    src, dst = m.src, m.dst
+    vals = np.array([psi.value(e) for e in m.nodes])
+    k, n = len(C.states), len(m.nodes)
     best = -math.inf
     for _ in range(trials):
-        w = np.where(support, rng.random((n, n)) + 1e-9, 0.0)
-        P = w / w.sum(axis=1)[:, None]
-        A = P.T - np.eye(n)
+        w = rng.random(n) + 1e-9
+        q = w / np.bincount(src, w, minlength=k)[src]
+        Q = np.zeros((k, k))
+        np.add.at(Q, (src, dst), q)  # parallel edges in edge order
+        A = Q.T - np.eye(k)
         A[-1, :] = 1.0
-        b = np.zeros(n)
+        b = np.zeros(k)
         b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        pi = np.abs(pi)
-        pi /= pi.sum()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(P > 0, P * np.log(P), 0.0)
-        best = max(best, float(-(pi @ plogp.sum(axis=1)))
-                   + float((pi[:, None] * P * vals).sum()))
+        rho = np.linalg.solve(A, b)
+        rho = np.abs(rho)
+        rho /= rho.sum()
+        rates = np.bincount(src, q * np.log(q), minlength=k)
+        best = max(best, float(-(rho @ rates))
+                   + float((rho[src] * q * vals).sum()))
     violation = max(0.0, best - m.pressure)
     ok = violation <= thermo.VARIATIONAL_TOL and gap <= thermo.VARIATIONAL_TOL
     return thermo.VariationalReport(m.pressure, parry_value, gap, trials,
@@ -440,22 +532,24 @@ def reference_check_variational(C, psi, trials, seed):
 
 
 @pytest.mark.parametrize("measure,per_block", [
-    ("f2", None), ("f2", 5), ("psl2z", 5), ("period 2", 5), ("period 2", 1)])
+    ("f2", None), ("f2", 5), ("psl2z", 5), ("period 2", 5), ("period 2", 1),
+    ("cycle3", 3)])
 def test_variational_blocks_match_one_trial_at_a_time(
         measure, per_block, f2_measure, psl_measure, monkeypatch):
-    # per_block None keeps the module's block, 7,281 trials on F2's
-    # 12 edges; otherwise the block is cut to that many trials, and one
-    # more case runs into a third block
+    # per_block None keeps the module's block, 65,536 trials on F2's
+    # 4 states, and runs one trial past it; otherwise the block is cut to
+    # that many trials, and the cases run to either side of one block and
+    # into a third
     m = {"f2": f2_measure, "psl2z": psl_measure,
-         "period 2": period_two_measure()}[measure]
-    n = len(m.nodes)
+         "period 2": period_two_measure(),
+         "cycle3": cycle3_measure()}[measure]
+    k = len(m.component.states)
     cases = {0, 1}
     if per_block is None:
-        per_block = thermo.VARIATIONAL_BLOCK // n ** 2
+        cases.add(thermo.VARIATIONAL_BLOCK // k ** 2 + 1)
     else:
-        monkeypatch.setattr(thermo, "VARIATIONAL_BLOCK", per_block * n ** 2)
-        cases.add(2 * per_block + 1)
-    cases |= {per_block - 1, per_block, per_block + 1}
+        monkeypatch.setattr(thermo, "VARIATIONAL_BLOCK", per_block * k ** 2)
+        cases |= {per_block - 1, per_block, per_block + 1, 2 * per_block + 1}
     for seed, trials in enumerate(sorted(cases)):
         got = check_variational(m.component, m.potential, trials=trials,
                                 seed=seed)
