@@ -138,11 +138,12 @@ def _cmd_growth(args) -> int:
     spec, [T], [aut] = _load(args, args.gens)
     dec = components(sft_from_automaton(aut))
     mp = maximal_components(dec)
-    rg = regular_growth_check(aut, args.n_max)
+    v = growth_rate(aut, mp=mp)
+    rg = regular_growth_check(aut, args.n_max, v=v)
     report = {
         "group": spec.name,
         "genset": T.name,
-        "growth_rate": growth_rate(aut, dec),
+        "growth_rate": v,
         "component_pressures": list(mp.pressures),
         "maximal_components": list(mp.maximal),
         "semisimple": mp.semisimple,
@@ -176,7 +177,7 @@ def _cmd_components(args) -> int:
         "components": rows,
         "maximal": list(mp.maximal),
         "semisimple": mp.semisimple,
-        "growth_rate": growth_rate(aut, dec),
+        "growth_rate": growth_rate(aut, mp=mp),
     }
     _emit(args, "components", _config(args, gens=T.name), report)
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -172,12 +173,15 @@ class RegularGrowth:
 
 
 def regular_growth_check(aut: GeodesicAutomaton, n_max: int,
-                         n_min: int = 1) -> RegularGrowth:
+                         n_min: int = 1,
+                         v: Optional[float] = None) -> RegularGrowth:
     """Scan sphere_count(n) e^{-v n}: for a hyperbolic group the values
-    stay pinched between positive constants."""
+    stay pinched between positive constants.  `v` is the automaton's
+    growth rate, computed here where not given."""
     if n_max < n_min:
         raise ValueError("empty radius range")
-    v = growth_rate(aut)
+    if v is None:
+        v = growth_rate(aut)
     values = []
     for n in range(n_min, n_max + 1):
         count = sphere_count(aut, n)

@@ -56,8 +56,9 @@ class BallTree:
     any other set: it codes reduced words as integers and finds each
     product among the codes of three spheres.  The dictionary loop serves
     the rest.  The first two lay a ball out one sphere at a time, and their
-    ``keys`` are a read-only sequence that spells them, one product per
-    position, only when they are first read.
+    ``keys`` are a read-only sequence that spells them only when they are
+    first read: one concatenation per position in the word layout, one
+    product in the coded layout.
     """
 
     keys: Sequence
@@ -196,9 +197,9 @@ def _word_ball(T: ResolvedGenSet, radius: int,
     The budget is checked twice per sphere, with the dictionary loop's
     message at the same radius: before any engine product against the
     rows that need none, a lower bound on the sphere, then against the
-    exact count.  The keys are a :class:`_Spelled` list that multiplies
-    each position's parent key by its letter's key when they are first
-    read.
+    exact count.  The keys are a :class:`_Spelled` list that appends each
+    position's letter byte to its parent's key when they are first read,
+    with no engine product.
     """
     eng = T.group.engine
     words = getattr(eng, "_rewrite_words", None)
@@ -301,20 +302,24 @@ def _word_ball(T: ResolvedGenSet, radius: int,
         if lo == hi:
             break
 
-    return _spelled_tree(eng, tkeys, parent, letter, layer_bounds, nbr)
+    return _spelled_tree(eng.identity, _concat, tkeys, parent, letter,
+                         layer_bounds, nbr)
 
 
-def _spelled_tree(eng, tkeys: list, parent: array, letter: array,
+# a word-layout key is its parent's key followed by its letter's byte
+_concat = bytes.__add__
+
+
+def _spelled_tree(identity, join, tkeys: list, parent: array, letter: array,
                   layer_bounds: list[int], nbr: array) -> BallTree:
     """A ball tree whose keys are a :class:`_Spelled` list: each position's
-    key is its parent's key times its letter's key, multiplied in position
+    key is ``join(parent's key, its letter's key)``, spelled in position
     order on first read."""
 
     def spell_keys() -> list:
-        mult = eng.mult
-        keys = [eng.identity]
+        keys = [identity]
         for a, b in zip(layer_bounds[1:], layer_bounds[2:]):
-            keys += map(mult, map(keys.__getitem__, parent[a:b]),
+            keys += map(join, map(keys.__getitem__, parent[a:b]),
                         map(tkeys.__getitem__, letter[a:b]))
         return keys
 
@@ -416,7 +421,8 @@ def _coded_ball(T: ResolvedGenSet, radius: int,
         before, at = at, (seen, seen_at)
         lo, hi = hi, hi + len(seen)
         layer_bounds.append(hi)
-    return _spelled_tree(eng, tkeys, parent, letter, layer_bounds, nbr)
+    return _spelled_tree(eng.identity, eng.mult, tkeys, parent, letter,
+                         layer_bounds, nbr)
 
 
 def _find(keys: np.ndarray, values: np.ndarray, items: np.ndarray,

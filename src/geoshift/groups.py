@@ -99,6 +99,16 @@ def _invert_bytes(word: bytes, inv: tuple[int, ...]) -> bytes:
     return bytes(inv[c] for c in reversed(word))
 
 
+def _junction(a: bytes, b: bytes, inv: tuple[int, ...]) -> bytes:
+    """The free reduction of a + b for freely reduced a and b: letters
+    cancel only where a ends and b begins."""
+    i, j, nb = len(a), 0, len(b)
+    while i and j < nb and a[i - 1] == inv[b[j]]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
 class _FreeEngine:
     """Word problem for a free group: free reduction over letter indices."""
 
@@ -122,12 +132,7 @@ class _FreeEngine:
         return w
 
     def mult(self, a: bytes, b: bytes) -> bytes:
-        ia = len(a)
-        jb = 0
-        while ia > 0 and jb < len(b) and a[ia - 1] == self.inv[b[jb]]:
-            ia -= 1
-            jb += 1
-        return a[:ia] + b[jb:]
+        return _junction(a, b, self.inv)
 
     def invert(self, a: bytes) -> bytes:
         return _invert_bytes(a, self.inv)
@@ -305,6 +310,12 @@ class _DehnEngine:
     where greedy replacement is complete (small-cancellation presentations);
     a warning is emitted when the metric C'(1/6) condition fails.
 
+    The swap pair of each even-length relator r, its half r[:len(r)//2]
+    and the inverse of the other half, is built once, with the engine, and
+    filed under its half.  The half swaps of a word are then found in one
+    pass over its positions, one lookup per position and half length, and
+    taken by relator in ``symmetrized`` order, then by position.
+
     Normal forms of single letters are cached; longer words, such as
     sampled ones, would fill the cache with elements seen once.  A product
     of two normal forms needs no cache: both are freely reduced, so it
@@ -355,7 +366,14 @@ class _DehnEngine:
                              for k in range(len(r) - 1, len(r) // 2, -1)]
         halves = [r[:len(r) // 2] for r in self.symmetrized if len(r) % 2 == 0]
         self._long_prefixes = _any_of(long_prefixes)
-        self._halves = _any_of(halves)
+        # each half swap as (place of r in symmetrized, the inverse of the
+        # other half), filed under its half, by half length
+        self._swaps: dict[int, dict[bytes, list]] = {}
+        for rank, r in enumerate(self.symmetrized):
+            if len(r) % 2 == 0:
+                k = len(r) // 2
+                self._swaps.setdefault(k, {}).setdefault(r[:k], []).append(
+                    (rank, _invert_bytes(r[k:], inv)))
         # _rewritable asks for both at once.  An empty list leaves its loop a
         # no-op, so the joined pattern of the other list still decides.
         self._rewrite_words = tuple(long_prefixes + halves)
@@ -395,26 +413,19 @@ class _DehnEngine:
 
     def _half_swaps(self, w: bytes):
         # Length-preserving exchanges: replace an exact half of an
-        # even-length relator by the inverse of the other half.
-        if not self._halves.search(w):
-            return
+        # even-length relator by the inverse of the other half, by relator
+        # in symmetrized order, then by position.
+        found = []
         n = len(w)
-        for r in self.symmetrized:
-            m = len(r)
-            if m % 2:
-                continue
-            k = m // 2
-            if k > n:
-                continue
-            prefix = r[:k]
-            start = 0
-            while True:
-                i = w.find(prefix, start)
-                if i < 0:
-                    break
-                repl = _invert_bytes(r[k:], self.inv)
-                yield _free_reduce_bytes(w[:i] + repl + w[i + k:], self.inv)
-                start = i + 1
+        for k, swaps in self._swaps.items():
+            for i in range(n - k + 1):
+                at = swaps.get(w[i:i + k])
+                if at:
+                    found += [(rank, i, k, repl) for rank, repl in at]
+        found.sort()  # (rank, i) tells the entries apart
+        inv = self.inv
+        for _, i, k, repl in found:
+            yield _junction(_junction(w[:i], repl, inv), w[i + k:], inv)
 
     def _normalize(self, word: bytes) -> bytes:
         return self._normalize_reduced(_free_reduce_bytes(word, self.inv))
@@ -465,12 +476,7 @@ class _DehnEngine:
     def mult(self, a: bytes, b: bytes) -> bytes:
         # Keys are freely reduced, so free reduction of a + b only cancels
         # where a ends and b begins.
-        ia = len(a)
-        jb = 0
-        while ia > 0 and jb < len(b) and a[ia - 1] == self.inv[b[jb]]:
-            ia -= 1
-            jb += 1
-        return self._normalize_reduced(a[:ia] + b[jb:])
+        return self._normalize_reduced(_junction(a, b, self.inv))
 
     def invert(self, a: bytes) -> bytes:
         return self.from_word(_invert_bytes(a, self.inv))

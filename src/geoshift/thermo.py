@@ -386,16 +386,20 @@ def maximal_components(dec: ComponentDecomposition,
     return MaximalPressure(dec, prs, top, maximal, semi)
 
 
-def growth_rate(aut, dec: Optional[ComponentDecomposition] = None) -> float:
+def growth_rate(aut, dec: Optional[ComponentDecomposition] = None,
+                mp: Optional[MaximalPressure] = None) -> float:
     """Exponential growth rate of sphere sizes: the top zero-potential
     pressure over recurrent components, and exactly 0 for a finite group,
     which has none.  Warns when an infinite language grows
-    subexponentially (an elementary group)."""
-    if dec is None:
-        dec = components(sft_from_automaton(aut))
-    if not dec.components:
+    subexponentially (an elementary group).  Reads `mp`, the zero-potential
+    ``maximal_components`` of `dec`, or of the automaton's shift, where
+    given."""
+    if mp is None:
+        if dec is None:
+            dec = components(sft_from_automaton(aut))
+        mp = maximal_components(dec)
+    if not mp.maximal:  # no recurrent component
         return 0.0
-    mp = maximal_components(dec)
     if mp.max_pressure <= 1e-9:
         warnings.warn("growth rate is 0 within tolerance: the group is "
                       "elementary and exponential-scale statistics are "

@@ -1,8 +1,10 @@
+import warnings
+
 import pytest
 
 from geoshift import build_geodesic_automaton, parse_group_file
 from geoshift.errors import ResourceLimit
-from geoshift.groups import free_product_group
+from geoshift.groups import dehn_group, free_product_group
 
 
 @pytest.fixture(scope="session")
@@ -106,3 +108,16 @@ def reference_ball_tree(T, radius, budget=None):
         if bounds[-1] == bounds[-2]:
             break
     return keys, parent, letter, nbr, bounds
+
+
+# one-relator presentations on a, A = a^-1, b, B = b^-1
+RELATORS = ("abAB", "aabab", "aaa", "abab", "aabb", "ababab", "aabAb",
+            "abbaBB", "aaaabbb")
+
+
+def dehn_on_ab(*relators: str):
+    """A Dehn group on a, A = a^-1, b, B = b^-1 with the given relators."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # most fail C'(1/6)
+        return dehn_group([tuple(r) for r in relators], ("a", "A", "b", "B"),
+                          {"a": "A", "b": "B"})

@@ -110,6 +110,32 @@ def test_growth_report_past_the_largest_float():
     assert envelope["c2"] == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["growth", "components"])
+def test_growth_and_components_build_the_shift_once(command, monkeypatch,
+                                                    capsys):
+    # the growth rate and the envelope read the one decomposition and the
+    # one set of component pressures the handler computes
+    from geoshift import cli, thermo
+
+    calls = {"sft_from_automaton": 0, "maximal_components": 0}
+
+    def counted(name):
+        f = getattr(thermo, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for module in (cli, thermo):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name))
+    assert cli.main([command, "--group", PSL, "-N", "8"]) == 0
+    assert calls == {"sft_from_automaton": 1, "maximal_components": 1}
+    assert json.loads(capsys.readouterr().out)["report"]["growth_rate"] == (
+        pytest.approx(0.5 * math.log(2.0), abs=1e-12))
+
+
 def test_components_report():
     r = run("components", "--group", PSL)
     doc = json.loads(r.stdout)

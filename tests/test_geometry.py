@@ -1,10 +1,8 @@
 """Balls and word metrics for alternative generating sets."""
 
-import warnings
-
 import pytest
 
-from conftest import ball_depths, reference_ball_tree
+from conftest import RELATORS, ball_depths, dehn_on_ab, reference_ball_tree
 from geoshift import parse_group_file
 from geoshift.distortion import cross_lipschitz
 from geoshift.errors import ResourceLimit
@@ -194,26 +192,42 @@ def test_ball_budget_matches_a_plain_breadth_first_search(group, radius,
     assert_same_tree(ball_tree(T, radius, budget=budget), want)
 
 
+def count_spelling(spec, monkeypatch):
+    """The engine products and the word-layout key concatenations made
+    from here on, each as a list with one entry per call."""
+    products, concatenations = [], []
+
+    def counted(f, calls):
+        def call(a, b):
+            calls.append(1)
+            return f(a, b)
+        return call
+
+    monkeypatch.setattr(spec.engine, "mult",
+                        counted(spec.engine.mult, products))
+    monkeypatch.setattr(geometry, "_concat",
+                        counted(geometry._concat, concatenations))
+    return products, concatenations
+
+
 @pytest.mark.parametrize("group,radius", [("f2", 6), ("psl2z", 9),
                                           ("genus2", 3)])
 def test_ball_tree_skips_the_back_edge_product(group, radius, request,
                                                monkeypatch):
     # every expanded position but the identity reaches its parent by the
-    # inverse of its own letter, which takes no product
+    # inverse of its own letter, which takes no product.  The dictionary
+    # loop (psl2z) multiplies every other product; the word layout (f2, and
+    # genus 2 within radius 3, where no product meets a rewrite word) counts
+    # them, and spells each key it finds by one concatenation when read
     spec = request.getfixturevalue(group)
     T = spec.resolve(None)
-    calls = []
-    mult = spec.engine.mult
-
-    def counted(a, b):
-        calls.append(1)
-        return mult(a, b)
-
-    monkeypatch.setattr(spec.engine, "mult", counted)
+    products, concatenations = count_spelling(spec, monkeypatch)
     tree = ball_tree(T, radius)
     tree.keys[0]  # a free basis spells its keys on first read
     expanded = tree.layer_bounds[tree.radius()]
-    assert len(calls) == len(T) * expanded - (expanded - 1)
+    assert not (products and concatenations)
+    assert (len(products) + len(concatenations)
+            == len(T) * expanded - (expanded - 1))
 
 
 @pytest.mark.parametrize("group,radius", [("f1", 8), ("f2", 0), ("f2", 1),
@@ -223,25 +237,34 @@ def test_free_basis_keys_are_spelled_on_first_read(group, radius, request,
     spec = request.getfixturevalue(group)
     T = spec.resolve(None)
     keys = reference_ball_tree(T, radius)[0]
-    calls = []
-    mult = spec.engine.mult
-
-    def counted(a, b):
-        calls.append(1)
-        return mult(a, b)
-
-    monkeypatch.setattr(spec.engine, "mult", counted)
+    products, concatenations = count_spelling(spec, monkeypatch)
     tree = ball_tree(T, radius)
     assert len(tree.keys) == tree.layer_bounds[-1]
-    assert calls == []
+    assert products == concatenations == []
     expanded = tree.layer_bounds[tree.radius()]
-    # every position but the identity costs one product: the identity, when
-    # it is expanded, has no back edge
+    # every position but the identity costs one concatenation: the
+    # identity, when it is expanded, has no back edge
     spelled = len(T) * expanded - (expanded - 1) if expanded else 0
     assert tree.keys == keys
-    assert len(calls) == spelled == len(keys) - 1
+    assert len(concatenations) == spelled == len(keys) - 1
     assert list(tree.keys) == keys and tree.keys[1:] == keys[1:]
-    assert len(calls) == spelled
+    assert len(concatenations) == spelled
+    assert products == []
+
+
+@pytest.mark.parametrize("group,radius", [("genus2", 6), ("f2", 8),
+                                          ("f3", 6)])
+def test_concatenated_keys_are_the_engine_products(group, radius, request):
+    # a word-layout key is its parent's key followed by its letter's byte;
+    # the engine's product of the two is the same key
+    spec = request.getfixturevalue(group)
+    T = spec.resolve(None)
+    tree = ball_tree(T, radius)
+    keys, mult = list(tree.keys), spec.engine.mult
+    tkeys = [x.key for x in T.elements]
+    assert keys[0] == spec.engine.identity
+    assert all(keys[i] == mult(keys[tree.parent[i]], tkeys[tree.letter[i]])
+               for i in range(1, len(keys)))
 
 
 def test_ball_radius_must_be_nonnegative(f2):
@@ -398,14 +421,6 @@ def test_coded_layout_declines_codes_past_63_bits(f2_star_ab, psl2z, request):
     assert _coded_ball(psl2z.resolve("Sstar_st"), 2, 100) is None
 
 
-def one_relator(relator: str):
-    """A Dehn group on a, A = a^-1, b, B = b^-1 with one relator."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # most fail C'(1/6)
-        return dehn_group([tuple(relator)], ("a", "A", "b", "B"),
-                          {"a": "A", "b": "B"})
-
-
 def z4():
     # <a | a^4>: a finite Dehn group, whose spheres run out after radius 2
     return dehn_group([("a",) * 4], ("a", "A"), {"a": "A"})
@@ -417,10 +432,6 @@ def fields(tree):
             tree.nbr.tolist(), tree.layer_bounds)
 
 
-RELATORS = ("abAB", "aabab", "aaa", "abab", "aabb", "ababab", "aabAb",
-            "abbaBB", "aaaabbb")
-
-
 @pytest.mark.parametrize("group,radius", [
     *(("genus2", r) for r in range(6)),
     *(("f2", r) for r in range(9)),
@@ -429,7 +440,7 @@ RELATORS = ("abAB", "aabab", "aaa", "abab", "aabb", "ababab", "aabAb",
 ])
 def test_word_layout_matches_the_dictionary_loop(group, radius, request):
     if group in RELATORS:
-        spec = one_relator(group)
+        spec = dehn_on_ab(group)
     elif group == "z4":
         spec = z4()
     else:

@@ -2,11 +2,14 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from geoshift import FormatError, UnknownLetter, parse_group_file
+from geoshift import grammar
+from geoshift.cli import main
 from geoshift.grammar import parse_group_text
 
 FREE = """\
@@ -83,7 +86,7 @@ generators:
 """
 
 
-@pytest.mark.parametrize("text,fragment", [
+MALFORMED = [
     ("not: [valid", "YAML"),
     ("[1, 2]", "mapping"),
     (FREE.replace("rank: 2", "rank: 3"), "letters"),
@@ -105,7 +108,10 @@ generators:
     (FREE.replace("name: F2", "name: null"), "name"),
     (FREE.replace("name: F2", "name: -1"), "name"),
     (FREE.replace("name: F2", "name: [[0]]"), "name"),
-])
+]
+
+
+@pytest.mark.parametrize("text,fragment", MALFORMED)
 def test_malformed_inputs(text, fragment):
     with pytest.raises(FormatError) as err:
         parse_group_text(text)
@@ -179,3 +185,44 @@ def test_mutated_stock_files_parse_or_fail_cleanly(path):
             except Exception as exc:
                 others.append((where, value, repr(exc)))
     assert others == []
+
+
+@pytest.mark.parametrize("path", sorted(map(str, Path("groups").glob("*.grp"))))
+def test_libyaml_reads_the_documents_the_python_loader_reads(path):
+    if yaml.__with_libyaml__:
+        assert grammar._Loader is yaml.CSafeLoader
+    text = Path(path).read_text(encoding="utf-8")
+    doc = yaml.load(text, Loader=grammar._Loader)
+    assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+    assert json.dumps(doc) == json.dumps(yaml.safe_load(text))
+
+
+BROKEN_YAML = [
+    "not: [valid",
+    "{a: 1",
+    "a: 'unclosed",
+    "\ta: 1",                       # a tab in the indentation
+    "a: b: c",
+    "- a\nb: c",
+    "a: \x07",                      # a control character
+    "a: &x 1\nb: *y",               # an undefined alias
+    "? [a]\n: 1",                   # a list as a mapping key
+    "a: !!python/object:os.system x",
+    "%YAML 9.9\n---\na: 1",
+]
+
+
+@pytest.mark.parametrize("text", BROKEN_YAML + ["name: \udc80"])
+def test_broken_yaml_is_a_format_error(text):
+    # the last text holds a lone surrogate, which libyaml cannot encode
+    with pytest.raises(FormatError, match="YAML"):
+        parse_group_text(text)
+
+
+@pytest.mark.parametrize("text,fragment", MALFORMED + [
+    (text, "not valid YAML") for text in BROKEN_YAML])
+def test_malformed_file_exits_2(text, fragment, tmp_path, capsys):
+    bad = tmp_path / "bad.grp"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["automaton", "--group", str(bad)]) == 2
+    assert fragment.lower() in capsys.readouterr().err.lower()

@@ -1,13 +1,15 @@
 """Word-problem engines: free groups, free products, finite tables, Dehn."""
 
+import functools
 import hashlib
 import itertools
+import re
 from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import ball_depths
+from conftest import RELATORS, ball_depths, dehn_on_ab
 from geoshift import (
     FormatError,
     UnknownLetter,
@@ -345,6 +347,101 @@ def reference_product(eng, a, b, shorten=None):
         w = shorter
 
 
+@functools.cache
+def half_pattern(eng):
+    """A byte pattern that matches wherever a word holds the half
+    r[:len(r)//2] of an even-length symmetrized relator r."""
+    return re.compile(b"|".join(re.escape(r[:len(r) // 2])
+                                for r in eng.symmetrized if len(r) % 2 == 0))
+
+
+def reference_half_swaps(eng, w):
+    """The half swaps as the engine found them before it filed them by
+    half: every even-length relator in symmetrized order, each occurrence
+    of its half by position, the other half inverted for every match."""
+    if not half_pattern(eng).search(w):
+        return
+    n = len(w)
+    for r in eng.symmetrized:
+        m = len(r)
+        if m % 2:
+            continue
+        k = m // 2
+        if k > n:
+            continue
+        prefix = r[:k]
+        start = 0
+        while True:
+            i = w.find(prefix, start)
+            if i < 0:
+                break
+            repl = _invert_bytes(r[k:], eng.inv)
+            yield _free_reduce_bytes(w[:i] + repl + w[i + k:], eng.inv)
+            start = i + 1
+
+
+def reduced_words(inv, n):
+    """Every freely reduced word of at most n letters."""
+    words = [b""]
+    for w in words:
+        if len(w) < n:
+            words += [w + bytes((c,)) for c in range(len(inv))
+                      if not w or w[-1] != inv[c]]
+    return words
+
+
+@pytest.fixture(scope="module")
+def genus2_ball_words(genus2):
+    """Every key of the genus-2 radius-6 ball, and every freely reduced
+    product of one by a letter."""
+    keys = list(ball_tree(genus2.resolve(None), 6).keys)
+    inv = genus2.engine.inv
+    letters = [bytes((c,)) for c in range(len(inv))]
+    return sorted({*keys, *(k + t for k in keys for t in letters
+                            if not k or k[-1] != inv[t[0]])})
+
+
+def mismatched_rewrites(eng, words):
+    """The words on which the engine's half swaps or greedy shortening
+    differ from the references, and how many words have a swap and how
+    many are shortened."""
+    bad, swapped, shortened = [], 0, 0
+    for w in words:
+        swaps = list(eng._half_swaps(w))
+        short = eng._greedy_shorten(w)
+        if (swaps != list(reference_half_swaps(eng, w))
+                or short != reference_greedy_shorten(eng, w)):
+            bad.append(w)
+        swapped += bool(swaps)
+        shortened += short != w
+    return bad, swapped, shortened
+
+
+def test_half_swaps_and_shortening_keep_the_genus2_ball(genus2,
+                                                       genus2_ball_words):
+    eng = genus2.engine
+    assert len(genus2_ball_words) == 1_089_041
+    bad, swapped, shortened = mismatched_rewrites(eng, genus2_ball_words)
+    assert bad == []
+    assert swapped > 10_000 and shortened > 100
+
+
+@pytest.mark.parametrize("relators", [
+    *((rel,) for rel in RELATORS),
+    # halves of lengths 2 and 3
+    ("aabb", "abaBAb"),
+    # a a is the half of a a b b and of a a B B
+    ("aabb", "aaBB"),
+])
+def test_half_swaps_and_shortening_on_small_presentations(relators):
+    eng = dehn_on_ab(*relators).engine
+    bad, swapped, shortened = mismatched_rewrites(
+        eng, reduced_words(eng.inv, 7))
+    assert bad == []
+    assert swapped > 0 or all(len(r) % 2 for r in eng.symmetrized)
+    assert shortened > 0
+
+
 def test_junction_product_is_the_full_normalisation(genus2):
     eng = genus2.engine
     T = genus2.resolve(None)
@@ -360,7 +457,7 @@ def test_junction_product_is_the_full_normalisation(genus2):
             pairs = (len(a) + len(b) - len(w)) // 2
             cancelled[pairs] = cancelled.get(pairs, 0) + 1
             long_prefix += bool(eng._long_prefixes.search(w))
-            halves += bool(eng._halves.search(w))
+            halves += bool(half_pattern(eng).search(w))
             rewritten += got != w
             identities += got == b""
     # the inputs reach every branch: all 65 inverse pairs, cancellations of
