@@ -115,26 +115,45 @@ def _first_rows(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, rank
 
 
+def _breadth_first(winner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States reachable from state 0 of a target table (-1, -2: none) in the
+    order a first-in, first-out queue reading targets in (state, letter)
+    order finds them: per level, its targets not yet numbered, in order of
+    first appearance; and their rows, renumbered so, -1 for none."""
+    renumber = np.full(len(winner) + 2, -1, dtype=np.intc)
+    renumber[0] = 0
+    order = wave = np.zeros(1, dtype=np.intc)
+    while len(wave):
+        targets = winner[wave].ravel()
+        first = np.zeros(len(targets), dtype=bool)
+        first[_first_rows(targets)[0]] = True
+        wave = targets[first & (targets >= 0) & (renumber[targets] < 0)]
+        renumber[wave] = np.arange(len(order), len(order) + len(wave))
+        order = np.concatenate([order, wave])
+    return order, renumber[winner[order]]
+
+
 def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
                tail_len: int):
     """One construction attempt at a fixed neighbourhood depth.
 
-    The signature of an element within the voting horizon is the length
-    increments of all translates x*w with 1 <= |w| <= level, in
-    breadth-first order of w, and the last `tail_len` letters of its tree
-    word.  Signatures are read one sphere at a time: the products from the
-    ball's neighbour table (every element this reads it for lies within
-    distance radius - 1, so it was expanded), their distances from
-    ``layer_bounds``, and the tails from the previous sphere's tails and
-    the sphere's ``parent`` and ``letter``.
+    The signature of an element within the voting horizon is its row of
+    its sphere's small-integer signature matrix.  The first `tail_len`
+    columns hold the last letters of its tree word as letter index + 1,
+    padded on the left with 0: its parent's, shifted left by one, then its
+    own letter.  The rest hold level plus the length increments of all
+    translates x*w with 1 <= |w| <= level, in breadth-first order of w:
+    the products from the ball's neighbour table (every element this reads
+    it for lies within distance radius - 1, so it was expanded), their
+    distances from ``layer_bounds``.  Two rows are equal exactly when the
+    tails and the increments are.
 
     States are numbered by first occurrence in the ball, as a dictionary
     from signature to state filled in position order would number them.
-    The rows of a sphere are ranked column by column into one int64 code,
-    ranked afresh whenever the next column could overflow it; one 1-D
-    ``np.unique`` with ``return_index`` then gives each distinct code its
-    first row, and only that row's signature is looked up among those of
-    earlier spheres.
+    A sphere's rows are ranked column by column into one int64 code,
+    re-ranked whenever the next column could overflow it; one ``np.unique``
+    then gives each distinct code its first row, and only the bytes of
+    that row are looked up among the signatures of earlier spheres.
 
     Each element votes for the transitions out of its state, one vote per
     letter, and the first vote of each (state, letter) in position order
@@ -150,27 +169,11 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     nbr = np.frombuffer(tree.nbr, dtype=np.intc).reshape(-1, nt)
     parent = np.frombuffer(tree.parent, dtype=np.intc)
     letter = np.frombuffer(tree.letter, dtype=np.intc)
-    # Words of length < level, whose one-letter extensions are the rest of
-    # the prefix tree of words of length <= level.
-    inner = sum(nt ** k for k in range(level))
+    inner = sum(nt ** k for k in range(level))  # words of length < level
     width = 2 * level + 1        # increments lie in [-level, level]
-    # Tails are numbered as they are first seen; no packing of their
-    # letters could overflow, however long the tail.
-    tail_id = {(): 0}
-    tail_of = [()]
-
-    def number_tails(grown: np.ndarray) -> np.ndarray:
-        """Tail numbers of a sphere, from each parent's tail number times
-        nt plus the letter that leads on."""
-        first, rank = _first_rows(grown)
-        numbered = []
-        for g in grown[first].tolist():
-            tail = (tail_of[g // nt] + (g % nt,))[-tail_len:]
-            t = tail_id.setdefault(tail, len(tail_of))
-            if t == len(tail_of):
-                tail_of.append(tail)
-            numbered.append(t)
-        return np.array(numbered, dtype=np.int64)[rank]
+    bases = [nt + 1] * tail_len + [width] * (inner * nt)
+    dtype = np.min_scalar_type(max(nt + 1, width))
+    row_bytes = np.dtype((np.void, len(bases) * dtype.itemsize))
 
     sig_state: dict = {}
     # First vote of each state by each letter, and the number of votes that
@@ -181,35 +184,33 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
     conflicts = 0
     for d in range(vote_horizon + 1):
         lo, hi = bounds[d], bounds[d + 1]
-        if d == 0:
-            tails = np.zeros(1, dtype=np.int64)
-        else:
+        sig = np.zeros((hi - lo, len(bases)), dtype=dtype)
+        if d:
             up = parent[lo:hi] - bounds[d - 1]
             last = letter[lo:hi]
-            tails = number_tails(prev_tails[up] * nt + last)
-        code, codes = tails, len(tail_of)
-        deltas = np.empty((hi - lo, inner * nt), dtype=np.int8)
-        inner_prods = []  # of the words of length 1 to level - 1, in order
+            sig[:, :tail_len - 1] = prev_sig[up, 1:tail_len]
+            sig[:, tail_len - 1] = last + 1
+        prods = [slice(lo, hi)]  # of the words of length < level, in order
         for p in range(inner):
-            block = nbr[lo:hi] if p == 0 else nbr[inner_prods[p - 1]]
             for li in range(nt):
-                prod = block[:, li]
-                if len(inner_prods) < inner - 1:
-                    inner_prods.append(prod)
-                # the sphere of each product, less d
-                delta = np.searchsorted(edges, prod, side="right") - (d + 1)
-                deltas[:, p * nt + li] = delta
-                if codes * width > 1 << 63:
-                    first, code = _first_rows(code)
-                    codes = len(first)
-                code = code * width + (delta + level)
-                codes *= width
+                prod = nbr[prods[p], li]
+                if len(prods) < inner:
+                    prods.append(prod)
+                # the sphere of each product, less d, plus level
+                sig[:, tail_len + p * nt + li] = np.searchsorted(
+                    edges, prod, side="right") - (d + 1 - level)
+        code, codes = np.zeros(hi - lo, dtype=np.int64), 1
+        for column, base in zip(sig.T, bases):
+            if codes * base > 1 << 63:
+                first, code = _first_rows(code)
+                codes = len(first)
+            code = code * base + column
+            codes *= base
         first, rank = _first_rows(code)
+        by_row = np.argsort(first, kind="stable")
         ids = np.empty(len(first), dtype=np.intc)
-        for r in np.argsort(first, kind="stable").tolist():
-            f = first[r]
-            ids[r] = sig_state.setdefault(
-                (int(tails[f]), deltas[f].tobytes()), len(sig_state))
+        ids[by_row] = [sig_state.setdefault(key, len(sig_state)) for key in
+                       sig[first[by_row]].view(row_bytes).ravel().tolist()]
         states = ids[rank]
         if d:
             # votes of sphere d - 1: each child is the target of its tree
@@ -222,21 +223,12 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
             fresh = winner[prev_ids, 0] == unset
             winner[prev_ids[fresh]] = out[prev_first[fresh]]
             conflicts += int(np.count_nonzero(winner[prev_states] != out))
-        prev_states, prev_tails = states, tails
+        prev_states, prev_sig = states, sig
         prev_first, prev_ids = first, ids
 
     # Renumber states in breadth-first order from the start state, the
-    # identity's, and drop anything unreachable, so equal inputs give
-    # byte-identical automata.
-    # new numbers by old; -1 (no edge) and -2 (no votes) both read -1
-    renumber = [0] + [-1] * (len(winner) + 1)
-    order, targets = [0], winner.tolist()  # order grows as states are found
-    for s in order:
-        for t in targets[s]:
-            if t >= 0 and renumber[t] < 0:
-                renumber[t] = len(order)
-                order.append(t)
-    table = np.array(renumber, dtype=np.intc)[winner[order]]
+    # identity's, so equal inputs give byte-identical automata.
+    order, table = _breadth_first(winner)
     src, li = np.nonzero(table >= 0)
     transitions = dict(zip(zip(src.tolist(), li.tolist()),
                            table[src, li].tolist()))
@@ -303,10 +295,12 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
         # that is kept and extended, is the one that sweep would mark.  A
         # word of d letters is geodesic when its position lies in sphere d;
         # only words shorter than the horizon are extended, so every product
-        # is in the neighbour table.  ``table`` is the automaton's target
-        # table with its columns reversed, last letter first.
+        # is in the neighbour table.  ``table`` and ``nbr`` have their
+        # columns reversed, last letter first, and the next level is read
+        # at the flat indices (copy, letter) where the fresh copies' rows
+        # of ``table`` hold a target.
         nt = len(aut.genset)
-        nbr = np.frombuffer(tree.nbr, dtype=np.intc)
+        nbr = np.frombuffer(tree.nbr, dtype=np.intc).reshape(-1, nt)[:, ::-1]
         table = aut.table[:, ::-1]
         states = np.array([aut.initial], dtype=np.intc)
         pos = np.zeros(1, dtype=np.intc)
@@ -315,8 +309,7 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
             geodesic = (pos >= lo) & (pos < hi)
             geodesic_failures += len(pos) - int(np.count_nonzero(geodesic))
             states, pos = states[geodesic], pos[geodesic]
-            # a copy is fresh when no earlier pair of the level holds its
-            # position
+            # a copy is fresh when no earlier pair of the level holds it
             order = np.arange(len(pos), dtype=np.intc)
             first = np.full(hi - lo, len(pos), dtype=np.intc)
             np.minimum.at(first, pos - lo, order)
@@ -324,10 +317,10 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
             injectivity_failures += len(pos) - int(np.count_nonzero(fresh))
             if d == horizon:
                 break
-            out = table[states[fresh]]
-            row, col = np.nonzero(out >= 0)
-            states = out[row, col]
-            pos = nbr[pos[fresh][row].astype(np.intp) * nt + (nt - 1 - col)]
+            out = table[states[fresh]].ravel()
+            at = np.flatnonzero(out >= 0)
+            states = out[at]
+            pos = nbr[pos[fresh]].ravel()[at]
         # Spot checks from interior states: every path, wherever it starts,
         # must spell a geodesic word.  A walk of k <= horizon letters from
         # the identity steps only from positions within distance k - 1, so

@@ -17,7 +17,7 @@ from geoshift import (
 )
 from geoshift import automaton
 from geoshift.automaton import (SPOT_SAMPLES, GeodesicAutomaton,
-                                ValidationReport, _candidate,
+                                ValidationReport, _breadth_first, _candidate,
                                 _validate_against_tree, deserialize_automaton)
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import ball_tree, word_length
@@ -393,6 +393,14 @@ def long_relator():
                       inverses={"a": "A", "b": "B"})
 
 
+@pytest.fixture(scope="module")
+def free64():
+    # 128 letters: letter index + 1 reaches 128, past the largest int8
+    letters = [f"x{i}{s}" for i in range(64) for s in ("", "^-1")]
+    return free_group(64, letters=letters,
+                      inverses={f"x{i}": f"x{i}^-1" for i in range(64)})
+
+
 @pytest.mark.parametrize("group,radius,levels", [
     ("f2", 7, (1, 2, 3, 4)),
     ("psl2z", 10, (1, 2, 3, 4)),
@@ -404,6 +412,8 @@ def long_relator():
     ("z6", 5, (1,)),
     ("z7", 5, (1,)),
     ("long_relator", 6, (1, 2)),
+    ("genus2", 6, (1,)),        # as structure and the CLI build it
+    ("free64", 2, (1,)),
 ])
 def test_candidate_matches_the_key_based_reference(group, radius, levels,
                                                    request):
@@ -428,6 +438,35 @@ def test_candidate_matches_the_key_based_reference(group, radius, levels,
         # a cycle closes up at half its length: on each side, the last two
         # elements before it share a signature but not a successor
         assert got.conflicts == (2 if name in ("z6", "z7") else 0)
+
+
+def reference_breadth_first(winner):
+    """A first-in, first-out queue over the targets of a (state, letter)
+    table, -1 and -2 for none: states in the order it finds them, and the
+    table of those states renumbered so."""
+    renumber = [0] + [-1] * (len(winner) + 1)
+    order, targets = [0], winner.tolist()
+    for s in order:  # order grows as states are found
+        for t in targets[s]:
+            if t >= 0 and renumber[t] < 0:
+                renumber[t] = len(order)
+                order.append(t)
+    return order, np.array(renumber, dtype=np.intc)[winner[order]]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_breadth_first_numbering_is_the_queue_order(seed):
+    # random tables revisit states within and across levels, and the
+    # sparser ones leave states unreachable
+    rng = np.random.default_rng(seed)
+    n, nt = int(rng.integers(1, 80)), int(rng.integers(1, 7))
+    winner = rng.integers(-2, n, size=(n, nt)).astype(np.intc)
+    winner[rng.random((n, nt)) < seed / 10] = -1
+    order, table = _breadth_first(winner)
+    want_order, want_table = reference_breadth_first(winner)
+    assert order.tolist() == want_order
+    assert table.dtype == np.intc
+    assert table.tolist() == want_table.tolist()
 
 
 @pytest.mark.parametrize("group,aut_fixture,radius", [

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 F2 = "groups/f2.grp"
@@ -285,6 +286,21 @@ def test_battery_stdout_is_byte_identical():
     b = run("battery", "--profile", "quick")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_chi_square_matches_scipy_bit_for_bit(seed):
+    from scipy.stats import chisquare
+
+    from geoshift.battery import _chi_square
+
+    rng = np.random.default_rng(seed)
+    # 108 cells, as the radius-4 sphere of F2, from near uniform (p about
+    # 0.8) to lopsided (p of 0.0)
+    weights = rng.dirichlet(np.full(108, 10.0 ** (4 - seed)))
+    observed = rng.multinomial(20000, weights)
+    res = chisquare(observed)
+    assert _chi_square(observed) == (float(res.statistic), float(res.pvalue))
 
 
 @pytest.mark.parametrize("args", [
