@@ -272,60 +272,35 @@ class ValidationReport:
 def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
                            seed: int = 0) -> ValidationReport:
     """Check path counts, geodesity and injectivity against the ball alone:
-    products from its neighbour table, lengths from its spheres."""
+    products from its neighbour table, lengths from its spheres.
+
+    Once the counts match, the automaton runs down the ball tree.  If it
+    accepts every tree word, its words of each length are the tree words:
+    as many, distinct, each at its own position at its exact distance, so
+    none fails.  Only a rejected tree word calls :func:`_sweep`."""
     horizon = tree.radius()
     counts = aut.path_counts(horizon)
-    rows = []
-    first_mismatch = None
-    for n in range(horizon + 1):
-        a = counts[n][aut.initial]
-        b = tree.sphere_size(n)
-        rows.append((n, a, b))
-        if a != b and first_mismatch is None:
-            first_mismatch = n
+    rows = [(n, counts[n][aut.initial], tree.sphere_size(n))
+            for n in range(horizon + 1)]
+    first_mismatch = next((n for n, a, b in rows if a != b), None)
 
-    geodesic_failures = 0
-    injectivity_failures = 0
+    geodesic_failures = injectivity_failures = 0
     if first_mismatch is None:
-        # Level-synchronous sweep: every accepted word must spell a fresh
-        # element at its exact distance.  Each level holds the (state,
-        # position) pairs of the accepted words of one length in the order
-        # a depth-first sweep would visit them (parents in order, letters
-        # last-first), so the first copy of a repeated position, the one
-        # that is kept and extended, is the one that sweep would mark.  A
-        # word of d letters is geodesic when its position lies in sphere d;
-        # only words shorter than the horizon are extended, so every product
-        # is in the neighbour table.  ``table`` and ``nbr`` have their
-        # columns reversed, last letter first, and the next level is read
-        # at the flat indices (copy, letter) where the fresh copies' rows
-        # of ``table`` hold a target.
-        nt = len(aut.genset)
-        nbr = np.frombuffer(tree.nbr, dtype=np.intc).reshape(-1, nt)[:, ::-1]
-        table = aut.table[:, ::-1]
-        states = np.array([aut.initial], dtype=np.intc)
-        pos = np.zeros(1, dtype=np.intc)
-        for d in range(horizon + 1):
-            lo, hi = tree.layer_bounds[d], tree.layer_bounds[d + 1]
-            geodesic = (pos >= lo) & (pos < hi)
-            geodesic_failures += len(pos) - int(np.count_nonzero(geodesic))
-            states, pos = states[geodesic], pos[geodesic]
-            # a copy is fresh when no earlier pair of the level holds it
-            order = np.arange(len(pos), dtype=np.intc)
-            first = np.full(hi - lo, len(pos), dtype=np.intc)
-            np.minimum.at(first, pos - lo, order)
-            fresh = first[pos - lo] == order
-            injectivity_failures += len(pos) - int(np.count_nonzero(fresh))
-            if d == horizon:
+        bounds = tree.layer_bounds
+        parent, letter = (np.frombuffer(a, dtype=np.intc)
+                          for a in (tree.parent, tree.letter))
+        states = np.array([aut.initial], dtype=np.intc)  # of the tree words
+        for up, lo, hi in zip(bounds, bounds[1:], bounds[2:]):
+            states = aut.table[states[parent[lo:hi] - up], letter[lo:hi]]
+            if states.min(initial=0) < 0:  # a tree word is rejected
+                geodesic_failures, injectivity_failures = _sweep(aut, tree)
                 break
-            out = table[states[fresh]].ravel()
-            at = np.flatnonzero(out >= 0)
-            states = out[at]
-            pos = nbr[pos[fresh]].ravel()[at]
         # Spot checks from interior states: every path, wherever it starts,
         # must spell a geodesic word.  A walk of k <= horizon letters from
         # the identity steps only from positions within distance k - 1, so
         # through the neighbour table, and its length in T is the sphere
         # its end position lies in.  Draws replay ``rng.integers``.
+        nt = len(aut.genset)
         draws = scalar_draws(make_rng(seed, stream=977))
         for _ in range(SPOT_SAMPLES):
             s = draws(aut.n_states)
@@ -337,13 +312,49 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
                 li, s = succ[draws(len(succ))]
                 p = tree.nbr[p * nt + li]
                 length += 1
-            if bisect_right(tree.layer_bounds, p) - 1 != length:
+            if bisect_right(bounds, p) - 1 != length:
                 geodesic_failures += 1
 
     ok = (first_mismatch is None and geodesic_failures == 0
           and injectivity_failures == 0)
     return ValidationReport(rows, first_mismatch, geodesic_failures,
                             injectivity_failures, horizon, ok)
+
+
+def _sweep(aut: GeodesicAutomaton, tree: BallTree) -> tuple[int, int]:
+    """Geodesic and injectivity failures of the accepted words, one length
+    at a time: a word of d letters fails unless its position lies in
+    sphere d, and so does a later copy of a position of its length.  Each
+    level lists its (state, position) pairs in depth-first order, parents
+    in order and letters last-first, read from ``table`` and ``nbr`` with
+    their columns reversed: the copy kept and extended is the one a
+    depth-first sweep would mark.  Only words shorter than the radius are
+    extended, so every product is in the neighbour table."""
+    horizon = tree.radius()
+    nt = len(aut.genset)
+    nbr = np.frombuffer(tree.nbr, dtype=np.intc).reshape(-1, nt)[:, ::-1]
+    table = aut.table[:, ::-1]
+    states = np.array([aut.initial], dtype=np.intc)
+    pos = np.zeros(1, dtype=np.intc)
+    geodesic_failures = injectivity_failures = 0
+    for d in range(horizon + 1):
+        lo, hi = tree.layer_bounds[d], tree.layer_bounds[d + 1]
+        geodesic = (pos >= lo) & (pos < hi)
+        geodesic_failures += len(pos) - int(np.count_nonzero(geodesic))
+        states, pos = states[geodesic], pos[geodesic]
+        # a copy is fresh when no earlier pair of the level holds it
+        order = np.arange(len(pos), dtype=np.intc)
+        first = np.full(hi - lo, len(pos), dtype=np.intc)
+        np.minimum.at(first, pos - lo, order)
+        fresh = first[pos - lo] == order
+        injectivity_failures += len(pos) - int(np.count_nonzero(fresh))
+        if d == horizon:
+            break
+        out = table[states[fresh]].ravel()
+        at = np.flatnonzero(out >= 0)
+        states = out[at]
+        pos = nbr[pos[fresh]].ravel()[at]
+    return geodesic_failures, injectivity_failures
 
 
 def build_geodesic_automaton(spec: GroupSpec, T: Optional[ResolvedGenSet] = None,

@@ -104,11 +104,11 @@ def ball_tree(T: ResolvedGenSet, radius: int,
       B ** (radius * max_letter_length) < 2 ** 63, with B the number of
       base letters plus one: reduced words as integer codes, one sphere at
       a time in blocks of rows, each product found by ``searchsorted``
-      among the codes of three spheres.  It makes no engine product, and
-      raises after the block that passes the budget: it holds the ball
-      before that sphere and the codes found in it so far, at most
-      budget + ``_CODED_BLOCK`` (2 ** 18) elements in all, and one block's
-      products.
+      among the codes of two spheres or kept in its block's run of new
+      codes.  It makes no engine product, and raises after the block that
+      passes the budget: it holds the ball before that sphere, the runs of
+      the sphere's blocks so far, a new code once per product that spells
+      it, and one block's products.
     - :func:`_dictionary_ball`, for every other group and generating set,
       and for a word ball whose engine answers break the word layout or a
       coded ball past 63 bits: it multiplies each product and looks it up
@@ -194,12 +194,15 @@ def _word_ball(T: ResolvedGenSet, radius: int,
     where the dictionary loop placed it first.  If it is not, the layout
     gives up and returns None.
 
-    The budget is checked twice per sphere, with the dictionary loop's
-    message at the same radius: before any engine product against the
-    rows that need none, a lower bound on the sphere, then against the
-    exact count.  The keys are a :class:`_Spelled` list that appends each
-    position's letter byte to its parent's key when they are first read,
-    with no engine product.
+    A sphere is laid out from one ``flatnonzero`` of its new products; a
+    back edge holds its row's parent, and so does a row still waiting
+    while the walks run, so a walk through it fails.  The budget is
+    checked twice per sphere, with the dictionary loop's message at the
+    same radius: before any engine product against the rows that need
+    none, a lower bound on the sphere, then against the exact count.  The
+    keys are a :class:`_Spelled` list that appends each position's letter
+    byte to its parent's key when they are first read, with no engine
+    product.
     """
     eng = T.group.engine
     words = getattr(eng, "_rewrite_words", None)
@@ -276,27 +279,30 @@ def _word_ball(T: ResolvedGenSet, radius: int,
                     return None
                 else:
                     pending.append((r, t, w, h))
-        children = np.count_nonzero(new, axis=1)
-        count = int(children.sum())
+        flat = np.flatnonzero(new)
+        count = len(flat)
         if hi + count > budget:
             raise _budget_exceeded(budget, depth + 1, radius)
-        block = np.repeat(up[:, None], nt, axis=1)
-        block[new] = np.arange(hi, hi + count, dtype=np.intc)
-        up = np.repeat(np.arange(lo, hi, dtype=np.intc), children)
-        parent.frombytes(up.tobytes())
-        lets = np.broadcast_to(letters, new.shape)[new]
-        letter.frombytes(lets.tobytes())
-        # a row still waiting here holds its parent, which fails the walk
+        rows, lets = np.divmod(flat, nt, dtype=np.intc)
+        block = np.empty((hi - lo, nt), dtype=np.intc)
+        cells = block.ravel()  # a view; the identity's back -1 hits a new cell
+        cells[np.arange(0, (hi - lo) * nt, nt) + back] = up
+        cells[flat] = np.arange(hi, hi + count, dtype=np.intc)
+        for r, t, _, _ in pending:
+            block[r, t] = up[r]
+        up = rows + lo
+        parent.frombytes(up.view(np.uint8))
+        letter.frombytes(lets.view(np.uint8))
         for r, t, w, h in pending:
             q = find(h, block)
             if q < 0 or (len(h) == len(w) and h > w):
                 return None
             block[r, t] = q
-        nbr.frombytes(block.tobytes())
+        nbr.frombytes(block.view(np.uint8))
         back = inv[lets]
         if tables:
-            code = (code[up - lo] * nt + lets) % wrap
-            flag = rewrite[new]
+            code = (code[rows] * nt + lets) % wrap
+            flag = rewrite.ravel()[flat]
         lo, hi = hi, hi + count
         layer_bounds.append(hi)
         if lo == hi:
@@ -344,12 +350,14 @@ def _coded_ball(T: ResolvedGenSet, radius: int,
     B ** (R * max_letter_length), which must be below 2 ** 63.
 
     The products of sphere k lie in spheres k - 1, k and k + 1.  Each is
-    looked up in the sorted codes of spheres k - 1 and k and among the new
-    codes of the sphere's earlier blocks; the rest are numbered in order of
-    first occurrence, row by row and letter by letter, which is the order
-    in which the dictionary loop finds them.  The budget is checked after
-    each block, with the dictionary loop's message at the same radius.
-    The keys are a :class:`_Spelled` list.
+    looked up in the sorted codes of spheres k - 1 and k; a block keeps
+    the rest as a sorted run, and one merge of the runs per sphere numbers
+    the new codes in order of first occurrence, row by row and letter by
+    letter, the order in which the dictionary loop finds them.  After each
+    block the distinct codes of the runs are counted against the budget,
+    with the dictionary loop's message at the same radius, whenever their
+    entries less the repeats known so far pass it.  The keys are a
+    :class:`_Spelled` list.
     """
     eng = T.group.engine
     if not isinstance(eng, _FreeEngine):
@@ -371,9 +379,10 @@ def _coded_ball(T: ResolvedGenSet, radius: int,
     before = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intc))
     at = (codes, np.zeros(1, dtype=np.intc))
     for depth in range(radius):
-        # the codes of the next sphere found so far, sorted, with positions
-        seen = np.zeros(0, dtype=np.int64)
-        seen_at = np.zeros(0, dtype=np.intc)
+        # per block, the products not found as a sorted run; their places
+        # in nbr hold -1 - (index among the runs' entries) until the merge
+        runs = []
+        found = dups = 0  # entries of the runs, and known repeats among them
         for start in range(0, hi - lo, rows):
             block = codes[start:start + rows]
             prod = np.empty((len(block), nt), dtype=np.int64)
@@ -389,40 +398,59 @@ def _coded_ball(T: ResolvedGenSet, radius: int,
             pos = np.full(len(prod), -1, dtype=np.intc)
             _find(*before, prod, pos)
             _find(*at, prod, pos)
-            _find(seen, seen_at, prod, pos)
             miss = np.flatnonzero(pos < 0)
-            fresh = prod[miss]
-            head = np.empty(len(fresh), dtype=bool)
-            head[:1] = True
-            np.not_equal(fresh[1:], fresh[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            uniq = fresh[starts]
-            first = (np.minimum.reduceat(order[miss], starts) if len(starts)
-                     else starts)
-            rank = np.empty(len(uniq), dtype=np.intc)
-            by_first = np.argsort(first)
-            rank[by_first] = np.arange(len(uniq), dtype=np.intc)
-            where = rank + (hi + len(seen))
-            pos[miss] = where[np.cumsum(head) - 1]
+            pos[miss] = np.arange(-1 - found, -1 - found - len(miss), -1)
             out = np.empty_like(pos)
             out[order] = pos
-            nbr.frombytes(out.tobytes())
-            # each new code's parent row and letter, where it was first found
-            row, lets = np.divmod(first[by_first], nt)
-            parent.frombytes((row + (lo + start)).astype(np.intc).tobytes())
-            letter.frombytes(lets.astype(np.intc).tobytes())
-            ins = np.searchsorted(seen, uniq)
-            seen = np.insert(seen, ins, uniq)
-            seen_at = np.insert(seen_at, ins, where)
-            if hi + len(seen) > budget:
-                raise _budget_exceeded(budget, depth + 1, radius)
-        codes = np.empty(len(seen), dtype=np.int64)
-        codes[seen_at - hi] = seen
-        before, at = at, (seen, seen_at)
-        lo, hi = hi, hi + len(seen)
+            nbr.frombytes(out.view(np.uint8))
+            runs.append(prod[miss])
+            found += len(miss)
+            if hi + found - dups > budget:
+                known = np.sort(np.concatenate(runs))
+                dups = int(np.count_nonzero(known[1:] == known[:-1]))
+                if hi + found - dups > budget:
+                    raise _budget_exceeded(budget, depth + 1, radius)
+        late = np.frombuffer(nbr, dtype=np.intc)[lo * nt:]
+        uniq, where, first = _merge_runs(runs, late, hi)
+        del late  # nbr grows again in the next sphere
+        row, lets = np.divmod(first, nt, dtype=np.intc)
+        parent.frombytes((row + lo).view(np.uint8))
+        letter.frombytes(lets.view(np.uint8))
+        del first, row, lets  # a sphere's worth, freed before the next
+        codes = np.empty(len(uniq), dtype=np.int64)  # in order of position
+        codes[where - hi] = uniq
+        before, at = at, (uniq, where)
+        lo, hi = hi, hi + len(uniq)
         layer_bounds.append(hi)
     return _spelled_tree(eng.identity, eng.mult, tkeys, parent, letter,
                          layer_bounds, nbr)
+
+
+def _merge_runs(runs: list, late: np.ndarray, hi: int) -> tuple:
+    """Number the distinct codes of a sphere's runs from hi on, in order of
+    their first places in ``late``, which hold -1 - (index among the runs'
+    entries), and write the numbers there; return the codes sorted, their
+    numbers and their first places in order.  Empties the list."""
+    codes = np.concatenate(runs)
+    runs.clear()
+    by_code = np.argsort(codes)
+    codes = codes[by_code]
+    head = np.empty(len(codes), dtype=bool)  # the first entry of each code
+    head[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=head[1:])
+    group = np.empty(len(codes), dtype=np.intc)
+    group[by_code] = np.cumsum(head) - 1
+    codes = codes[head]
+    del by_code, head
+    slots = np.flatnonzero(late < 0)  # the entries' places, in order
+    group = group[-1 - late[slots]]  # the index of each one's code
+    first = np.full(len(codes), len(slots), dtype=np.intc)
+    np.minimum.at(first, group, np.arange(len(slots), dtype=np.intc))
+    taken = np.zeros(len(slots), dtype=bool)
+    taken[first] = True
+    where = np.cumsum(taken, dtype=np.intc)[first] + (hi - 1)
+    late[slots] = where[group]
+    return codes, where, slots[taken]
 
 
 def _find(keys: np.ndarray, values: np.ndarray, items: np.ndarray,

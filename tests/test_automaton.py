@@ -536,6 +536,64 @@ def test_repeated_geodesics_fail_injectivity_like_the_reference():
         assert not got.ok
 
 
+def test_rejected_tree_words_send_a_valid_machine_to_the_sweep(
+        monkeypatch):
+    # The reversed-order shortlex machine on Z2^3: it accepts a, b, c, ba,
+    # ca, cb and cba, one geodesic word per element, so it is valid; but it
+    # rejects the tree words ab, ac, bc and abc.  Only the sweep can tell
+    # that its words are geodesic and distinct.
+    z2_cubed = finite_table_group(
+        [[i ^ j for j in range(8)] for i in range(8)], ("a", "b", "c"),
+        {"a": 1, "b": 2, "c": 4}, {"a": "a", "b": "b", "c": "c"})
+    T = z2_cubed.resolve(None)
+    reversed_order = GeodesicAutomaton(
+        group=z2_cubed, genset=T, n_states=8, initial=0,
+        transitions={(0, 0): 1, (0, 1): 2, (0, 2): 3, (2, 0): 4, (3, 0): 5,
+                     (3, 1): 6, (6, 0): 7},
+        level_used=1, tail_used=1, validated_to=0)
+    tree = ball_tree(T, 3)
+    assert [sphere_count(reversed_order, n) for n in range(4)] == [1, 3, 3, 1]
+    assert [tree.tree_word(i) for i in range(4, 8)] == [
+        (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    sweeps = []
+    sweep = automaton._sweep
+    monkeypatch.setattr(automaton, "_sweep",
+                        lambda *a: sweeps.append(1) or sweep(*a))
+    for seed in (0, 5):
+        got = _validate_against_tree(reversed_order, tree, seed=seed)
+        assert got == reference_validate(reversed_order, tree, seed=seed)
+        assert got.ok
+        assert (got.geodesic_failures, got.injectivity_failures) == (0, 0)
+    assert len(sweeps) == 2
+
+
+def _no_sweep(*args):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize("group,genset,n_check", [
+    ("f2", None, 10), ("psl2z", None, 16), ("s3", None, 8),
+    ("genus2", None, 6), ("f2", "Sstar_ab", 8)])
+def test_stock_machines_accept_every_tree_word(group, genset, n_check,
+                                               request, monkeypatch):
+    # the path counts and the run down the ball tree prove these machines
+    # geodesic and injective, so the sweep never runs
+    spec = request.getfixturevalue(group)
+    want = build_geodesic_automaton(spec, spec.resolve(genset),
+                                    n_check=n_check)
+    monkeypatch.setattr(automaton, "_sweep", _no_sweep)
+    got = build_geodesic_automaton(spec, spec.resolve(genset),
+                                   n_check=n_check)
+    assert serialize_automaton(got) == serialize_automaton(want)
+
+
+def test_revalidation_past_the_build_radius_skips_the_sweep(f2_aut,
+                                                            monkeypatch):
+    monkeypatch.setattr(automaton, "_sweep", _no_sweep)
+    report = validate_automaton(f2_aut, 11)
+    assert report.ok and report.checked_to == 11
+
+
 @pytest.mark.parametrize("group,radius", [("f2", 8), ("psl2z", 10),
                                           ("s3", 5)])
 def test_construction_and_sweep_do_not_multiply(group, radius, request,
@@ -595,22 +653,41 @@ def letter_swaps(aut):
     return out
 
 
+def rejects_a_tree_word(aut, tree):
+    """Whether some tree word of the ball leaves the automaton, each word
+    walked along ``transitions`` from the start state."""
+    for i in range(tree.layer_bounds[-1]):
+        s = aut.initial
+        for li in tree.tree_word(i):
+            s = aut.transitions.get((s, li))
+            if s is None:
+                return True
+    return False
+
+
 @pytest.mark.parametrize("group,genset,radius", [
     ("f2", None, 7), ("f2", "Sstar_ab", 5), ("psl2z", None, 9),
     ("psl2z", "Sstar_st", 7), ("s3", None, 4)])
 def test_letter_swaps_fail_validation_like_the_spot_walk_oracle(
-        group, genset, radius, request):
+        group, genset, radius, request, monkeypatch):
     spec = request.getfixturevalue(group)
     T = spec.resolve(genset)
     aut = build_geodesic_automaton(spec, T, n_check=radius)
     tree = ball_tree(T, radius)
-    caught = 0
+    caught = swept = 0
+    sweeps = []
+    sweep = automaton._sweep
+    monkeypatch.setattr(automaton, "_sweep",
+                        lambda *a: sweeps.append(1) or sweep(*a))
     for seed, mutant in enumerate(letter_swaps(aut)):
         got = _validate_against_tree(mutant, tree, seed=seed)
         assert got.first_mismatch is None
         assert got == reference_validate(mutant, tree, seed=seed)
         caught += got.geodesic_failures > 0
-    assert caught
+        # the sweep runs exactly for the mutants that reject a tree word
+        assert len(sweeps) == swept + rejects_a_tree_word(mutant, tree)
+        swept = len(sweeps)
+    assert caught and swept
 
 
 def reference_path_counts(aut, n):
