@@ -84,10 +84,6 @@ class GeodesicAutomaton:
             self._succ = [tuple(pairs[a:b]) for a, b in zip(ends, ends[1:])]
         return self._succ[state]
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All transitions as (source, letter index, target), sorted."""
-        return [(s, li, t) for (s, li), t in sorted(self.transitions.items())]
-
     def path_counts(self, n: int) -> list[list[int]]:
         """counts[k][s] = number of length-k paths starting at state s:
         one gather-and-sum over :attr:`table` per radius, in int64 while

@@ -62,11 +62,10 @@ def _walk(m: MarkovMeasure, aut, entry: np.ndarray, n: int, rng,
     letters = np.empty((count, n), dtype=np.intp)
     if n == 0:
         return letters
-    edges, last = m.component.sft.edges, len(entry) - 1
-    src, letter, dst = np.array([edges[v] for v in m.nodes], dtype=np.intp).T
+    src, letter, dst = m.component.sft.edges[m.nodes].T
     u = rng.random((count, n + 1))
     j = np.minimum(np.searchsorted(np.cumsum(entry), u[:, 0], side="right"),
-                   last)
+                   len(entry) - 1)
     cum = np.zeros(aut.table.shape)
     cum[src, letter] = m.p
     cum = np.cumsum(cum, axis=1)

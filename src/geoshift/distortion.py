@@ -273,21 +273,27 @@ class _BandProduct:
             yield layer.values()
 
     @cached_property
+    def shift(self) -> tuple:
+        """The one maximal component of :attr:`graph` as an edge shift, its
+        pressure, and the increment of each edge of the shift as an int
+        array.  Raises ValueError unless there is exactly one."""
+        graph = self.graph
+        edges = np.array([(i, b, j, inc) for i, out in enumerate(graph)
+                          for b, j, inc, _ in out], dtype=np.intp)
+        dec = components(Sft(edges[:, :3], len(graph)))
+        top = maximal_components(dec)
+        if len(top.maximal) != 1:
+            raise ValueError(f"{len(top.maximal)} maximal components")
+        return dec.components[top.maximal[0]], top.max_pressure, edges[:, 3]
+
+    @cached_property
     def tau(self) -> float:
         """tau(S*/S), the limit of the sphere means of |x|_{S*}/n: the mean
         increment of the product's Parry chain (Calegari-Fujiwara 2010).
         Raises ValueError unless it has exactly one maximal component."""
-        graph = self.graph
-        edges = [(i, b, j) for i, out in enumerate(graph)
-                 for b, j, _, _ in out]
-        incs = [inc for out in graph for _, _, inc, _ in out]
-        dec = components(Sft(edges, len(graph)))
-        top = maximal_components(dec)
-        if len(top.maximal) != 1:
-            raise ValueError(f"{len(top.maximal)} maximal components")
-        m = parry_gibbs_measure(dec.components[top.maximal[0]],
-                                word_length_potential(top.max_pressure))
-        return float(sum(p * incs[e] for p, e in zip(m.pi, m.nodes)))
+        C, v, increment = self.shift
+        m = parry_gibbs_measure(C, word_length_potential(v))
+        return float(sum(m.pi * increment[m.nodes]))  # in the edges' order
 
 
 _band_product = lru_cache(maxsize=16)(_BandProduct)  # callers resolve afresh

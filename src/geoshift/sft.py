@@ -1,11 +1,13 @@
 """Edge shifts of finite type and their recurrent component structure.
 
-The alphabet is the transition set of an automaton (or any edge list); two
-symbols may follow one another when the first edge ends where the second
-begins.  Recurrent components are the strongly connected pieces with at
-least one edge; each carries a period and a cyclic decomposition of its
-vertices, and the condensation order between components supports the
-semisimplicity test used by the pressure analysis.
+The alphabet is the transition set of an automaton (or any edge list),
+one (E, 3) integer array of (source, letter, target) rows; two symbols may
+follow one another when the first edge ends where the second begins.
+Recurrent components are the strongly connected pieces with at least one
+edge; each carries its edge ids, their ends in its own state numbering, a
+period and a cyclic decomposition of its vertices, and the condensation
+order between components supports the semisimplicity test used by the
+pressure analysis.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from typing import Optional
+
+import numpy as np
 
 from .automaton import GeodesicAutomaton
 
@@ -99,11 +103,12 @@ def digraph_period(vertices: list[int], arrows: list[tuple[int, int]]) -> tuple[
 
 
 class Sft:
-    """Shift of finite type on an edge alphabet."""
+    """Shift of finite type on an edge alphabet: ``edges[e]`` is the
+    (source, letter, target) of edge e."""
 
-    def __init__(self, edges: list[tuple[int, int, int]], n_states: int,
+    def __init__(self, edges, n_states: int,
                  automaton: Optional[GeodesicAutomaton] = None):
-        self.edges = tuple(tuple(e) for e in edges)
+        self.edges = np.asarray(edges, dtype=np.intp).reshape(-1, 3)
         self.n_states = n_states
         self.automaton = automaton
 
@@ -115,20 +120,24 @@ class Sft:
 
 
 def sft_from_automaton(aut: GeodesicAutomaton) -> Sft:
-    """The shift whose symbols are the automaton's transitions."""
-    return Sft(aut.edges(), aut.n_states, automaton=aut)
+    """The shift of the automaton's transitions, in (state, letter) order."""
+    src, li = np.nonzero(aut.table >= 0)
+    return Sft(np.column_stack((src, li, aut.table[src, li])), aut.n_states,
+               automaton=aut)
 
 
-@dataclass
+@dataclass(eq=False)
 class Component:
     """A recurrent (strongly connected, edge-bearing) component."""
 
     sft: Sft
     index: int
     states: frozenset
-    edge_ids: tuple[int, ...]
+    edge_ids: np.ndarray  # its edges, in the shift's order
     period: int
     phase: dict  # state -> phase in Z/period
+    src: np.ndarray  # source of each edge, its states numbered in sorted order
+    dst: np.ndarray  # target of each edge
 
     def cyclic_parts(self) -> list[list[int]]:
         parts: list[list[int]] = [[] for _ in range(self.period)]
@@ -171,29 +180,28 @@ class ComponentDecomposition:
 
 def components(sft: Sft) -> ComponentDecomposition:
     """Recurrent components, periods, cyclic parts, and the condensation."""
-    succ: list[list[int]] = [[] for _ in range(sft.n_states)]
-    for (s, _, t) in sft.edges:
-        succ[s].append(t)
-    succ = [sorted(set(v)) for v in succ]
-    sccs = strongly_connected(sft.n_states, succ)
-    scc_of_state = {}
+    n, (src, _, dst) = sft.n_states, sft.edges.T
+    by_src = np.argsort(src, kind="stable")  # sccs ignore repeats, order
+    cuts = np.searchsorted(src[by_src], np.arange(n + 1)).tolist()
+    succ = [dst[by_src[i:j]].tolist() for i, j in zip(cuts, cuts[1:])]
+    sccs = strongly_connected(n, succ)
+    scc = np.empty(n, dtype=np.intp)
     for ci, comp in enumerate(sccs):
-        for v in comp:
-            scc_of_state[v] = ci
+        scc[comp] = ci
+    a, b = scc[src], scc[dst]
     condensation: dict[int, set] = {}
-    inner: dict[int, list[int]] = {}  # scc id -> its edges, in order
-    for i, (s, _, t) in enumerate(sft.edges):
-        a, b = scc_of_state[s], scc_of_state[t]
-        if a != b:
-            condensation.setdefault(a, set()).add(b)
-        else:
-            inner.setdefault(a, []).append(i)
+    for x, y in zip(a[a != b].tolist(), b[a != b].tolist()):
+        condensation.setdefault(x, set()).add(y)
+    inner = np.flatnonzero(a == b)
+    inner = inner[np.argsort(a[inner], kind="stable")]  # by scc, in order
+    sccs_with_edges, starts = np.unique(a[inner], return_index=True)
 
     comps: list[Component] = []
-    for ci, edge_ids in sorted(inner.items()):  # the sccs with an edge
-        arrows = [(sft.edges[i][0], sft.edges[i][2]) for i in edge_ids]
-        period, phase = digraph_period(sccs[ci], arrows)
-        comps.append(Component(sft, len(comps), frozenset(sccs[ci]),
-                               tuple(edge_ids), period, phase))
+    for ci, ids in zip(sccs_with_edges.tolist(), np.split(inner, starts[1:])):
+        states, ends = sccs[ci], sft.edges[ids][:, ::2]
+        period, phase = digraph_period(states, ends.tolist())
+        s, t = np.searchsorted(states, ends.T)
+        comps.append(Component(sft, len(comps), frozenset(states), ids,
+                               period, phase, s, t))
     return ComponentDecomposition(sft, tuple(comps), condensation,
-                                  tuple(sorted(inner)))
+                                  tuple(sccs_with_edges.tolist()))

@@ -1,8 +1,9 @@
 """Pressure, Parry-Gibbs measures, and entropy on recurrent components.
 
-Everything here runs on the state graph of a recurrent component, kept as
-one edge list: the source and target state of each edge and its weight
-exp(psi), where psi is a potential on the edges.  The state matrix M[s, t],
+A potential psi is a float, or an array of one float per edge of the
+shift.  Everything here runs on the state graph of a recurrent component,
+kept as arrays over its edges: the source and target state of each edge
+and its weight exp(psi).  The state matrix M[s, t],
 the sum of the weights of the edges from s to t, has the Perron root of the
 edge shift, and a product with M or its transpose is one ``np.bincount``
 over the edges.  A Parry chain's step from an edge depends only on the
@@ -28,7 +29,6 @@ from .sft import Component, ComponentDecomposition, components, \
     sft_from_automaton
 
 __all__ = [
-    "Potential",
     "word_length_potential",
     "pressure",
     "parry_gibbs_measure",
@@ -51,59 +51,24 @@ VARIATIONAL_BLOCK = 1 << 20  # doubles of random weights drawn per block
 MAXIMAL_TOL = 1e-9      # pressures this close to the top count as maximal
 
 
-class Potential:
-    """A real function of one edge of the shift: a constant, or one value
-    per edge id."""
-
-    def __init__(self, values=None, constant_value: float = 0.0):
-        self.values = dict(values) if values is not None else None
-        self.constant_value = float(constant_value)
-
-    @classmethod
-    def constant(cls, c: float) -> "Potential":
-        return cls(None, c)
-
-    @classmethod
-    def on_edges(cls, values: dict) -> "Potential":
-        """Potential given edge by edge: {edge id: value}."""
-        return cls({e: float(v) for e, v in values.items()})
-
-    def value(self, edge: int) -> float:
-        if self.values is None:
-            return self.constant_value
-        try:
-            return self.values[edge]
-        except KeyError:
-            raise ValueError(f"potential is undefined on edge {edge!r}") from None
-
-    def __repr__(self):
-        if self.values is None:
-            return f"Potential(constant {self.constant_value:g})"
-        return f"Potential({len(self.values)} edges)"
-
-
-def word_length_potential(v: float) -> Potential:
+def word_length_potential(v: float) -> float:
     """The constant potential -v whose equilibrium state weighs all
     geodesics of equal length equally."""
-    return Potential.constant(-float(v))
+    return -float(v)
 
 
-# ---------------------------------------------------------------------------
-# State graph
-# ---------------------------------------------------------------------------
-
-def _state_graph(C: Component, psi: Potential) -> tuple:
-    """The component's edges as one list over its states, numbered in
-    sorted order: the source and target of each edge in C.edge_ids, the
-    potential on it, its weight exp(psi - shift), rescaled so that the
-    largest weight is 1, and the shift."""
-    local = {s: i for i, s in enumerate(sorted(C.states))}
-    edges = C.sft.edges
-    src = np.array([local[edges[e][0]] for e in C.edge_ids], dtype=np.intp)
-    dst = np.array([local[edges[e][2]] for e in C.edge_ids], dtype=np.intp)
-    values = np.array([psi.value(e) for e in C.edge_ids], dtype=float)
+def _weights(C: Component, psi) -> tuple:
+    """The potential on each edge in C.edge_ids, whose ends are C.src and
+    C.dst, its weight exp(psi - shift), rescaled so that the largest weight
+    is 1, and the shift.  Raises ValueError when an array potential does
+    not have one value per edge of the shift."""
+    psi, n = np.asarray(psi, dtype=float), len(C.sft.edges)
+    if psi.ndim and psi.shape != (n,):
+        raise ValueError(f"potential has {psi.size} values; the shift has "
+                         f"{n} edges")
+    values = np.broadcast_to(psi, (n,))[C.edge_ids]
     shift = float(values.max())
-    return src, dst, values, np.exp(values - shift), shift
+    return values, np.exp(values - shift), shift
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +122,10 @@ def _perron(C: Component, src: np.ndarray, dst: np.ndarray, w: np.ndarray
     return lam, u / u.sum()
 
 
-def pressure(C: Component, psi: Potential) -> float:
+def pressure(C: Component, psi) -> float:
     """log of the Perron root of the potential-weighted transition matrix."""
-    src, dst, _, w, shift = _state_graph(C, psi)
-    lam, _ = _perron(C, src, dst, w)
+    _, w, shift = _weights(C, psi)
+    lam, _ = _perron(C, C.src, C.dst, w)
     return math.log(lam) + shift
 
 
@@ -174,8 +139,8 @@ class MarkovMeasure:
     an edge e to a node f that starts where e ends with probability p(f)."""
 
     component: Component
-    potential: Potential
-    nodes: list  # global edge ids, in the component's order
+    potential: float | np.ndarray  # a constant, or a value per shift edge
+    nodes: np.ndarray  # global edge ids, in the component's order
     src: np.ndarray  # source state of each node, numbered in sorted order
     dst: np.ndarray  # target state of each node
     p: np.ndarray  # step probability of each node from its source state
@@ -186,7 +151,7 @@ class MarkovMeasure:
     memory = 1  # edges a node of the chain remembers
 
 
-def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:
+def parry_gibbs_measure(C: Component, psi) -> MarkovMeasure:
     """The Markov measure with transition weights proportional to
     exp(psi) times the right Perron data.
 
@@ -196,7 +161,8 @@ def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:
     pi(e) = l(src e) w(e) u(dst e) / (lam <l, u>), which steps of the
     chain then polish.
     """
-    src, dst, _, w, shift = _state_graph(C, psi)
+    _, w, shift = _weights(C, psi)
+    src, dst = C.src, C.dst
     lam, u = _perron(C, src, dst, w)
     lam_l, l = _perron(C, dst, src, w)
     if abs(lam_l - lam) > 1e-9 * max(lam, 1.0):
@@ -222,7 +188,7 @@ def parry_gibbs_measure(C: Component, psi: Potential) -> MarkovMeasure:
     if np.abs(step(pi) - pi).sum() > 1e-12:
         raise NonConvergence("stationary vector drifted")
 
-    return MarkovMeasure(C, psi, list(C.edge_ids), src, dst, p, pi,
+    return MarkovMeasure(C, psi, C.edge_ids, src, dst, p, pi,
                          math.log(lam) + shift, wu / wu.sum())
 
 
@@ -237,7 +203,7 @@ def entropy(m: MarkovMeasure) -> float:
 
 def mean_potential(m: MarkovMeasure) -> float:
     """Integral of the potential against the measure."""
-    return float(m.pi @ [m.potential.value(e) for e in m.nodes])
+    return float(m.pi @ _weights(m.component, m.potential)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +221,7 @@ class VariationalReport:
     ok: bool
 
 
-def check_variational(C: Component, psi: Potential, trials: int = 200,
+def check_variational(C: Component, psi, trials: int = 200,
                       seed: int = 0) -> VariationalReport:
     """Entropy + integral of the potential, over random Markov measures on
     the component, never beats the pressure; the Parry-Gibbs measure
@@ -272,7 +238,8 @@ def check_variational(C: Component, psi: Potential, trials: int = 200,
     gap = abs(m.pressure - parry_value)
 
     rng = make_rng(seed, stream=101)
-    src, dst, vals, _, _ = _state_graph(C, psi)
+    vals, _, _ = _weights(C, psi)
+    src, dst = C.src, C.dst
     k, n = len(C.states), len(src)
     diag = np.arange(k)
     b = np.where(diag == k - 1, 1.0, 0.0)
@@ -336,7 +303,7 @@ def gibbs_ratio_scan(m: MarkovMeasure, n_max: int = 8) -> GibbsReport:
         raise ValueError(f"cylinder length n_max must be at least 1, "
                          f"got {n_max}")
     k, src, dst = len(m.component.states), m.src, m.dst
-    value = np.array([m.potential.value(e) for e in m.nodes], dtype=float)
+    value = _weights(m.component, m.potential)[0]
     g = np.array([m.pi / m.r, -m.pi / m.r])
     for _ in range(n_max - 1):
         into = np.full((2, k), np.inf)
@@ -369,10 +336,9 @@ class MaximalPressure:
 
 
 def maximal_components(dec: ComponentDecomposition,
-                       psi: Optional[Potential] = None) -> MaximalPressure:
-    """Components of maximal pressure, and whether none of them can reach
-    another through the condensation."""
-    psi = psi if psi is not None else Potential.constant(0.0)
+                       psi=0.0) -> MaximalPressure:
+    """Components of maximal pressure under the potential psi, and whether
+    none of them can reach another through the condensation."""
     if not dec.components:
         return MaximalPressure(dec, (), -math.inf, (), True)
     prs = tuple(pressure(C, psi) for C in dec.components)

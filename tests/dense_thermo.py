@@ -18,6 +18,22 @@ from geoshift.errors import NonConvergence
 from geoshift.thermo import PERRON_ITMAX, PERRON_TOL
 
 
+def on_edges(sft, values):
+    """A potential given edge by edge, {edge id: value}, as an array over
+    the shift's edges: NaN on every edge left out, so that a reading of
+    one cannot pass unseen."""
+    psi = np.full(len(sft.edges), np.nan)
+    psi[list(values)] = list(values.values())
+    return psi
+
+
+def potential_on(psi, ids):
+    """The potential's value on each of the edges ids: the constant, or
+    the array read there."""
+    psi = np.asarray(psi, dtype=float)
+    return psi[list(ids)] if psi.ndim else np.full(len(ids), psi)
+
+
 def _edge_graph(C, psi):
     """Arrow matrix, arrow values and cyclic phases of the component's edges.
 
@@ -30,7 +46,7 @@ def _edge_graph(C, psi):
     src = np.array([edges[e][0] for e in C.edge_ids])
     dst = np.array([edges[e][2] for e in C.edge_ids])
     support = dst[:, None] == src[None, :]
-    values = np.array([psi.value(e) for e in C.edge_ids], dtype=float)
+    values = potential_on(psi, C.edge_ids)
     arrows = np.where(support, values[:, None], -np.inf)
     state_phase = np.array([C.phase[s] for s in src.tolist()], dtype=np.int64)
     phase = (state_phase - state_phase[0]) % C.period
@@ -167,7 +183,7 @@ def dense_mean_potential(d):
 def dense_gibbs_constants(d, psi, n_max):
     """The least and greatest g(e) h(f) over the pairs of edges joined by a
     path of at most n_max - 1 steps, from boolean powers of the support."""
-    value = np.array([psi.value(e) for e in d.nodes], dtype=float)
+    value = potential_on(psi, d.nodes)
     reach = np.eye(len(d.nodes), dtype=bool)
     for _ in range(n_max - 1):
         grown = reach | (reach @ d.support)

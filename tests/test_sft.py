@@ -1,10 +1,14 @@
 """Component structure of edge shifts on small hand-built graphs."""
 
+import numpy as np
 import pytest
 
-from geoshift import components, maximal_components, sft_from_automaton
+from geoshift import (build_geodesic_automaton, check_variational,
+                      components, maximal_components, parry_gibbs_measure,
+                      sft_from_automaton)
+from geoshift.thermo import pressure
 from geoshift.sft import Sft, digraph_period, strongly_connected
-from geoshift.thermo import Potential
+from dense_thermo import on_edges
 
 # edges are (source state, symbol, target state)
 FULL2 = Sft([(0, 0, 0), (0, 1, 0)], 1)
@@ -125,7 +129,7 @@ def test_weights_can_reorder_maximality():
     # with a potential favouring the single loop, it wins despite lower entropy
     sft = Sft([(0, 0, 0), (0, 1, 0), (0, 2, 1), (1, 3, 1)], 2)
     dec = components(sft)
-    favour = Potential.on_edges({0: 0.0, 1: 0.0, 2: 0.0, 3: 2.0})
+    favour = on_edges(sft, {0: 0.0, 1: 0.0, 2: 0.0, 3: 2.0})
     mp = maximal_components(dec, favour)
     assert mp.maximal == (1,)
 
@@ -140,3 +144,25 @@ def test_transient_edges_belong_to_no_component(f2_aut):
     # the four transient edges all leave the initial state
     for e in set(range(len(sft))) - recurrent:
         assert sft.edges[e][0] == f2_aut.initial
+
+
+@pytest.mark.parametrize("group", ["f2", "psl2z", "s3", "genus2"])
+def test_automaton_edges_run_in_sorted_state_letter_order(request, group):
+    # every Perron float sums over the edges in this order
+    aut = (build_geodesic_automaton(request.getfixturevalue(group), n_check=6)
+           if group == "s3" else request.getfixturevalue(
+               {"f2": "f2_aut", "psl2z": "psl_aut",
+                "genus2": "genus2_aut"}[group]))
+    want = [(s, li, t) for (s, li), t in sorted(aut.transitions.items())]
+    assert sft_from_automaton(aut).edges.tolist() == [list(e) for e in want]
+
+
+@pytest.mark.parametrize("length", [1, 3, 5])
+@pytest.mark.parametrize("use", ["pressure", "parry", "variational"])
+def test_a_potential_of_the_wrong_length_is_refused(use, length):
+    C = components(FULL2).components[0]
+    run = {"pressure": pressure, "parry": parry_gibbs_measure,
+           "variational": check_variational}[use]
+    with pytest.raises(ValueError,
+                       match=f"{length} values; the shift has 2 edges"):
+        run(C, np.zeros(length))

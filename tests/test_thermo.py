@@ -8,6 +8,7 @@ single constant.
 
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -29,10 +30,10 @@ from geoshift import automaton, dimension, thermo
 from geoshift.randomness import make_rng
 from geoshift.sft import Sft
 from geoshift.distortion import _BandProduct
-from geoshift.thermo import Potential, mean_potential, pressure
+from geoshift.thermo import mean_potential, pressure
 from dense_thermo import (dense_entropy, dense_gibbs_constants,
                           dense_mean_potential, dense_parry, dense_pressure,
-                          step_matrix)
+                          on_edges, potential_on, step_matrix)
 
 LOG3 = math.log(3.0)
 
@@ -190,13 +191,13 @@ def two_shift_measure():
 
 def edge_varying(m, step=0.0):
     C = m.component
-    return parry_gibbs_measure(C, Potential.on_edges(
+    return parry_gibbs_measure(C, on_edges(C.sft,
         {e: -0.3 - 0.17 * (i % 3) - step * i
          for i, e in enumerate(C.edge_ids)}))
 
 
 def successor_lists(m):
-    value = [m.potential.value(e) for e in m.nodes]
+    value = potential_on(m.potential, m.nodes).tolist()
     P = step_matrix(m)
     successors = [[(int(j), float(P[i, j]))
                    for j in np.flatnonzero(m.src == m.dst[i])]
@@ -209,8 +210,7 @@ def period_two_measure():
     sft = Sft([(0, 0, 1), (0, 1, 1), (1, 2, 0)], 2)
     C = components(sft).components[0]
     assert C.period == 2
-    return parry_gibbs_measure(C, Potential.on_edges(
-        {0: -0.3, 1: -0.5, 2: -0.1}))
+    return parry_gibbs_measure(C, on_edges(sft, {0: -0.3, 1: -0.5, 2: -0.1}))
 
 
 def reference_depth_first_scan(m, n_max):
@@ -282,8 +282,8 @@ def test_scan_matches_every_cylinder_ratio(psl_measure):
     # a potential that differs from edge to edge, so that a Birkhoff sum
     # built from the wrong edge values shows in the bounds
     C = psl_measure.component
-    psi = Potential.on_edges({e: -0.3 - 0.17 * (i % 3)
-                              for i, e in enumerate(C.edge_ids)})
+    psi = on_edges(C.sft, {e: -0.3 - 0.17 * (i % 3)
+                           for i, e in enumerate(C.edge_ids)})
     m = parry_gibbs_measure(C, psi)
     ratios = []
     for n in range(1, 7):
@@ -293,7 +293,7 @@ def test_scan_matches_every_cylinder_ratio(psl_measure):
                 continue
             s = 0.0
             for e in block:
-                s += psi.value(e)
+                s += psi[e]
             ratios.append(mu / math.exp(-n * m.pressure + s))
     rep = gibbs_ratio_scan(m, n_max=6)
     assert not rep.truncated
@@ -310,7 +310,7 @@ def test_scan_matches_every_cylinder_ratio(psl_measure):
 def test_bernoulli_pressure(beta):
     sft = Sft([(0, 0, 0), (0, 1, 0)], 1)
     C = components(sft).components[0]
-    psi = Potential.on_edges({0: 0.0, 1: beta})
+    psi = on_edges(sft, {0: 0.0, 1: beta})
     assert pressure(C, psi) == pytest.approx(math.log(1 + math.exp(beta)),
                                              abs=1e-10)
 
@@ -319,13 +319,13 @@ def test_bernoulli_equilibrium_weights():
     beta = 0.7
     sft = Sft([(0, 0, 0), (0, 1, 0)], 1)
     C = components(sft).components[0]
-    m = parry_gibbs_measure(C, Potential.on_edges({0: 0.0, 1: beta}))
+    m = parry_gibbs_measure(C, on_edges(sft, {0: 0.0, 1: beta}))
     p = math.exp(beta) / (1 + math.exp(beta))
     assert cylinder_measure(m, (1,)) == pytest.approx(p, abs=1e-10)
     assert cylinder_measure(m, (1, 1, 0)) == pytest.approx(p * p * (1 - p),
                                                            abs=1e-10)
     # entropy + mean potential = pressure, and nothing does better
-    rep = check_variational(C, Potential.on_edges({0: 0.0, 1: beta}),
+    rep = check_variational(C, on_edges(sft, {0: 0.0, 1: beta}),
                             trials=300, seed=1)
     assert rep.ok
     assert rep.parry_gap < 1e-9
@@ -348,7 +348,7 @@ def test_periodic_perron_with_edge_potentials(shift, period, psl_aut):
     (C,) = components(sft).components
     assert C.period == period
     values = {e: 0.3 - 0.45 * i for i, e in enumerate(C.edge_ids)}
-    psi = Potential.on_edges(values)
+    psi = on_edges(sft, values)
     # dense edge matrix: e -> f weighted by exp(psi(e)) when f follows e
     dense = np.array([[math.exp(values[e]) if follows(sft, e, f) else 0.0
                        for f in C.edge_ids] for e in C.edge_ids])
@@ -366,17 +366,14 @@ def test_periodic_perron_with_edge_potentials(shift, period, psl_aut):
 def cycle3_measure():
     # a period-3 component with two parallel edges and edge potentials
     (C,) = components(CYCLE3_PARALLEL).components
-    return parry_gibbs_measure(C, Potential.on_edges(
+    return parry_gibbs_measure(C, on_edges(CYCLE3_PARALLEL,
         {e: 0.3 - 0.45 * i for i, e in enumerate(C.edge_ids)}))
 
 
 def band_component(aut, star):
     """The top component of a band product's graph, as its tau takes it."""
-    graph = _BandProduct.of(aut.genset, aut.group.resolve(star)).graph
-    edges = [(i, b, j) for i, out in enumerate(graph) for b, j, _, _ in out]
-    dec = components(Sft(edges, len(graph)))
-    top = maximal_components(dec)
-    return dec.components[top.maximal[0]], top.max_pressure
+    C, v, _ = _BandProduct.of(aut.genset, aut.group.resolve(star)).shift
+    return C, v
 
 
 def oracle_case(case, f2_measure, psl_measure, f2_aut, psl_aut):
@@ -386,11 +383,11 @@ def oracle_case(case, f2_measure, psl_measure, f2_aut, psl_aut):
         C, v = band_component({"f2": f2_aut, "psl2z": psl_aut}[group], star)
         if kind == "growth":
             return C, word_length_potential(v)
-        return C, Potential.on_edges({e: -0.3 - 0.17 * (i % 3)
-                                      for i, e in enumerate(C.edge_ids)})
+        return C, on_edges(C.sft, {e: -0.3 - 0.17 * (i % 3)
+                                   for i, e in enumerate(C.edge_ids)})
     if case.startswith("bernoulli"):
         C = components(Sft([(0, 0, 0), (0, 1, 0)], 1)).components[0]
-        return C, Potential.on_edges({0: 0.0, 1: float(case.split()[1])})
+        return C, on_edges(C.sft, {0: 0.0, 1: float(case.split()[1])})
     m = {"f2": f2_measure, "psl2z": psl_measure, "cycle3": cycle3_measure(),
          "f2 edge-varying": edge_varying(f2_measure, 0.05),
          "psl2z edge-varying": edge_varying(psl_measure, 0.05),
@@ -428,13 +425,47 @@ def test_state_graph_matches_the_dense_edge_oracle(case, f2_measure,
             dense_gibbs_constants(d, psi, n_max), rel=1e-12)
 
 
+@pytest.mark.parametrize("group, star, tau", [
+    ("f2", "Sstar_ab", 5 / 6), ("f2", "Sstar_a2", 7 / 8),
+    ("psl2z", "Sstar_st", 5 / 8)])
+def test_band_manhattan_curve_has_slope_minus_tau(group, star, tau, f2_aut,
+                                                  psl_aut):
+    # theta(a) = P(-a * increment) on the band product's shift is the
+    # growth rate at a = 0, and its slope there is minus the mean increment
+    aut = {"f2": f2_aut, "psl2z": psl_aut}[group]
+    C, _, increment = _BandProduct.of(aut.genset,
+                                      aut.group.resolve(star)).shift
+
+    def theta(a):
+        return pressure(C, -a * increment)
+
+    growth = {"f2": LOG3, "psl2z": 0.5 * math.log(2.0)}[group]
+    assert theta(0.0) == pytest.approx(growth, abs=1e-12)
+    h = 1e-4
+    assert (theta(h) - theta(-h)) / (2 * h) == pytest.approx(-tau, abs=1e-6)
+
+
+def test_band_manhattan_curve_is_cheap_to_evaluate(f2_aut):
+    # 100 pressures of edge-varying potentials on the F2 S -> Sstar_ab band
+    # graph, best of three rounds
+    C, _, increment = _BandProduct.of(f2_aut.genset,
+                                      f2_aut.group.resolve("Sstar_ab")).shift
+    rounds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for a in np.linspace(-1.0, 1.0, 100):
+            pressure(C, -a * increment)
+        rounds.append(time.perf_counter() - t0)
+    assert min(rounds) < 0.1
+
+
 def test_genus2_growth_rate_is_the_sparse_state_matrix_root(genus2_aut):
     # the component has 19,096 edges, so the dense edge matrices would
     # take about 6 GB; scipy's Arnoldi iteration reads the state matrix
     from scipy.sparse import coo_matrix
     from scipy.sparse.linalg import eigs
 
-    s, _, t = zip(*genus2_aut.edges())
+    s, _, t = sft_from_automaton(genus2_aut).edges.T
     n = genus2_aut.n_states
     M = coo_matrix((np.ones(len(s)), (s, t)), shape=(n, n)).tocsr()
     (top,) = eigs(M, k=1, which="LM", return_eigenvectors=False)
@@ -507,7 +538,7 @@ def reference_check_variational(C, psi, trials, seed):
     gap = abs(m.pressure - parry_value)
     rng = make_rng(seed, stream=101)
     src, dst = m.src, m.dst
-    vals = np.array([psi.value(e) for e in m.nodes])
+    vals = potential_on(psi, m.nodes)
     k, n = len(C.states), len(m.nodes)
     best = -math.inf
     for _ in range(trials):
