@@ -4,7 +4,8 @@ States are local isometry types: two elements are merged when the length
 increments of all ball-of-radius-L translates agree and the trailing letters
 of their first-found geodesic words agree.  The accepted language is the set
 of breadth-first tree words (shortlex-least geodesics), so paths from the
-start state of length n are in bijection with the sphere of radius n.
+start state of length n are in bijection with the sphere of radius n.  An
+automaton is its (state, letter) -> target table and nothing besides.
 
 Construction is empirical: a candidate automaton is built from a finite ball
 and then validated against an independent breadth-first oracle (path counts
@@ -45,44 +46,32 @@ SPOT_SAMPLES = 300  # random interior paths checked for geodesity
 SAMPLE_BLOCK = 4096  # sphere samples and rays drawn and walked together
 
 
-@dataclass
+@dataclass(eq=False)
 class GeodesicAutomaton:
-    """Deterministic partial automaton over the letters of one generating set."""
+    """Deterministic partial automaton over the letters of one generating
+    set: ``table[state, letter]`` is a C int target, -1 for no edge."""
 
     group: GroupSpec
     genset: ResolvedGenSet
-    n_states: int
+    table: np.ndarray
     initial: int
-    transitions: dict  # (state, letter index) -> state
     level_used: int
     tail_used: int
     validated_to: int
     conflicts: int = 0
-    _table: Optional[np.ndarray] = field(default=None, repr=False,
-                                         compare=False)
-    _succ: Optional[list] = field(default=None, repr=False, compare=False)
-    _path_counts: Optional[list] = field(default=None, repr=False,
-                                         compare=False)
+    _path_counts: Optional[list] = field(default=None, repr=False)
+    _steps: list = field(default_factory=list, repr=False)  # radius k at k - 1
 
     @property
-    def table(self) -> np.ndarray:
-        """(state, letter) -> target as intc, -1 for no edge, which counting,
-        validation and sampling read; from ``transitions`` if not given."""
-        if self._table is None:
-            edges = np.array(list(self.transitions), np.intp).reshape(-1, 2)
-            self._table = np.full((self.n_states, len(self.genset)), -1,
-                                  dtype=np.intc)
-            self._table[tuple(edges.T)] = list(self.transitions.values())
-        return self._table
+    def n_states(self) -> int:
+        return len(self.table)
 
-    def successors(self, state: int) -> tuple:
-        """Outgoing (letter index, target) pairs, in letter order."""
-        if self._succ is None:
-            src, li = np.nonzero(self.table >= 0)
-            pairs = list(zip(li.tolist(), self.table[src, li].tolist()))
-            ends = np.searchsorted(src, range(self.n_states + 1)).tolist()
-            self._succ = [tuple(pairs[a:b]) for a, b in zip(ends, ends[1:])]
-        return self._succ[state]
+    @property
+    def transitions(self) -> dict:
+        """(state, letter index) -> target of each edge, in that order."""
+        src, li = np.nonzero(self.table >= 0)
+        return dict(zip(zip(src.tolist(), li.tolist()),
+                        self.table[src, li].tolist()))
 
     def path_counts(self, n: int) -> list[list[int]]:
         """counts[k][s] = number of length-k paths starting at state s:
@@ -224,21 +213,16 @@ def _candidate(spec: GroupSpec, T: ResolvedGenSet, tree: BallTree, level: int,
 
     # Renumber states in breadth-first order from the start state, the
     # identity's, so equal inputs give byte-identical automata.
-    order, table = _breadth_first(winner)
-    src, li = np.nonzero(table >= 0)
-    transitions = dict(zip(zip(src.tolist(), li.tolist()),
-                           table[src, li].tolist()))
+    _, table = _breadth_first(winner)
     return GeodesicAutomaton(
         group=spec,
         genset=T,
-        n_states=len(order),
+        table=table,
         initial=0,
-        transitions=transitions,
         level_used=level,
         tail_used=tail_len,
         validated_to=0,
         conflicts=conflicts,
-        _table=table,
     )
 
 
@@ -297,15 +281,18 @@ def _validate_against_tree(aut: GeodesicAutomaton, tree: BallTree,
         # through the neighbour table, and its length in T is the sphere
         # its end position lies in.  Draws replay ``rng.integers``.
         nt = len(aut.genset)
+        src, col = np.nonzero(aut.table >= 0)  # in (state, letter) order
+        edges = list(zip(col.tolist(), aut.table[src, col].tolist()))
+        start = np.searchsorted(src, range(aut.n_states + 1)).tolist()
         draws = scalar_draws(make_rng(seed, stream=977))
         for _ in range(SPOT_SAMPLES):
             s = draws(aut.n_states)
             p = length = 0
             for _ in range(1 + draws(horizon)):
-                succ = aut.successors(s)
-                if not succ:
+                lo, hi = start[s], start[s + 1]  # the edges out of s
+                if lo == hi:
                     break
-                li, s = succ[draws(len(succ))]
+                li, s = edges[lo + draws(hi - lo)]
                 p = tree.nbr[p * nt + li]
                 length += 1
             if bisect_right(bounds, p) - 1 != length:
@@ -421,23 +408,22 @@ def sphere_count(aut: GeodesicAutomaton, n: int) -> int:
 
 
 def enumerate_sphere(aut: GeodesicAutomaton, n: int) -> Iterator[GroupElement]:
-    """Stream the sphere of radius n in shortlex order of accepted words."""
-    spec = aut.group
-    eng = spec.engine
-    tkeys = [e.key for e in aut.genset.elements]
-    if sphere_count(aut, n) > DEFAULT_BALL_BUDGET:
+    """Stream the sphere of radius n in shortlex order of accepted words:
+    ranks 0, 1, ... unranked SAMPLE_BLOCK at a time as the sampler's draws
+    are, each word spelled by :func:`_prefix_key`, with no engine product.
+    Raises ResourceLimit past DEFAULT_BALL_BUDGET elements."""
+    size = sphere_count(aut, n)
+    if size > DEFAULT_BALL_BUDGET:
         raise ResourceLimit(f"sphere of radius {n} exceeds budget "
                             f"{DEFAULT_BALL_BUDGET}")
-
-    # depth first; successors are pushed last letter first, to pop in order
-    stack = [(aut.initial, eng.identity, 0)]
-    while stack:
-        state, gk, depth = stack.pop()
-        if depth == n:
-            yield GroupElement(spec, gk)
-            continue
-        for li, t in reversed(aut.successors(state)):
-            stack.append((t, eng.mult(gk, tkeys[li]), depth + 1))
+    spec, key = aut.group, _prefix_key(aut)
+    letters = np.empty((n, min(size, SAMPLE_BLOCK)),
+                       dtype=np.min_scalar_type(len(aut.genset))).T
+    for lo in range(0, size, SAMPLE_BLOCK):
+        r = np.arange(lo, min(lo + SAMPLE_BLOCK, size), dtype=np.uint64)
+        _unrank(aut, n, r, letters[:len(r)])
+        for row in letters[:len(r)].tolist():
+            yield GroupElement(spec, key(row))
 
 
 def _prefix_key(aut: GeodesicAutomaton):
@@ -453,61 +439,63 @@ def _prefix_key(aut: GeodesicAutomaton):
         [c for li in letters for c in spelled[li]])
 
 
-def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
-                          rng: np.random.Generator, count: int = 1
-                          ) -> Sequence[GroupElement]:
-    """Exactly uniform samples from the sphere of radius n.
-
-    Each sample is one exact draw r below the size of the sphere,
-    ``counts[n][initial]``, unranked into the r-th accepted word in
-    shortlex order, the order of :func:`enumerate_sphere`.  Per radius k,
-    a dense (state, letter) table of the running totals of ``counts[k - 1]``
-    over the successors of s (zero where s has no edge) splits
-    ``[0, counts[k][s])`` into one block per successor, as large as the
-    number of words that go on through it.  A step takes the number of
-    totals <= r as the letter, subtracts its block's start from r and moves
-    to its target.  So r goes to a word one to one, and every element of
-    the sphere has identical probability.
-
-    Samples are drawn SAMPLE_BLOCK at a time, by one
-    :meth:`ExactSampler.draws` each, and unranked with one array step per
-    radius: in Python integers while ``max(counts[k]) >= 2**63``, in int64
-    from there on.  A step compares r with the totals a letter column at a
-    time, all but the last, which exceeds r, and reads block start and
-    target at the flat index ``s * letters + letter``.  The result is a
-    read-only sequence of GroupElements, their keys spelled on first read
-    (one :func:`_prefix_key` each), and its ``letters`` is the (count, n)
-    letter matrix.  Raises EmptySphere when the sphere has no elements,
-    ValueError on a negative n or count.
-    """
-    if n < 0 or count < 0:
-        raise ValueError("n and count must be nonnegative")
-    counts = aut.path_counts(n)
-    size = counts[n][aut.initial]
-    if size == 0:
-        raise EmptySphere(f"no elements at distance {n}")
-    nt, target = len(aut.genset), aut.table.astype(np.intp)
-    steps = []  # per radius n, ..., 1: (letter columns of totals, starts)
-    for k in range(n, 0, -1):
+def _unrank_steps(aut: GeodesicAutomaton, n: int) -> list:
+    """Unranking tables of radii n, ..., 1, kept and extended like the path
+    counts.  Radius k's running totals of ``counts[k - 1]`` over the edges
+    out of s split ``[0, counts[k][s])`` into one block per edge: all their
+    letter columns but the last, and each block's flat start."""
+    counts, steps, target = aut.path_counts(n), aut._steps, aut.table
+    for k in range(len(steps) + 1, n + 1):
         width = np.array(counts[k - 1], dtype=object)[target] * (target >= 0)
         ends = np.cumsum(width, axis=1)
         if max(counts[k]) < 1 << 63:
             ends, width = ends.astype(np.int64), width.astype(np.int64)
         steps.append((ends.T[:-1].copy(), (ends - width).ravel()))
-    letters = np.empty((n, count), dtype=np.min_scalar_type(nt)).T
+    return steps[:n][::-1]
+
+
+def _unrank(aut: GeodesicAutomaton, n: int, r: np.ndarray,
+            letters: np.ndarray) -> None:
+    """Write the accepted word of length n of each rank in r into its row
+    of `letters`.  A step per radius takes the number of totals <= r as the
+    letter, a letter column at a time, subtracts its block's start from r
+    and moves to its target, both read at the flat index ``s * nt + li``."""
+    nt, target = len(aut.genset), aut.table.astype(np.intp).ravel()
+    s = np.full(len(r), aut.initial, dtype=np.intp)
+    for i, (ends, starts) in enumerate(_unrank_steps(aut, n)):
+        # uint64 ranks against int64 totals would compare in float64
+        r = r.astype(ends.dtype, copy=False)
+        li = sum(column[s] <= r for column in ends)
+        at = s * nt + li
+        r = r - starts[at]
+        s = target[at]
+        letters[:, i] = li
+
+
+def sample_uniform_sphere(aut: GeodesicAutomaton, n: int,
+                          rng: np.random.Generator, count: int = 1
+                          ) -> Sequence[GroupElement]:
+    """Exactly uniform samples from the sphere of radius n.
+
+    Each sample is one exact draw r below the size of the sphere, taken
+    SAMPLE_BLOCK at a time by :meth:`ExactSampler.draws`, unranked into the
+    r-th accepted word in the order of :func:`enumerate_sphere`.  The
+    result is a read-only sequence of GroupElements, spelled on first read
+    (one :func:`_prefix_key` each); its ``letters`` is the (count, n)
+    letter matrix.  Raises EmptySphere when the sphere has no elements,
+    ValueError on a negative n or count.
+    """
+    if n < 0 or count < 0:
+        raise ValueError("n and count must be nonnegative")
+    size = sphere_count(aut, n)
+    if size == 0:
+        raise EmptySphere(f"no elements at distance {n}")
+    letters = np.empty((n, count),
+                       dtype=np.min_scalar_type(len(aut.genset))).T
     with ExactSampler(rng) as sampler:
         for lo in range(0, count, SAMPLE_BLOCK):
             hi = min(lo + SAMPLE_BLOCK, count)
-            r = sampler.draws(size, hi - lo)
-            s = np.full(hi - lo, aut.initial, dtype=np.intp)
-            for i, (ends, starts) in enumerate(steps):
-                # uint64 draws against int64 totals would compare in float64
-                r = r.astype(ends.dtype, copy=False)
-                li = sum(column[s] <= r for column in ends)
-                at = s * nt + li
-                r = r - starts[at]
-                s = target.ravel()[at]
-                letters[lo:hi, i] = li
+            _unrank(aut, n, sampler.draws(size, hi - lo), letters[lo:hi])
     spec, key = aut.group, _prefix_key(aut)
     out = _Spelled(count, lambda: [  # rows listed a block at a time
         GroupElement(spec, key(row)) for lo in range(0, count, SAMPLE_BLOCK)
@@ -529,7 +517,7 @@ def serialize_automaton(aut: GeodesicAutomaton) -> str:
         f"validated {aut.validated_to}",
         f"conflicts {aut.conflicts}",
     ]
-    for (s, li), t in sorted(aut.transitions.items()):
+    for (s, li), t in aut.transitions.items():
         lines.append(f"edge {s} {li} {t}")
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -578,7 +566,7 @@ def deserialize_automaton(text: str, spec: GroupSpec,
     if not 0 <= initial < n_states:
         raise FormatError(f"initial state {initial} is not one of the "
                           f"{n_states} states")
-    transitions: dict = {}
+    table = np.full((n_states, len(T)), -1, dtype=np.intc)
     for row in edge_rows:
         parts = row.split()
         if len(parts) != 3:
@@ -589,15 +577,14 @@ def deserialize_automaton(text: str, spec: GroupSpec,
         if not 0 <= li < len(T):
             raise FormatError(f"edge {row!r} uses a letter outside the "
                               f"{len(T)} of {T.name}")
-        if (s, li) in transitions:
+        if table[s, li] >= 0:
             raise FormatError(f"edge {row!r} repeats a state and letter")
-        transitions[(s, li)] = t
+        table[s, li] = t
     return GeodesicAutomaton(
         group=spec,
         genset=T,
-        n_states=n_states,
+        table=table,
         initial=initial,
-        transitions=transitions,
         level_used=level,
         tail_used=tail,
         validated_to=validated,

@@ -161,13 +161,12 @@ def _cmd_components(args) -> int:
     mp = maximal_components(dec)
     rows = []
     for i, C in enumerate(dec.components):
-        parts = [sorted(p) for p in C.cyclic_parts()]
         rows.append({
             "index": i,
             "states": sorted(C.states),
             "edge_count": len(C.edge_ids),
             "period": C.period,
-            "cyclic_parts": parts,
+            "cyclic_parts": C.cyclic_parts(),
             "pressure": mp.pressures[i],
         })
     report = {

@@ -135,15 +135,13 @@ class Component:
     states: frozenset
     edge_ids: np.ndarray  # its edges, in the shift's order
     period: int
-    phase: dict  # state -> phase in Z/period
+    phase: np.ndarray  # of each state in Z/period, its states in sorted order
     src: np.ndarray  # source of each edge, its states numbered in sorted order
     dst: np.ndarray  # target of each edge
 
     def cyclic_parts(self) -> list[list[int]]:
-        parts: list[list[int]] = [[] for _ in range(self.period)]
-        for v in sorted(self.states):
-            parts[self.phase[v]].append(v)
-        return parts
+        states = np.array(sorted(self.states))
+        return [states[self.phase == j].tolist() for j in range(self.period)]
 
     def __repr__(self):
         return (f"Component(#{self.index}, {len(self.edge_ids)} edges, "
@@ -202,6 +200,7 @@ def components(sft: Sft) -> ComponentDecomposition:
         period, phase = digraph_period(states, ends.tolist())
         s, t = np.searchsorted(states, ends.T)
         comps.append(Component(sft, len(comps), frozenset(states), ids,
-                               period, phase, s, t))
+                               period, np.array([phase[v] for v in states]),
+                               s, t))
     return ComponentDecomposition(sft, tuple(comps), condensation,
                                   tuple(sccs_with_edges.tolist()))

@@ -90,7 +90,7 @@ def _perron(C: Component, src: np.ndarray, dst: np.ndarray, w: np.ndarray
     the edge matrix's, read at states, and so is the root.
     """
     k = len(C.states)
-    on = np.array([C.phase[s] == 0 for s in sorted(C.states)])
+    on = C.phase == 0
 
     def product(v, times=1):  # M^times v, one term per edge and time
         for _ in range(times):

@@ -1,10 +1,12 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from geoshift import build_geodesic_automaton, parse_group_file
+from geoshift.automaton import GeodesicAutomaton
 from geoshift.errors import ResourceLimit
-from geoshift.groups import dehn_group, free_product_group
+from geoshift.groups import GroupElement, dehn_group, free_product_group
 
 
 @pytest.fixture(scope="session")
@@ -121,3 +123,42 @@ def dehn_on_ab(*relators: str):
         warnings.simplefilter("ignore")  # most fail C'(1/6)
         return dehn_group([tuple(r) for r in relators], ("a", "A", "b", "B"),
                           {"a": "A", "b": "B"})
+
+
+def automaton_from_edges(group, genset, n_states, edges, initial=0,
+                         level_used=1, tail_used=1, validated_to=0,
+                         conflicts=0):
+    """An automaton on `n_states` states whose edges are the items of a
+    {(state, letter index): target} dict, as its target table."""
+    table = np.full((n_states, len(genset)), -1, dtype=np.intc)
+    for (s, li), t in edges.items():
+        table[s, li] = t
+    return GeodesicAutomaton(group=group, genset=genset, table=table,
+                             initial=initial, level_used=level_used,
+                             tail_used=tail_used, validated_to=validated_to,
+                             conflicts=conflicts)
+
+
+def successors(aut, state):
+    """The (letter index, target) pairs of the edges out of a state, in
+    letter order, read from its row of the target table."""
+    return [(li, t) for li, t in enumerate(aut.table[state].tolist())
+            if t >= 0]
+
+
+def reference_enumerate_sphere(aut, n):
+    """The sphere of radius n in shortlex order of accepted words, by a
+    depth-first walk that multiplies keys with the engine at each node;
+    the edges out of a state are pushed last letter first, to pop in
+    order."""
+    spec = aut.group
+    eng = spec.engine
+    tkeys = [e.key for e in aut.genset.elements]
+    stack = [(aut.initial, eng.identity, 0)]
+    while stack:
+        state, gk, depth = stack.pop()
+        if depth == n:
+            yield GroupElement(spec, gk)
+            continue
+        for li, t in reversed(successors(aut, state)):
+            stack.append((t, eng.mult(gk, tkeys[li]), depth + 1))

@@ -48,7 +48,7 @@ def _edge_graph(C, psi):
     support = dst[:, None] == src[None, :]
     values = potential_on(psi, C.edge_ids)
     arrows = np.where(support, values[:, None], -np.inf)
-    state_phase = np.array([C.phase[s] for s in src.tolist()], dtype=np.int64)
+    state_phase = C.phase[C.src]
     phase = (state_phase - state_phase[0]) % C.period
     return support, arrows, phase
 

@@ -1,9 +1,11 @@
 """Geodesic machines: construction, counting, validation, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import ball_depths
+from conftest import automaton_from_edges, ball_depths, successors
 from geoshift import (
     EmptySphere,
     FormatError,
@@ -141,11 +143,16 @@ def test_an_automaton_equals_its_round_trip_with_its_caches_filled(request,
                                                                   group):
     spec = request.getfixturevalue(group)
     aut = build_geodesic_automaton(spec, n_check=6)
-    aut.successors(aut.initial)
     aut.path_counts(8)
-    assert aut._succ is not None and aut._path_counts is not None
-    assert aut == deserialize_automaton(serialize_automaton(aut), spec,
-                                        aut.genset)
+    automaton._unrank_steps(aut, 8)
+    assert aut._path_counts is not None and len(aut._steps) == 8
+    back = deserialize_automaton(serialize_automaton(aut), spec, aut.genset)
+    for f in dataclasses.fields(GeodesicAutomaton):
+        if f.name == "table":
+            assert back.table.dtype == aut.table.dtype == np.intc
+            assert np.array_equal(back.table, aut.table)
+        elif not f.name.startswith("_"):
+            assert getattr(back, f.name) == getattr(aut, f.name), f.name
 
 
 @pytest.mark.parametrize("old,new", [
@@ -158,6 +165,7 @@ def test_an_automaton_equals_its_round_trip_with_its_caches_filled(request,
     ("end", "edge 1 2\nend"),         # no target
     ("end", "edge 1 b 2\nend"),
     ("end", "edge 0 0 2\nend"),       # a second target for state 0, letter 0
+    ("end", "edge 1 1 0\nedge 1 1 3\nend"),  # a second edge after one to 0
 ])
 def test_malformed_serialized_automaton(f2, old, new):
     text = serialize_automaton(build_geodesic_automaton(f2, n_check=4))
@@ -294,10 +302,9 @@ def reference_candidate(spec, T, tree, level, tail_len):
         for (s, li), t in trans_raw.items()
         if t >= 0 and s in remap
     }
-    return GeodesicAutomaton(group=spec, genset=T, n_states=len(remap),
-                             initial=0, transitions=transitions,
-                             level_used=level, tail_used=tail_len,
-                             validated_to=0, conflicts=conflicts)
+    return automaton_from_edges(spec, T, len(remap), transitions,
+                                level_used=level, tail_used=tail_len,
+                                conflicts=conflicts)
 
 
 def reference_validate(aut, tree, seed=0):
@@ -333,7 +340,7 @@ def reference_validate(aut, tree, seed=0):
                 continue
             seen[i] = 1
             if d < horizon:
-                for li, t in aut.successors(s):
+                for li, t in successors(aut, s):
                     stack.append((t, eng.mult(gk, tkeys[li]), d + 1))
         rng = make_rng(seed, stream=977)
         for _ in range(SPOT_SAMPLES):
@@ -342,7 +349,7 @@ def reference_validate(aut, tree, seed=0):
             length = 0
             budget = int(rng.integers(1, horizon + 1))
             for _ in range(budget):
-                succ = aut.successors(s)
+                succ = successors(aut, s)
                 if not succ:
                     break
                 li, s = succ[int(rng.integers(len(succ)))]
@@ -360,11 +367,10 @@ def reference_validate(aut, tree, seed=0):
 
 
 def with_transitions(aut, transitions):
-    return GeodesicAutomaton(
-        group=aut.group, genset=aut.genset, n_states=aut.n_states,
-        initial=aut.initial, transitions=transitions,
-        level_used=aut.level_used, tail_used=aut.tail_used,
-        validated_to=0, conflicts=aut.conflicts)
+    return automaton_from_edges(
+        aut.group, aut.genset, aut.n_states, transitions,
+        initial=aut.initial, level_used=aut.level_used,
+        tail_used=aut.tail_used, conflicts=aut.conflicts)
 
 
 def cyclic_group(n):
@@ -520,11 +526,10 @@ def test_repeated_geodesics_fail_injectivity_like_the_reference():
         [[i ^ j for j in range(8)] for i in range(8)], ("a", "b", "c"),
         {"a": 1, "b": 2, "c": 4}, {"a": "a", "b": "b", "c": "c"})
     T = z2_cubed.resolve(None)
-    mutant = GeodesicAutomaton(
-        group=z2_cubed, genset=T, n_states=8, initial=0,
-        transitions={(0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 1): 4, (2, 0): 5,
-                     (3, 0): 6, (5, 0): 7},
-        level_used=1, tail_used=1, validated_to=0)
+    mutant = automaton_from_edges(
+        z2_cubed, T, 8,
+        {(0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 1): 4, (2, 0): 5, (3, 0): 6,
+         (5, 0): 7})
     tree = ball_tree(T, 3)
     assert [sphere_count(mutant, n) for n in range(4)] == [1, 3, 3, 1]
     for seed in (0, 5):
@@ -546,11 +551,10 @@ def test_rejected_tree_words_send_a_valid_machine_to_the_sweep(
         [[i ^ j for j in range(8)] for i in range(8)], ("a", "b", "c"),
         {"a": 1, "b": 2, "c": 4}, {"a": "a", "b": "b", "c": "c"})
     T = z2_cubed.resolve(None)
-    reversed_order = GeodesicAutomaton(
-        group=z2_cubed, genset=T, n_states=8, initial=0,
-        transitions={(0, 0): 1, (0, 1): 2, (0, 2): 3, (2, 0): 4, (3, 0): 5,
-                     (3, 1): 6, (6, 0): 7},
-        level_used=1, tail_used=1, validated_to=0)
+    reversed_order = automaton_from_edges(
+        z2_cubed, T, 8,
+        {(0, 0): 1, (0, 1): 2, (0, 2): 3, (2, 0): 4, (3, 0): 5, (3, 1): 6,
+         (6, 0): 7})
     tree = ball_tree(T, 3)
     assert [sphere_count(reversed_order, n) for n in range(4)] == [1, 3, 3, 1]
     assert [tree.tree_word(i) for i in range(4, 8)] == [
@@ -644,7 +648,7 @@ def letter_swaps(aut):
     the sweep and the spot walks can catch them."""
     out = []
     for s in range(aut.n_states):
-        succ = aut.successors(s)
+        succ = successors(aut, s)
         for i, (a, t) in enumerate(succ):
             for b, u in succ[i + 1:]:
                 if t != u:
@@ -656,10 +660,11 @@ def letter_swaps(aut):
 def rejects_a_tree_word(aut, tree):
     """Whether some tree word of the ball leaves the automaton, each word
     walked along ``transitions`` from the start state."""
+    edges = aut.transitions
     for i in range(tree.layer_bounds[-1]):
         s = aut.initial
         for li in tree.tree_word(i):
-            s = aut.transitions.get((s, li))
+            s = edges.get((s, li))
             if s is None:
                 return True
     return False
@@ -755,9 +760,7 @@ def test_path_counts_leave_int64_at_the_first_radius_that_could_overflow(
     {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 3): 2},  # state 2 is a dead end
     {}])
 def test_path_counts_read_no_edge_as_zero(f2, transitions):
-    aut = GeodesicAutomaton(group=f2, genset=f2.resolve(None), n_states=3,
-                            initial=0, transitions=transitions,
-                            level_used=1, tail_used=1, validated_to=0)
+    aut = automaton_from_edges(f2, f2.resolve(None), 3, transitions)
     want = reference_path_counts(aut, 12)
     assert aut.path_counts(12) == want
     assert [row[0] for row in want] == ([1] + [2] * 12 if transitions

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_ball_tree
+from conftest import automaton_from_edges, reference_ball_tree
 from geoshift import (
     build_geodesic_automaton,
     check_growth_inequality,
@@ -19,7 +19,6 @@ from geoshift import (
     rough_similarity_scan,
     sphere_count,
 )
-from geoshift.automaton import GeodesicAutomaton
 from geoshift.distortion import _BandProduct, _ForeignLength
 from geoshift.errors import ResourceLimit
 from geoshift.geometry import BallTree, ball_tree, word_length
@@ -505,10 +504,8 @@ def test_band_means_ignore_the_machine(f2, f2_aut):
     # a machine that accepts a a a^-1 a^-1, whose key is empty: the band
     # means walk the group's keys, so they are the means of F2's spheres
     S = f2.resolve(None)
-    aut = GeodesicAutomaton(group=f2, genset=S, n_states=5, initial=0,
-                            transitions={(0, 0): 1, (1, 0): 2, (2, 1): 3,
-                                         (3, 1): 4},
-                            level_used=1, tail_used=1, validated_to=0)
+    aut = automaton_from_edges(f2, S, 5,
+                               {(0, 0): 1, (1, 0): 2, (2, 1): 3, (3, 1): 4})
     star = f2.resolve("Sstar_ab")
     assert (mean_distortion_exact(aut, star, 4)
             == reference_exact_means(f2_aut, star, 4))
@@ -570,10 +567,10 @@ def _foreign_copy(G):
 def _over(aut, T, transitions=None):
     """`aut` read over T, whose letters it spells in the same order, with
     its own transitions or these."""
-    return GeodesicAutomaton(
-        group=aut.group, genset=T, n_states=aut.n_states, initial=aut.initial,
-        transitions=transitions or aut.transitions,
-        level_used=aut.level_used, tail_used=aut.tail_used, validated_to=0)
+    return automaton_from_edges(
+        aut.group, T, aut.n_states, transitions or aut.transitions,
+        initial=aut.initial, level_used=aut.level_used,
+        tail_used=aut.tail_used)
 
 
 @pytest.mark.parametrize("group, star", [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_enumerate_sphere, successors
 from geoshift import (EmptySphere, build_geodesic_automaton,
                       enumerate_sphere, make_rng, sample_uniform_sphere,
                       sphere_count)
@@ -63,7 +64,7 @@ def reference_sphere_sample(aut, n, rng, count):
         s, gk = aut.initial, eng.identity
         r = sampler.randbelow(counts[n][s])
         for k in range(n, 0, -1):
-            for li, t in aut.successors(s):
+            for li, t in successors(aut, s):
                 w = counts[k - 1][t]
                 if r < w:
                     s, gk = t, eng.mult(gk, tkeys[li])
@@ -284,8 +285,8 @@ def test_each_sphere_sample_draws_once(request, monkeypatch, group, n):
 def test_draws_unrank_the_sphere_in_shortlex_order(request, monkeypatch,
                                                    group, top):
     # at each radius up to `top`, draws 0, 1, ..., N - 1 in turn must spell
-    # the whole sphere, each element once, in the order enumerate_sphere
-    # lists it; s3's spheres are empty from radius 3 on
+    # the whole sphere, each element once, in the order the engine-product
+    # walk lists it; s3's spheres are empty from radius 3 on
     aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
     turn = iter(())
 
@@ -304,7 +305,29 @@ def test_draws_unrank_the_sphere_in_shortlex_order(request, monkeypatch,
         turn = iter(range(size))
         got = [x.key for x in sample_uniform_sphere(aut, n, make_rng(0),
                                                     count=size)]
-        assert got == [x.key for x in enumerate_sphere(aut, n)]
+        assert got == [x.key for x in reference_enumerate_sphere(aut, n)]
+
+
+@pytest.mark.parametrize("group,top", [
+    ("f2", 8), ("psl2z", 12), ("s3", 4), ("genus2", 4), ("f2_star_ab", 5),
+])
+def test_enumerate_sphere_is_the_engine_product_walk(request, monkeypatch,
+                                                     group, top):
+    # the unranked ranks 0, 1, ..., N - 1 list each sphere as the
+    # depth-first walk that multiplies keys at each node does, and take no
+    # product themselves; F2's sphere of radius 8 spans two blocks of
+    # SAMPLE_BLOCK ranks
+    aut = request.getfixturevalue(SPHERE_AUTOMATA[group])
+    want = [[x.key for x in reference_enumerate_sphere(aut, n)]
+            for n in range(top + 1)]
+    assert any(len(keys) > 1 for keys in want)
+
+    def no_product(*args):
+        raise AssertionError("enumerate_sphere multiplied")
+
+    monkeypatch.setattr(aut.group.engine, "mult", no_product)
+    for n in range(top + 1):
+        assert [x.key for x in enumerate_sphere(aut, n)] == want[n]
 
 
 @pytest.mark.parametrize("n", [39, 40])
@@ -325,7 +348,7 @@ def test_ranks_next_to_block_edges_unrank_exactly(f2_aut, monkeypatch, n):
     for r in ranks:  # unranked in Python integers
         s, row = f2_aut.initial, []
         for k in range(n, 0, -1):
-            for li, t in f2_aut.successors(s):
+            for li, t in successors(f2_aut, s):
                 if r < counts[k - 1][t]:
                     s = t
                     row.append(li)

@@ -64,7 +64,8 @@ def test_component_phases_reverse_with_the_arrows(sft, psl_aut):
         states = sorted(C.states)
         per_t, phase_t = digraph_period(states, [(v, u) for u, v in arrows])
         assert per_t == C.period
-        assert phase_t == {v: (-C.phase[v]) % C.period for v in states}
+        assert phase_t == {v: (-int(p)) % C.period
+                           for v, p in zip(states, C.phase)}
 
 
 def test_full_shift_on_two_symbols():

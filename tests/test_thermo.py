@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import successors
 from geoshift import (
     build_geodesic_automaton,
     check_variational,
@@ -508,7 +509,7 @@ def test_every_automaton_state_is_reachable_from_the_start(request, group):
     aut = build_geodesic_automaton(request.getfixturevalue(group), n_check=6)
     seen, todo = {aut.initial}, [aut.initial]
     while todo:
-        for _, t in aut.successors(todo.pop()):
+        for _, t in successors(aut, todo.pop()):
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
